@@ -35,10 +35,10 @@ for tau in range(1, 7):
     upper = min_tree_upper_bound(inst, tau, path)
     print(f"{tau:>4} {lower:>8.4f} {exact:>8.4f} {upper:>8.4f}")
 
-# At tau = n-1 the problem is the ordinary MST, and Kruskal solves it
-# exactly; the Prufer-sequence enumeration over all 7^5 = 16807 labelled
-# trees confirms it.
+# At tau = n-1 the problem is the ordinary MST, and dense Prim (kruskal_mst)
+# solves it exactly; the Prufer-sequence enumeration over all 7^5 = 16807
+# labelled trees confirms it.
 mst = kruskal_mst(inst)
-print("\nKruskal spanning weight:   ", mst.total_weight)
+print("\nPrim spanning weight:      ", mst.total_weight)
 print("enumeration over all trees:", prufer_mst_weight(inst))
 print("exact oracle at tau = n-1: ", exact_min_tree(inst, 6).total_weight)

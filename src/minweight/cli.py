@@ -1,10 +1,11 @@
 """Command-line surface: parse a JSON config, dispatch a driver, emit reports.
 
 Exit codes: 0 when every verdict passes, 2 when any verdict fails, 1 on
-usage or configuration errors. Reports are emitted as CSV (one file per
-table, 17-significant-digit floats) and/or a single JSON document; emitted
-bytes depend only on the effective configuration, never on wall-clock time
-or worker scheduling, so identical runs produce identical files.
+usage or configuration errors and on exceeded enumeration budgets. Reports
+are emitted as CSV (one file per table, 17-significant-digit floats) and/or
+a single JSON document; emitted bytes depend only on the effective
+configuration, never on wall-clock time or worker scheduling, so identical
+runs produce identical files.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import ConfigurationError
+from .errors import CapacityError, ConfigurationError
 from .experiments import ExperimentConfig, ExperimentReport, run_experiment
 
 ENV_OUTPUT_DIR = "MINWEIGHT_OUTPUT_DIR"
@@ -245,7 +246,7 @@ def parse_and_dispatch(argv) -> int:
         cfg = _load_config(args)
         report = run_experiment(cfg)
         paths = emit_report(report, args.format, _output_dir(args))
-    except ConfigurationError as exc:
+    except (ConfigurationError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for v in report.verdicts:

@@ -106,6 +106,9 @@ class ExperimentConfig:
             clean[key] = value
         if "experiment" not in clean:
             raise ConfigurationError("config is missing the key 'experiment'")
+        seed = clean.get("master_seed", cls.master_seed)
+        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
+            raise ConfigurationError(f"master_seed must be an integer in [0, 2**64), got {seed!r}")
         return cls(**clean)
 
     def as_dict(self) -> dict:
@@ -311,7 +314,7 @@ def _require(cond, message):
         raise ConfigurationError(message)
 
 
-def _validate_tree_sweep(cfg: ExperimentConfig, need_multiple_n=False):
+def _validate_tree_sweep(cfg: ExperimentConfig):
     _require(cfg.trials >= 1, "trials must be at least 1")
     _require(len(cfg.n_values) > 0, "n sweep must not be empty")
     _require(all(int(n) >= 2 for n in cfg.n_values), "tree sizes must be at least 2")
@@ -319,11 +322,9 @@ def _validate_tree_sweep(cfg: ExperimentConfig, need_multiple_n=False):
     _require(len(cfg.alpha_values) > 0, "alpha sweep must not be empty")
     _require(all(0.0 < a < 1.0 for a in cfg.alpha_values), "alpha values must lie in (0, 1)")
     _require(cfg.rho == 1.0, "this driver runs the spanning rule; set rho = 1")
-    if need_multiple_n:
-        _require(len(cfg.n_values) >= 2, "fit needs at least two n values")
 
 
-def run_tree_scaling(cfg: ExperimentConfig, _value_hook=None) -> ExperimentReport:
+def run_tree_scaling(cfg: ExperimentConfig) -> ExperimentReport:
     """Spanning-tree weight scaling: slope of mean weight vs n per alpha.
 
     The verdict demands slope within (1 - alpha) +/- 0.08. Also records the
@@ -331,7 +332,8 @@ def run_tree_scaling(cfg: ExperimentConfig, _value_hook=None) -> ExperimentRepor
     sandwich ordering on every trial.
     """
     started = time.time()
-    _validate_tree_sweep(cfg, need_multiple_n=_value_hook is None)
+    _validate_tree_sweep(cfg)
+    _require(len(cfg.n_values) >= 2, "fit needs at least two n values")
     summary_rows = []
     fit_rows = []
     verdicts = []
@@ -344,20 +346,15 @@ def run_tree_scaling(cfg: ExperimentConfig, _value_hook=None) -> ExperimentRepor
             tau = cfg.tau_for(n)
             base = point * cfg.trials
             point += 1
-            if _value_hook is not None:
-                values = [_value_hook(alpha, n, base + t) for t in range(cfg.trials)]
-                uppers = lowers = [0.0] * cfg.trials
-                oks = [True] * cfg.trials
-            else:
-                tasks = [
-                    (alpha, cfg.m_min, cfg.heterogeneous, cfg.master_seed, base + t, n, tau, cfg.gamma)
-                    for t in range(cfg.trials)
-                ]
-                out = _run_tasks(_tree_scaling_trial, tasks, cfg.workers)
-                values = [o[0] for o in out]
-                uppers = [o[1] for o in out]
-                lowers = [o[2] for o in out]
-                oks = [o[3] for o in out]
+            tasks = [
+                (alpha, cfg.m_min, cfg.heterogeneous, cfg.master_seed, base + t, n, tau, cfg.gamma)
+                for t in range(cfg.trials)
+            ]
+            out = _run_tasks(_tree_scaling_trial, tasks, cfg.workers)
+            values = [o[0] for o in out]
+            uppers = [o[1] for o in out]
+            lowers = [o[2] for o in out]
+            oks = [o[3] for o in out]
             violations = sum(1 for ok in oks if not ok)
             total_violations += violations
             s = summarize(values)
@@ -431,7 +428,7 @@ def run_tree_scaling(cfg: ExperimentConfig, _value_hook=None) -> ExperimentRepor
     return _report(cfg, tables, verdicts, started)
 
 
-def run_tree_variance(cfg: ExperimentConfig, _value_hook=None) -> ExperimentReport:
+def run_tree_variance(cfg: ExperimentConfig) -> ExperimentReport:
     """Spanning-tree weight variance against the linear-in-n bound."""
     started = time.time()
     _validate_tree_sweep(cfg)
@@ -443,14 +440,11 @@ def run_tree_variance(cfg: ExperimentConfig, _value_hook=None) -> ExperimentRepo
     for point, n in enumerate(cfg.n_values):
         n = int(n)
         base = point * cfg.trials
-        if _value_hook is not None:
-            values = [_value_hook(alpha, n, base + t) for t in range(cfg.trials)]
-        else:
-            tasks = [
-                (alpha, cfg.m_min, cfg.heterogeneous, cfg.master_seed, base + t, n)
-                for t in range(cfg.trials)
-            ]
-            values = _run_tasks(_tree_variance_trial, tasks, cfg.workers)
+        tasks = [
+            (alpha, cfg.m_min, cfg.heterogeneous, cfg.master_seed, base + t, n)
+            for t in range(cfg.trials)
+        ]
+        values = _run_tasks(_tree_variance_trial, tasks, cfg.workers)
         s = summarize(values)
         # upper 95% chi-square confidence bound under approximate normality
         df = cfg.trials - 1
@@ -729,7 +723,7 @@ def run_constraint_decay(cfg: ExperimentConfig) -> ExperimentReport:
     return _report(cfg, tables, verdicts, started)
 
 
-def run_fpp_variance(cfg: ExperimentConfig, _value_hook=None) -> ExperimentReport:
+def run_fpp_variance(cfg: ExperimentConfig) -> ExperimentReport:
     """Growth of var(T_n(k)) with n for one passage-time distribution."""
     started = time.time()
     _validate_lattice(cfg)
@@ -743,14 +737,11 @@ def run_fpp_variance(cfg: ExperimentConfig, _value_hook=None) -> ExperimentRepor
         n = int(n)
         k = cfg.k_multiple * n
         base = point * cfg.trials
-        if _value_hook is not None:
-            values = [_value_hook(n, base + t) for t in range(cfg.trials)]
-        else:
-            tasks = [
-                (pspec, cfg.d, cfg.master_seed, base + t, n, k, cfg.box_radius_factor)
-                for t in range(cfg.trials)
-            ]
-            values = _run_tasks(_fpp_variance_trial, tasks, cfg.workers)
+        tasks = [
+            (pspec, cfg.d, cfg.master_seed, base + t, n, k, cfg.box_radius_factor)
+            for t in range(cfg.trials)
+        ]
+        values = _run_tasks(_fpp_variance_trial, tasks, cfg.workers)
         s = summarize(values)
         rows.append((pspec.kind, n, k, cfg.trials, s.mean, s.unbiased_variance))
         points.append((n, s.unbiased_variance))
@@ -794,12 +785,14 @@ def run_fpp_variance(cfg: ExperimentConfig, _value_hook=None) -> ExperimentRepor
 def run_oracle_suite(cfg: ExperimentConfig) -> ExperimentReport:
     """Cross-validation harness: exact oracles against the production solvers.
 
-    Parts: 'spanning' (subset enumeration vs Kruskal at tau = n-1),
-    'sandwich' (counting lower bound <= exact <= greedy upper bound across
-    tau and the gamma grid), 'lattice' (hop DP vs exhaustive path
-    enumeration, plus infeasibility agreement), 'prufer' (Kruskal vs full
-    labelled-tree enumeration at n = 7). Every comparison demands exact
-    equality or a zero violation count.
+    Parts: 'spanning' (subset enumeration vs the spanning tree at
+    tau = n-1), 'sandwich' (counting lower bound <= exact <= greedy upper
+    bound across tau and the gamma grid), 'lattice' (hop DP vs exhaustive
+    path enumeration, plus infeasibility agreement), 'prufer' (spanning tree
+    vs full labelled-tree enumeration at n = 7). Every comparison demands
+    exact equality or a zero violation count. The spanning tree comes from
+    dense Prim (kruskal_mst); the verdict names still say "kruskal" because
+    the golden report digests pin them.
     """
     started = time.time()
     _require(len(cfg.suite) > 0, "suite selection must not be empty")

@@ -224,24 +224,18 @@ def weight_matrix(spec: TreeWeightSpec, ctx: SeedContext, n: int) -> np.ndarray:
     edge_weight over all pairs.
     """
     idx = np.arange(1, n + 1, dtype=np.uint64)
-    lo = np.minimum(idx[:, None], idx[None, :])
-    hi = np.maximum(idx[:, None], idx[None, :])
-    h = rng.hash_words_vec(rng.STREAM_TREE_WEIGHT, ctx.master_seed, ctx.trial_index, lo, hi)
-    u = rng.unit_vec(h)
-    if spec.heterogeneous:
-        v = rng.unit_vec(rng.hash_words_vec(rng.STREAM_TREE_SCALE, lo, hi))
-        scale = spec.m_min + (1.0 - spec.m_min) * v
-    else:
-        scale = 1.0
-    w = scale * u**spec.alpha
+    w = weights_from_vertex(spec, ctx, idx[:, None], idx[None, :])
     np.fill_diagonal(w, np.inf)
     return w
 
 
-def weights_from_vertex(spec: TreeWeightSpec, ctx: SeedContext, i: int, targets: np.ndarray) -> np.ndarray:
-    """Weights of edges from vertex i to each target vertex (1-based arrays)."""
+def weights_from_vertex(spec: TreeWeightSpec, ctx: SeedContext, i: int | np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Weights of edges from vertex i to each target vertex (1-based).
+
+    i may be an array that broadcasts against targets.
+    """
+    iv = np.asarray(i, dtype=np.uint64)
     t = np.asarray(targets, dtype=np.uint64)
-    iv = np.uint64(i)
     lo = np.minimum(iv, t)
     hi = np.maximum(iv, t)
     u = rng.unit_vec(rng.hash_words_vec(rng.STREAM_TREE_WEIGHT, ctx.master_seed, ctx.trial_index, lo, hi))

@@ -200,3 +200,36 @@ def test_emit_rejects_unknown_format(tmp_path):
 
     with pytest.raises(ConfigurationError):
         emit_report(tiny_report(), "xml", tmp_path)
+
+
+def _single_error_line(capsys):
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    return err[0]
+
+
+def test_negative_seed_flag_is_config_error(tmp_path, capsys):
+    assert parse_and_dispatch(["tree-scaling", "--seed", "-1", "--output-dir", str(tmp_path)]) == 1
+    assert "master_seed" in _single_error_line(capsys)
+
+
+@pytest.mark.parametrize("seed", [2**64, "3", True, 1.0])
+def test_config_master_seed_must_be_64_bit_int(tmp_path, capsys, seed):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "tree-scaling", "master_seed": seed}))
+    code = parse_and_dispatch(["tree-scaling", "--config", str(cfg), "--output-dir", str(tmp_path)])
+    assert code == 1
+    assert "master_seed" in _single_error_line(capsys)
+    assert not (tmp_path / "tree-scaling.json").exists()
+
+
+def test_capacity_error_exits_one(tmp_path, capsys, monkeypatch):
+    import minweight.cli as cli_mod
+    from minweight.errors import CapacityError
+
+    def over_budget(cfg):
+        raise CapacityError("enumeration would take 10 elementary steps, budget is 1")
+
+    monkeypatch.setattr(cli_mod, "run_experiment", over_budget)
+    assert parse_and_dispatch(["oracle-suite", "--output-dir", str(tmp_path)]) == 1
+    assert "budget" in _single_error_line(capsys)

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import minweight.experiments as exp_mod
 from minweight.cli import SMOKE_CONFIGS, report_document
 from minweight.errors import ConfigurationError
 from minweight.experiments import (
@@ -80,9 +81,11 @@ def test_passage_spec_from_config():
         passage_spec_from_config({"kind": "exponential", "scale_x": 2})
 
 
-def test_tree_scaling_fit_identity_hook():
-    cfg = smoke("tree-scaling")
-    report = run_tree_scaling(cfg, _value_hook=lambda alpha, n, t: 3.0 * n**0.5)
+def test_tree_scaling_fit_identity_hook(monkeypatch):
+    # trial args: alpha, m_min, het, master, gtrial, n_vertices, tau, gamma
+    monkeypatch.setattr(exp_mod, "_tree_scaling_trial", lambda *a: (3.0 * a[5] ** 0.5, 0.0, 0.0, True))
+    cfg = smoke("tree-scaling", workers=1)
+    report = run_tree_scaling(cfg)
     slope = report.table("fits").rows[0][1]
     assert slope == pytest.approx(0.5, abs=1e-12)
     assert report.passed
@@ -97,9 +100,10 @@ def test_tree_scaling_empty_sweep_rejected():
         run_tree_scaling(smoke("tree-scaling", rho=0.5))
 
 
-def test_tree_variance_constant_hook():
-    cfg = smoke("tree-variance")
-    report = run_tree_variance(cfg, _value_hook=lambda alpha, n, t: 7.25)
+def test_tree_variance_constant_hook(monkeypatch):
+    monkeypatch.setattr(exp_mod, "_tree_variance_trial", lambda *a: 7.25)
+    cfg = smoke("tree-variance", workers=1)
+    report = run_tree_variance(cfg)
     row = report.table("variance").rows[0]
     assert row[4] == 0.0  # variance
     assert report.passed
@@ -157,9 +161,10 @@ def test_decay_saturated_budget_has_zero_mismatch():
     assert report.passed
 
 
-def test_fpp_variance_constant_hook_reports_degenerate():
-    cfg = smoke("fpp-variance", trials=10)
-    report = run_fpp_variance(cfg, _value_hook=lambda n, t: 1.5)
+def test_fpp_variance_constant_hook_reports_degenerate(monkeypatch):
+    monkeypatch.setattr(exp_mod, "_fpp_variance_trial", lambda *a: 1.5)
+    cfg = smoke("fpp-variance", trials=10, workers=1)
+    report = run_fpp_variance(cfg)
     verdict = report.verdicts[0]
     assert verdict.passed and "degenerate" in verdict.note
     assert report.table("fit").rows == ()

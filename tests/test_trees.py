@@ -1,10 +1,10 @@
 
+import numpy as np
 import pytest
 
 from minweight.errors import CapacityError
 from minweight.trees import (
     CompleteInstance,
-    UnionFind,
     all_labelled_trees,
     exact_min_tree,
     greedy_spanning_path,
@@ -29,6 +29,49 @@ FROZEN4 = [
 # exact_min_tree(n=5, tau=2) at alpha=0.5, seed 11, trial 0; frozen from an
 # independent enumeration of all adjacent edge pairs.
 GOLDEN_N5_TAU2 = 0.3380741283086015
+
+
+class UnionFind:
+    __slots__ = ("parent",)
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, u):
+        p = self.parent
+        while p[u] != u:
+            p[u] = p[p[u]]
+            u = p[u]
+        return u
+
+    def union(self, u, v):
+        ru, rv = self.find(u), self.find(v)
+        if ru == rv:
+            return False
+        self.parent[rv] = ru
+        return True
+
+
+def kruskal_oracle(inst):
+    """Reference MST: scan edges by (weight, lo, hi) and join components.
+
+    Returns the edge set and the total added in sorted-key order.
+    """
+    W = inst.matrix()
+    lo0, hi0 = np.triu_indices(inst.n, 1)
+    w = W[lo0, hi0]
+    uf = UnionFind(inst.n + 1)
+    edges = []
+    for e in np.lexsort((hi0, lo0, w)):
+        a, b = int(lo0[e]) + 1, int(hi0[e]) + 1
+        if uf.union(a, b):
+            edges.append((a, b))
+            if len(edges) == inst.n - 1:
+                break
+    total = 0.0
+    for a, b in sorted(edges):
+        total += inst.weight(a, b)
+    return set(edges), total
 
 
 def frozen4():
@@ -94,6 +137,18 @@ def test_kruskal_three_vertices():
     w = [[0.0, 0.7, 0.4], [0.7, 0.0, 0.9], [0.4, 0.9, 0.0]]
     res = kruskal_mst(CompleteInstance.from_matrix(w))
     assert res.total_weight == pytest.approx(0.7 + 0.4)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 64, 256])
+@pytest.mark.parametrize("m_min,het", [(1.0, False), (0.5, True)])
+def test_kruskal_mst_matches_oracle(n, m_min, het):
+    for alpha in (0.3, 0.5, 0.7):
+        inst = seeded(n, 31 + n, trial=7, alpha=alpha, m_min=m_min, het=het)
+        res = kruskal_mst(inst)
+        edges, total = kruskal_oracle(inst)
+        assert set(res.edges) == edges
+        assert res.total_weight == total  # bit-identical, same summation order
+        assert res.edge_count == n - 1
 
 
 def test_kruskal_is_tree():
@@ -211,6 +266,8 @@ def test_from_matrix_validation():
         CompleteInstance.from_matrix([[0.0, 0.1], [0.2, 0.0]])
     with pytest.raises(ValueError):
         CompleteInstance.from_matrix([[0.0]])
+    with pytest.raises(ValueError, match="finite"):
+        CompleteInstance.from_matrix([[0.0, np.inf, 0.1], [np.inf, 0.0, 0.2], [0.1, 0.2, 0.0]])
 
 
 def test_prufer_decode_known_tree():
@@ -228,16 +285,3 @@ def test_kruskal_matches_prufer_enumeration():
     for seed in range(5):
         inst = seeded(7, 300 + seed)
         assert kruskal_mst(inst).total_weight == prufer_mst_weight(inst)
-
-
-def test_uncached_instance_agrees_with_cached(monkeypatch):
-    import minweight.trees as trees_mod
-
-    inst_c = seeded(24, 12)
-    mst_c = kruskal_mst(inst_c)
-    greedy_c = greedy_spanning_path(inst_c)
-    monkeypatch.setattr(trees_mod, "MATRIX_CACHE_THRESHOLD", 8)
-    inst_u = seeded(24, 12)
-    assert inst_u.matrix() is None
-    assert kruskal_mst(inst_u).total_weight == mst_c.total_weight
-    assert greedy_spanning_path(inst_u).step_weights == greedy_c.step_weights
