@@ -107,8 +107,15 @@ class ExperimentConfig:
         if "experiment" not in clean:
             raise ConfigurationError("config is missing the key 'experiment'")
         seed = clean.get("master_seed", cls.master_seed)
-        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
+        if not _is_int(seed) or not 0 <= seed < 2**64:
             raise ConfigurationError(f"master_seed must be an integer in [0, 2**64), got {seed!r}")
+        for key in ("trials", "workers"):
+            if not _is_int(clean.get(key, 1)):
+                raise ConfigurationError(f"{key} must be an integer, got {clean[key]!r}")
+        if clean.get("workers", 1) < 1:
+            raise ConfigurationError(f"workers must be at least 1, got {clean['workers']!r}")
+        if not isinstance(clean.get("heterogeneous", False), bool):
+            raise ConfigurationError(f"heterogeneous must be true or false, got {clean['heterogeneous']!r}")
         return cls(**clean)
 
     def as_dict(self) -> dict:
@@ -137,6 +144,11 @@ class ExperimentConfig:
         if self.rho == 1.0:
             return n - 1
         return min(n - 1, max(1, round(self.rho * n)))
+
+
+def _is_int(value) -> bool:
+    """True for a JSON integer; bool is an int subclass in Python but not here."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def passage_spec_from_config(dist: dict) -> PassageTimeSpec:
@@ -251,11 +263,11 @@ def _tree_variance_trial(alpha, m_min, het, master, gtrial, n_vertices):
 
 def _random_prefix(master, gtrial, n_vertices, j):
     """Uniform ordered j-tuple of distinct vertices via partial Fisher-Yates."""
+    i = np.arange(j, dtype=np.uint64)
+    h = rng.hash_words_vec(rng.STREAM_PREFIX, master, gtrial, i)
     verts = list(range(1, n_vertices + 1))
-    for i in range(j):
-        h = rng.hash_words(rng.STREAM_PREFIX, master, gtrial, i)
-        r = i + h % (n_vertices - i)
-        verts[i], verts[r] = verts[r], verts[i]
+    for a, r in enumerate((i + h % (np.uint64(n_vertices) - i)).tolist()):
+        verts[a], verts[r] = verts[r], verts[a]
     return tuple(verts[:j])
 
 

@@ -25,10 +25,9 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
-from . import rng
 from .errors import CapacityError, InfeasibleError
 from .stats import ProbEstimate, wilson_interval
-from .weights import PassageTimeSpec, SeedContext, inverse_transform_times, passage_time_grid
+from .weights import PassageTimeSpec, SeedContext, _passage_times, passage_time_grid
 
 
 @dataclass(frozen=True)
@@ -186,25 +185,12 @@ def hop_constrained_time(
         for a in range(lat.d):
             lo = _lo_slice(lat.d, a)
             hi = _hi_slice(lat.d, a)
-            t = times[a]
-            # move +axis: base vertex is the tail
-            cand = cur[lo] + t
-            if want_path:
-                view = new[hi]
-                mask = cand < view
-                view[mask] = cand[mask]
-                log[hi][mask] = 2 * a
-            else:
-                np.minimum(new[hi], cand, out=new[hi])
-            # move -axis: base vertex is the head
-            cand = cur[hi] + t
-            if want_path:
-                view = new[lo]
-                mask = cand < view
-                view[mask] = cand[mask]
-                log[lo][mask] = 2 * a + 1
-            else:
-                np.minimum(new[lo], cand, out=new[lo])
+            # +axis moves leave the base vertex, -axis moves arrive at it
+            for src, dst, code in ((lo, hi, 2 * a), (hi, lo, 2 * a + 1)):
+                cand = cur[src] + times[a]
+                if want_path:
+                    log[dst][cand < new[dst]] = code
+                np.minimum(new[dst], cand, out=new[dst])
         cur = new
         target_trace.append(float(cur[target]))
         if want_path:
@@ -341,17 +327,8 @@ def unconstrained_time(
     hop_count = len(flat_chain) - 1
     path = None
     if want_path:
-        side = box.side
-        coords = []
-        for f in flat_chain:
-            rem = f
-            g = []
-            for _ in range(lat.d):
-                g.append(rem % side)
-                rem //= side
-            g.reverse()
-            coords.append(box.coord_of(tuple(g)))
-        path = tuple(coords)
+        grid = np.unravel_index(flat_chain, box.shape)
+        path = tuple(box.coord_of(g) for g in zip(*grid))
     return ConstrainedResult(
         value=value, hop_count=hop_count, path=path, certified=True, k=None, n=n
     )
@@ -379,22 +356,15 @@ def enumerate_paths_oracle(lat: LatticeSpec, n: int, k: int, box_radius: int):
 
     target = (n, 0)
     r = box_radius
-    cache = {}
-
-    def edge_time(base, axis):
-        key = (base, axis)
-        t = cache.get(key)
-        if t is None:
-            t = float(
-                passage_time_grid(
-                    lat.spec,
-                    lat.ctx,
-                    axis,
-                    (np.array([base[0]]), np.array([base[1]])),
-                )[0]
-            )
-            cache[key] = t
-        return t
+    # time of every edge inside the box, keyed by (base vertex, axis)
+    edge_time = {}
+    for axis in (0, 1):
+        xs = np.arange(-r, r + axis, dtype=np.int64)
+        ys = np.arange(-r, r + 1 - axis, dtype=np.int64)
+        grid = passage_time_grid(lat.spec, lat.ctx, axis, (xs[:, None], ys[None, :])).tolist()
+        for x, row in zip(xs.tolist(), grid):
+            for y, t in zip(ys.tolist(), row):
+                edge_time[(x, y), axis] = t
 
     best = math.inf
     moves = ((1, 0, 0), (-1, 0, 0), (0, 1, 1), (0, -1, 1))
@@ -416,7 +386,7 @@ def enumerate_paths_oracle(lat: LatticeSpec, n: int, k: int, box_radius: int):
                 continue
             base = min(pos, npos)
             visited.add(npos)
-            rec(npos, cost + edge_time(base, axis), hops_left - 1, visited)
+            rec(npos, cost + edge_time[base, axis], hops_left - 1, visited)
             visited.remove(npos)
 
     rec((0, 0), 0.0, k, {(0, 0)})
@@ -449,24 +419,13 @@ def linear_path_tail_probe(
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
 
-    x = np.arange(0, m, dtype=np.uint64)
-    zero = np.uint64(0)
-    lo, hi = lat.spec.param_range
-    if lo == hi:
-        theta = lo
-    else:
-        pwords = [rng.STREAM_LATTICE_PARAM, 0, x] + [zero] * (lat.d - 1)
-        theta = lo + (hi - lo) * rng.unit_vec(rng.hash_words_vec(*pwords))
-
+    bases = (np.arange(0, m, dtype=np.int64)[None, :],) + (0,) * (lat.d - 1)
     cutoff = beta * m
     successes = 0
     start = lat.ctx.trial_index
     for t0 in range(start, start + trials, chunk):
         t1 = min(t0 + chunk, start + trials)
         tvec = np.arange(t0, t1, dtype=np.uint64)[:, None]
-        words = [rng.STREAM_LATTICE_TIME, lat.ctx.master_seed, tvec, 0, x[None, :]]
-        words += [zero] * (lat.d - 1)
-        u = rng.unit_vec(rng.hash_words_vec(*words))
-        times = inverse_transform_times(lat.spec, theta, u)
+        times = _passage_times(lat.spec, lat.ctx.master_seed, tvec, 0, bases)
         successes += int(np.count_nonzero(times.sum(axis=1) <= cutoff))
     return wilson_interval(successes, trials)

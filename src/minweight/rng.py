@@ -5,7 +5,13 @@ Every random quantity in this package is a pure function of a word tuple
 one at a time into a 64-bit state through the splitmix64 finalizer, and the
 final state is mapped to a uniform variate in [0, 1) using the top 53 bits.
 There is no sequential generator state, so edge weights can be evaluated in
-any order, in parallel, and one at a time in O(1) memory.
+any order and in parallel, and the trial index is just one more word that
+broadcasts like the others.
+
+The mixer is implemented once, over uint64 arrays; the package draws no
+random word any other way. ``tests/reference.py`` keeps a scalar loop
+version (``hash_words``, ``uniform``) that the tests require these kernels to
+match bit for bit.
 
 The mixer identifier below is embedded in every report; frozen golden values
 in the test suite are only valid for this exact construction.
@@ -29,48 +35,8 @@ STREAM_LATTICE_TIME = 3
 STREAM_LATTICE_PARAM = 4
 STREAM_PREFIX = 5
 
-# 1 / 2**53, the spacing of the uniform grid produced by unit().
+# 1 / 2**53, the spacing of the uniform grid produced by unit_vec().
 _U53 = 2.0 ** -53
-
-
-def mix64(z: int) -> int:
-    """splitmix64 finalizer on a 64-bit word (scalar reference version)."""
-    z &= _MASK
-    z = ((z ^ (z >> 30)) * _M1) & _MASK
-    z = ((z ^ (z >> 27)) * _M2) & _MASK
-    return z ^ (z >> 31)
-
-
-def hash_words(*words: int) -> int:
-    """Absorb a word tuple into a 64-bit digest.
-
-    Negative words are reduced modulo 2**64 (two's complement), which is how
-    signed lattice coordinates enter the mixer.
-    """
-    h = _INIT
-    for w in words:
-        h = mix64(h ^ (w & _MASK))
-    return h
-
-
-def unit(h: int) -> float:
-    """Map a 64-bit digest to the uniform grid {0, 1, ..., 2**53 - 1} / 2**53.
-
-    The result lies in [0, 1): zero is attainable (probability 2**-53), one
-    is not.
-    """
-    return (h >> 11) * _U53
-
-
-def uniform(*words: int) -> float:
-    """Uniform [0, 1) variate attached to a word tuple."""
-    return unit(hash_words(*words))
-
-
-# -- vectorized mirror --------------------------------------------------------
-#
-# The array versions must agree bit for bit with the scalar ones above; the
-# test suite asserts this on random word tuples.
 
 _V_M1 = np.uint64(_M1)
 _V_M2 = np.uint64(_M2)
@@ -89,7 +55,11 @@ def mix64_vec(z: np.ndarray) -> np.ndarray:
 
 
 def hash_words_vec(*words) -> np.ndarray:
-    """Vectorized hash_words; scalar ints and uint64 arrays broadcast together."""
+    """Absorb word tuples into 64-bit digests; ints and uint64 arrays broadcast.
+
+    Negative int words are reduced modulo 2**64 (two's complement); signed
+    array words go through encode_signed first.
+    """
     h = np.uint64(_INIT)
     for w in words:
         if isinstance(w, np.ndarray):
@@ -101,7 +71,7 @@ def hash_words_vec(*words) -> np.ndarray:
 
 
 def unit_vec(h: np.ndarray) -> np.ndarray:
-    """Vectorized unit()."""
+    """Map digests to the uniform grid {0, 1, ..., 2**53 - 1} / 2**53 in [0, 1)."""
     return (h >> _V_11).astype(np.float64) * _U53
 
 

@@ -13,7 +13,10 @@ Two families are provided:
   the master seed or the trial index.
 
 All sampling is keyed through :mod:`minweight.rng`; see there for the
-determinism contract.
+determinism contract. Each family has one array kernel: weights_from_vertex
+for tree weights (weight_matrix is its all-pairs call) and _passage_times for
+passage times (passage_time_grid binds it to one SeedContext). The scalar
+per-edge versions that the tests use as oracles are in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -144,44 +147,6 @@ class PassageTimeSpec:
 # -- tree weights --------------------------------------------------------------
 
 
-def _edge_key(i: int, j: int, n: int) -> tuple:
-    if i == j:
-        raise ValueError(f"self-loop ({i},{i}) has no weight")
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError(f"vertex indices must lie in 1..{n}, got ({i},{j})")
-    return (i, j) if i < j else (j, i)
-
-
-def edge_scale(spec: TreeWeightSpec, i: int, j: int) -> float:
-    """Per-edge scale m_e in [m_min, 1], a fixed function of the edge key."""
-    if not spec.heterogeneous:
-        return 1.0
-    lo, hi = (i, j) if i < j else (j, i)
-    v = rng.uniform(rng.STREAM_TREE_SCALE, lo, hi)
-    return spec.m_min + (1.0 - spec.m_min) * v
-
-
-def tree_weight_from_uniform(spec: TreeWeightSpec, m_e: float, u: float) -> float:
-    """Inverse-transform map u -> m_e * u**alpha (test hook for forced u).
-
-    The power goes through the numpy array ufunc (0-d and scalar powers take
-    a different libm path) so that scalar and vectorized sampling agree bit
-    for bit.
-    """
-    return m_e * float((np.array([u], dtype=np.float64) ** spec.alpha)[0])
-
-
-def edge_weight(spec: TreeWeightSpec, ctx: SeedContext, i: int, j: int, n: int | None = None) -> float:
-    """Weight of the unordered complete-graph edge {i, j}, in [0, 1].
-
-    Symmetric by construction: the uniform variate is attached to the sorted
-    key, so edge_weight(i, j) == edge_weight(j, i) exactly.
-    """
-    lo, hi = _edge_key(i, j, n if n is not None else max(i, j))
-    u = rng.uniform(rng.STREAM_TREE_WEIGHT, ctx.master_seed, ctx.trial_index, lo, hi)
-    return tree_weight_from_uniform(spec, edge_scale(spec, lo, hi), u)
-
-
 def cdf_tree_weight(spec: TreeWeightSpec, m_e: float, x: float) -> float:
     """cdf of the concrete weight law at scale m_e: clamp((x/m_e)**(1/alpha), 0, 1)."""
     if x < 0.0:
@@ -221,7 +186,7 @@ def weight_matrix(spec: TreeWeightSpec, ctx: SeedContext, n: int) -> np.ndarray:
     """Dense symmetric n x n weight matrix with +inf on the diagonal.
 
     Row/column index v corresponds to vertex v+1. Bit-identical to looping
-    edge_weight over all pairs.
+    the scalar reference edge_weight of ``tests/reference.py`` over all pairs.
     """
     idx = np.arange(1, n + 1, dtype=np.uint64)
     w = weights_from_vertex(spec, ctx, idx[:, None], idx[None, :])
@@ -261,54 +226,30 @@ def inverse_transform_times(spec: PassageTimeSpec, theta, u):
     return theta * x_m * (1.0 - u) ** (-1.0 / shape)
 
 
-def passage_time_from_uniform(spec: PassageTimeSpec, theta: float, u: float) -> float:
-    """Inverse-transform map for one edge with per-edge parameter theta.
+def _passage_times(spec: PassageTimeSpec, master_seed: int, trial: int | np.ndarray, axis: int, base_coords: tuple) -> np.ndarray:
+    """Passage times of the +axis edges at the given base vertices.
 
-    Test hook: forcing u exercises the distribution boundaries directly.
-    Routed through the vectorized transform on a 1-element array, keeping
-    scalar and grid sampling bit-identical (numpy's scalar and array
-    transcendentals can differ in the last ulp).
+    trial is a trial index or a uint64 array of them that broadcasts against
+    the coordinate arrays, so one call can sample many trials at once.
     """
-    return float(inverse_transform_times(spec, theta, np.array([u], dtype=np.float64))[0])
+    coords = [rng.encode_signed(c) for c in base_coords]
+    u = rng.unit_vec(rng.hash_words_vec(rng.STREAM_LATTICE_TIME, master_seed, trial, axis, *coords))
 
-
-def edge_parameter(spec: PassageTimeSpec, axis: int, base: tuple) -> float:
-    """Per-edge parameter, a fixed function of the edge key (axis, base vertex)."""
     lo, hi = spec.param_range
     if lo == hi:
-        return lo
-    words = (rng.STREAM_LATTICE_PARAM, axis) + tuple(base)
-    return lo + (hi - lo) * rng.uniform(*words)
+        theta = lo
+    else:
+        theta = lo + (hi - lo) * rng.unit_vec(rng.hash_words_vec(rng.STREAM_LATTICE_PARAM, axis, *coords))
 
-
-def passage_time(spec: PassageTimeSpec, ctx: SeedContext, axis: int, base: tuple) -> float:
-    """Passage time of the lattice edge from ``base`` to ``base + e_axis``.
-
-    ``base`` must be the lexicographically smaller endpoint, i.e. the edge
-    runs in the +axis direction.
-    """
-    if not 0 <= axis < len(base):
-        raise ValueError(f"axis {axis} out of range for dimension {len(base)}")
-    words = (rng.STREAM_LATTICE_TIME, ctx.master_seed, ctx.trial_index, axis) + tuple(base)
-    u = rng.uniform(*words)
-    return passage_time_from_uniform(spec, edge_parameter(spec, axis, base), u)
+    return inverse_transform_times(spec, theta, u)
 
 
 def passage_time_grid(spec: PassageTimeSpec, ctx: SeedContext, axis: int, base_coords: tuple) -> np.ndarray:
     """Vectorized passage times for a grid of base vertices on one axis.
 
     base_coords is a tuple of d broadcastable integer arrays (one per
-    coordinate). Bit-identical to looping passage_time.
+    coordinate); entry x is the time of the edge from x to x + e_axis.
+    Bit-identical to looping the scalar reference passage_time of
+    ``tests/reference.py``.
     """
-    words = [rng.STREAM_LATTICE_TIME, ctx.master_seed, ctx.trial_index, axis]
-    words += [rng.encode_signed(c) for c in base_coords]
-    u = rng.unit_vec(rng.hash_words_vec(*words))
-
-    lo, hi = spec.param_range
-    if lo == hi:
-        theta = lo
-    else:
-        pwords = [rng.STREAM_LATTICE_PARAM, axis] + [rng.encode_signed(c) for c in base_coords]
-        theta = lo + (hi - lo) * rng.unit_vec(rng.hash_words_vec(*pwords))
-
-    return inverse_transform_times(spec, theta, u)
+    return _passage_times(spec, ctx.master_seed, ctx.trial_index, axis, base_coords)

@@ -233,3 +233,32 @@ def test_capacity_error_exits_one(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli_mod, "run_experiment", over_budget)
     assert parse_and_dispatch(["oracle-suite", "--output-dir", str(tmp_path)]) == 1
     assert "budget" in _single_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "key,value,needle",
+    [
+        ("trials", "3", "trials"),
+        ("trials", True, "trials"),
+        ("trials", 3.0, "trials"),
+        ("workers", "2", "workers"),
+        ("workers", 0, "workers"),
+        ("workers", -3, "workers"),
+        ("heterogeneous", "false", "heterogeneous"),
+        ("heterogeneous", 0, "heterogeneous"),
+    ],
+)
+def test_config_types_checked_on_entry(tmp_path, capsys, key, value, needle):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "tree-scaling", key: value}))
+    code = parse_and_dispatch(["tree-scaling", "--config", str(cfg), "--output-dir", str(tmp_path)])
+    assert code == 1
+    assert needle in _single_error_line(capsys)
+    assert not (tmp_path / "tree-scaling.json").exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_flag_must_be_positive(tmp_path, capsys, workers):
+    code = parse_and_dispatch(["tree-scaling", "--workers", workers, "--output-dir", str(tmp_path)])
+    assert code == 1
+    assert "workers" in _single_error_line(capsys)

@@ -19,6 +19,7 @@ from minweight.experiments import (
     run_tree_variance,
     run_yj_moments,
 )
+from reference import random_prefix
 
 # First-run golden digests of the built-in smoke configurations. These pin
 # the entire report content (config echo, every table cell, verdicts): any
@@ -131,6 +132,14 @@ def test_random_prefix_distinct_and_deterministic():
     assert len(set(p1)) == 12
     assert all(1 <= v <= 100 for v in p1)
     assert _random_prefix(3, 18, 100, 12) != p1
+
+
+@pytest.mark.parametrize("master", [0, 2, 2**63 + 5])
+def test_random_prefix_matches_scalar_fisher_yates(master):
+    for n_vertices, j in ((512, 1), (512, 448), (7, 6), (2, 1), (100, 99)):
+        for gtrial in (0, 1, 17, 428):
+            expected = random_prefix(master, gtrial, n_vertices, j)
+            assert _random_prefix(master, gtrial, n_vertices, j) == expected
 
 
 def test_fpp_band_single_n_flags_insufficient_sweep():

