@@ -18,20 +18,11 @@ from pathlib import Path
 
 from . import __version__
 from .errors import CapacityError, ConfigurationError
-from .experiments import ExperimentConfig, ExperimentReport, run_experiment
+from .experiments import DRIVERS, ExperimentConfig, ExperimentReport, run_experiment
 
 ENV_OUTPUT_DIR = "MINWEIGHT_OUTPUT_DIR"
 
-SUBCOMMANDS = (
-    "tree-scaling",
-    "tree-variance",
-    "yj-moments",
-    "fpp-band",
-    "constraint-decay",
-    "fpp-variance",
-    "oracle-suite",
-    "selftest",
-)
+SUBCOMMANDS = (*DRIVERS, "selftest")
 
 # Built-in smoke configurations, used when no --config file is given. They
 # are small enough to run in seconds and double as the frozen-golden runs of

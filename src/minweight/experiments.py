@@ -4,10 +4,11 @@ One driver per quantitative claim: tree-weight scaling and variance, the
 nearest-unvisited-edge moment band, the lattice passage-time band, the
 constraint-mismatch decay, the passage-time variance growth, and a
 cross-validation oracle suite. Each driver returns an ExperimentReport whose
-tables and verdicts are pure functions of the configuration: trial i of
-sweep point p uses trial index p * trials + i under the master seed, and
-aggregation always runs in trial order, so reports are identical no matter
-how many workers computed them.
+tables and verdicts are pure functions of the configuration. The six sweep
+drivers run their trials through _sweep, the one place the trial-index rule
+lives: trial t of sweep point p uses trial index p * trials + t under the
+master seed. Aggregation always runs in trial order, so reports are
+identical no matter how many workers computed them.
 
 Verdict.criterion names the acceptance criterion (AC1..AC11) the verdict
 implements.
@@ -15,7 +16,9 @@ implements.
 
 from __future__ import annotations
 
+import itertools
 import time
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
@@ -69,53 +72,52 @@ class ExperimentConfig:
     trials: int = 100
     workers: int = 1
     # tree-weight family and sweeps
-    alpha_values: tuple = (0.5,)
-    n_values: tuple = ()
+    alpha_values: tuple[float, ...] = (0.5,)
+    n_values: tuple[int, ...] = ()
     m_min: float = 1.0
     heterogeneous: bool = False
     rho: float = 1.0
     gamma: float = 1.0
     # nearest-edge moments
     n: int = 0
-    j_values: tuple = ()
+    j_values: tuple[int, ...] = ()
     exp_moment_s: float = 2.0
     # lattice
     d: int = 2
     distribution: dict = field(default_factory=dict)
     k_multiple: int = 3
-    k_values: tuple = ()
+    k_values: tuple[int, ...] = ()
     box_radius_factor: float = 3.0
     hops_ratio_max: float = 3.0
     stabilization_tol: float = 0.10
     # oracle suite
-    suite: tuple = ("spanning", "sandwich", "lattice", "prufer")
+    suite: tuple[str, ...] = ("spanning", "sandwich", "lattice", "prufer")
     suite_tree_instances: int = 100
     suite_prufer_instances: int = 50
     suite_lattice_instances: int = 200
-    suite_gammas: tuple = (0.25, 0.5, 1.0, 2.0)
+    suite_gammas: tuple[float, ...] = (0.25, 0.5, 1.0, 2.0)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        known = {f.name for f in fields(cls)}
+        """Config from parsed JSON; every value must match its field's type.
+
+        Nothing is coerced: see _matches. Lists become tuples.
+        """
         clean = {}
         for key, value in raw.items():
-            if key not in known:
+            hint = _FIELD_TYPES.get(key)
+            if hint is None:
                 raise ConfigurationError(f"unknown config key {key!r}")
-            if isinstance(value, list):
-                value = tuple(value)
-            clean[key] = value
+            if not _matches(value, hint):
+                raise ConfigurationError(f"{key} must be a JSON {_json_name(hint)}, got {value!r}")
+            clean[key] = tuple(value) if isinstance(value, list) else value
         if "experiment" not in clean:
             raise ConfigurationError("config is missing the key 'experiment'")
         seed = clean.get("master_seed", cls.master_seed)
-        if not _is_int(seed) or not 0 <= seed < 2**64:
+        if not 0 <= seed < 2**64:
             raise ConfigurationError(f"master_seed must be an integer in [0, 2**64), got {seed!r}")
-        for key in ("trials", "workers"):
-            if not _is_int(clean.get(key, 1)):
-                raise ConfigurationError(f"{key} must be an integer, got {clean[key]!r}")
         if clean.get("workers", 1) < 1:
             raise ConfigurationError(f"workers must be at least 1, got {clean['workers']!r}")
-        if not isinstance(clean.get("heterogeneous", False), bool):
-            raise ConfigurationError(f"heterogeneous must be true or false, got {clean['heterogeneous']!r}")
         return cls(**clean)
 
     def as_dict(self) -> dict:
@@ -133,32 +135,55 @@ class ExperimentConfig:
         return out
 
     def tree_spec(self, alpha: float) -> TreeWeightSpec:
+        """Tree-weight spec; out-of-range alpha or m_min raise ConfigurationError."""
         return TreeWeightSpec(alpha=alpha, m_min=self.m_min, heterogeneous=self.heterogeneous)
 
     def passage_spec(self) -> PassageTimeSpec:
         return passage_spec_from_config(self.distribution)
 
-    def tau_for(self, n: int) -> int:
-        if not 0.0 < self.rho <= 1.0:
-            raise ConfigurationError(f"rho must lie in (0, 1], got {self.rho}")
-        if self.rho == 1.0:
-            return n - 1
-        return min(n - 1, max(1, round(self.rho * n)))
+
+# Resolved once: typing.get_type_hints compiles every annotation string on
+# each call, because this module defers annotations.
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
 
 
-def _is_int(value) -> bool:
-    """True for a JSON integer; bool is an int subclass in Python but not here."""
-    return isinstance(value, int) and not isinstance(value, bool)
+def _matches(value, hint) -> bool:
+    """JSON type check without coercion.
+
+    A bool is never a number, an int passes where a float is declared, and a
+    tuple field takes a JSON list whose every element matches.
+    """
+    if typing.get_origin(hint) is tuple:
+        element = typing.get_args(hint)[0]
+        return isinstance(value, (list, tuple)) and all(_matches(v, element) for v in value)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _json_name(hint) -> str:
+    if typing.get_origin(hint) is tuple:
+        return f"list of {_json_name(typing.get_args(hint)[0])}s"
+    return {int: "integer", float: "number", bool: "boolean", str: "string", dict: "object"}[hint]
+
+
+_DISTRIBUTION_PARAMS = ("rate", "a", "b", "x_m", "shape")
 
 
 def passage_spec_from_config(dist: dict) -> PassageTimeSpec:
     if not dist:
         raise ConfigurationError("config key 'distribution' is missing or empty")
     kind = dist.get("kind")
-    extra = set(dist) - {"kind", "rate", "a", "b", "x_m", "shape", "param_range"}
+    extra = set(dist) - {"kind", "param_range", *_DISTRIBUTION_PARAMS}
     if extra:
         raise ConfigurationError(f"unknown distribution key {sorted(extra)[0]!r}")
-    param_range = tuple(dist.get("param_range", (1.0, 1.0)))
+    for key in _DISTRIBUTION_PARAMS:
+        if key in dist and not _matches(dist[key], float):
+            raise ConfigurationError(f"distribution key {key!r} must be a JSON number, got {dist[key]!r}")
+    param_range = dist.get("param_range", (1.0, 1.0))
+    if not _matches(param_range, tuple[float, ...]) or len(param_range) != 2:
+        raise ConfigurationError(f"param_range must be a JSON list of two numbers, got {param_range!r}")
+    param_range = tuple(param_range)
     if kind == "exponential":
         return PassageTimeSpec("exponential", (dist.get("rate", 1.0),), param_range)
     if kind == "uniform":
@@ -222,30 +247,36 @@ def _report(cfg: ExperimentConfig, tables, verdicts, started: float) -> Experime
     )
 
 
-# -- deterministic worker pool ---------------------------------------------
+# -- deterministic sweep runner ------------------------------------------------
 
 
-def _call(packed):
-    fn, args = packed
-    return fn(*args)
+def _sweep(cfg: ExperimentConfig, fn, points) -> list:
+    """Run cfg.trials trials of fn(ctx, *point) for every sweep point.
 
-
-def _run_tasks(fn, tasks, workers: int):
-    """Evaluate fn over tasks, preserving task order in the result list."""
-    tasks = list(tasks)
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(*t) for t in tasks]
-    chunk = max(1, len(tasks) // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_call, [(fn, t) for t in tasks], chunksize=chunk))
+    Trial t of point p runs under SeedContext(cfg.master_seed,
+    p * cfg.trials + t). All trials of all points go through one serial pass
+    or one process pool; the result holds one outcome list per point, in
+    trial order.
+    """
+    tasks = [
+        (SeedContext(cfg.master_seed, p * cfg.trials + t), *point)
+        for p, point in enumerate(points)
+        for t in range(cfg.trials)
+    ]
+    if cfg.workers <= 1 or len(tasks) <= 1:
+        outcomes = [fn(*task) for task in tasks]
+    else:
+        chunk = max(1, len(tasks) // (cfg.workers * 8))
+        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+            outcomes = list(pool.map(fn, *zip(*tasks), chunksize=chunk))
+    return [outcomes[p * cfg.trials : (p + 1) * cfg.trials] for p in range(len(points))]
 
 
 # -- trial functions (module level so the process pool can pickle them) -----
 
 
-def _tree_scaling_trial(alpha, m_min, het, master, gtrial, n_vertices, tau, gamma):
-    spec = TreeWeightSpec(alpha=alpha, m_min=m_min, heterogeneous=het)
-    inst = CompleteInstance(n_vertices, spec, SeedContext(master, gtrial))
+def _tree_scaling_trial(ctx, spec, n_vertices, tau, gamma):
+    inst = CompleteInstance(n_vertices, spec, ctx)
     mst = kruskal_mst(inst).total_weight
     path = greedy_spanning_path(inst)
     upper = min_tree_upper_bound(inst, tau, path)
@@ -255,10 +286,8 @@ def _tree_scaling_trial(alpha, m_min, het, master, gtrial, n_vertices, tau, gamm
     return mst, upper, lower, ok
 
 
-def _tree_variance_trial(alpha, m_min, het, master, gtrial, n_vertices):
-    spec = TreeWeightSpec(alpha=alpha, m_min=m_min, heterogeneous=het)
-    inst = CompleteInstance(n_vertices, spec, SeedContext(master, gtrial))
-    return kruskal_mst(inst).total_weight
+def _tree_variance_trial(ctx, spec, n_vertices):
+    return kruskal_mst(CompleteInstance(n_vertices, spec, ctx)).total_weight
 
 
 def _random_prefix(master, gtrial, n_vertices, j):
@@ -271,19 +300,17 @@ def _random_prefix(master, gtrial, n_vertices, j):
     return tuple(verts[:j])
 
 
-def _yj_trial(alpha, m_min, het, master, gtrial, n_vertices, j):
-    spec = TreeWeightSpec(alpha=alpha, m_min=m_min, heterogeneous=het)
-    inst = CompleteInstance(n_vertices, spec, SeedContext(master, gtrial))
-    prefix = _random_prefix(master, gtrial, n_vertices, j)
-    return sample_yj(inst, prefix)
+def _yj_trial(ctx, spec, n_vertices, j):
+    inst = CompleteInstance(n_vertices, spec, ctx)
+    return sample_yj(inst, _random_prefix(ctx.master_seed, ctx.trial_index, n_vertices, j))
 
 
 def _initial_radius(cfg_factor: float, n: int, k: int) -> int:
     return min(k, int(cfg_factor * n) + 8)
 
 
-def _fpp_band_trial(pspec, d, master, gtrial, n, k, radius0):
-    lat = LatticeSpec(d=d, spec=pspec, ctx=SeedContext(master, gtrial))
+def _fpp_band_trial(ctx, pspec, d, n, k, radius0):
+    lat = LatticeSpec(d=d, spec=pspec, ctx=ctx)
     res_k = hop_constrained_certified(lat, n, k, initial_radius=radius0, want_path=False)
     res_inf = unconstrained_time(lat, n, want_path=False)
     straight = straight_path_time(lat, n)
@@ -291,31 +318,29 @@ def _fpp_band_trial(pspec, d, master, gtrial, n, k, radius0):
     return res_k.value, res_inf.value, straight, res_k.hop_count, ok
 
 
-def _decay_trial(pspec, d, master, gtrial, n, k_values, factor):
-    lat = LatticeSpec(d=d, spec=pspec, ctx=SeedContext(master, gtrial))
-    res_inf = unconstrained_time(lat, n, want_path=False)
-    flags = []
-    for k in k_values:
-        if k >= res_inf.hop_count:
-            # the unconstrained witness is feasible, so T_n(k) = T_n exactly
-            flags.append(False)
-        else:
-            res_k = hop_constrained_certified(
-                lat, n, k, initial_radius=_initial_radius(factor, n, k), want_path=False
-            )
-            flags.append((res_k.value - res_inf.value) > EQUALITY_RTOL * res_inf.value)
-    return tuple(flags)
-
-
-def _fpp_variance_trial(pspec, d, master, gtrial, n, k, factor):
-    lat = LatticeSpec(d=d, spec=pspec, ctx=SeedContext(master, gtrial))
-    res_inf = unconstrained_time(lat, n, want_path=False)
-    if res_inf.hop_count <= k:
+def _constrained_value(lat, n, k, res_inf, factor):
+    """T_n(k), given the unconstrained result res_inf of the same lattice."""
+    if k >= res_inf.hop_count:
+        # the unconstrained witness is feasible, so T_n(k) = T_n exactly
         return res_inf.value
     res_k = hop_constrained_certified(
         lat, n, k, initial_radius=_initial_radius(factor, n, k), want_path=False
     )
     return res_k.value
+
+
+def _decay_trial(ctx, pspec, d, n, k_values, factor):
+    lat = LatticeSpec(d=d, spec=pspec, ctx=ctx)
+    res_inf = unconstrained_time(lat, n, want_path=False)
+    return tuple(
+        (_constrained_value(lat, n, k, res_inf, factor) - res_inf.value) > EQUALITY_RTOL * res_inf.value
+        for k in k_values
+    )
+
+
+def _fpp_variance_trial(ctx, pspec, d, n, k, factor):
+    lat = LatticeSpec(d=d, spec=pspec, ctx=ctx)
+    return _constrained_value(lat, n, k, unconstrained_time(lat, n, want_path=False), factor)
 
 
 # -- drivers -----------------------------------------------------------------
@@ -329,10 +354,9 @@ def _require(cond, message):
 def _validate_tree_sweep(cfg: ExperimentConfig):
     _require(cfg.trials >= 1, "trials must be at least 1")
     _require(len(cfg.n_values) > 0, "n sweep must not be empty")
-    _require(all(int(n) >= 2 for n in cfg.n_values), "tree sizes must be at least 2")
+    _require(all(n >= 2 for n in cfg.n_values), "tree sizes must be at least 2")
     _require(len(set(cfg.n_values)) == len(cfg.n_values), "n sweep must not repeat values")
     _require(len(cfg.alpha_values) > 0, "alpha sweep must not be empty")
-    _require(all(0.0 < a < 1.0 for a in cfg.alpha_values), "alpha values must lie in (0, 1)")
     _require(cfg.rho == 1.0, "this driver runs the spanning rule; set rho = 1")
 
 
@@ -346,23 +370,17 @@ def run_tree_scaling(cfg: ExperimentConfig) -> ExperimentReport:
     started = time.time()
     _validate_tree_sweep(cfg)
     _require(len(cfg.n_values) >= 2, "fit needs at least two n values")
+    _require(cfg.gamma > 0.0, "gamma must be positive")
+    specs = [cfg.tree_spec(alpha) for alpha in cfg.alpha_values]
+    points = [(spec, n, n - 1, cfg.gamma) for spec in specs for n in cfg.n_values]
+    outcomes = iter(zip(points, _sweep(cfg, _tree_scaling_trial, points)))
     summary_rows = []
     fit_rows = []
     verdicts = []
     total_violations = 0
-    point = 0
     for alpha in cfg.alpha_values:
         means = []
-        for n in cfg.n_values:
-            n = int(n)
-            tau = cfg.tau_for(n)
-            base = point * cfg.trials
-            point += 1
-            tasks = [
-                (alpha, cfg.m_min, cfg.heterogeneous, cfg.master_seed, base + t, n, tau, cfg.gamma)
-                for t in range(cfg.trials)
-            ]
-            out = _run_tasks(_tree_scaling_trial, tasks, cfg.workers)
+        for (_, n, tau, _), out in itertools.islice(outcomes, len(cfg.n_values)):
             values = [o[0] for o in out]
             uppers = [o[1] for o in out]
             lowers = [o[2] for o in out]
@@ -447,16 +465,11 @@ def run_tree_variance(cfg: ExperimentConfig) -> ExperimentReport:
     _require(cfg.trials >= 100, "variance estimation needs at least 100 trials")
     _require(len(cfg.alpha_values) == 1, "tree-variance sweeps a single alpha")
     alpha = cfg.alpha_values[0]
+    spec = cfg.tree_spec(alpha)
     rows = []
     verdicts = []
-    for point, n in enumerate(cfg.n_values):
-        n = int(n)
-        base = point * cfg.trials
-        tasks = [
-            (alpha, cfg.m_min, cfg.heterogeneous, cfg.master_seed, base + t, n)
-            for t in range(cfg.trials)
-        ]
-        values = _run_tasks(_tree_variance_trial, tasks, cfg.workers)
+    outcomes = _sweep(cfg, _tree_variance_trial, [(spec, n) for n in cfg.n_values])
+    for n, values in zip(cfg.n_values, outcomes):
         s = summarize(values)
         # upper 95% chi-square confidence bound under approximate normality
         df = cfg.trials - 1
@@ -493,22 +506,17 @@ def run_yj_moments(cfg: ExperimentConfig) -> ExperimentReport:
     started = time.time()
     _require(cfg.n >= 2, "set n to the (single) vertex count")
     _require(len(cfg.j_values) > 0, "j sweep must not be empty")
-    _require(all(1 <= int(j) < cfg.n for j in cfg.j_values), "j values must lie in 1..n-1")
+    _require(all(1 <= j < cfg.n for j in cfg.j_values), "j values must lie in 1..n-1")
     _require(len(cfg.alpha_values) == 1, "yj-moments sweeps a single alpha")
     _require(cfg.trials >= 1, "trials must be at least 1")
     alpha = cfg.alpha_values[0]
+    spec = cfg.tree_spec(alpha)
     s_param = cfg.exp_moment_s
     rows = []
     scaled_means = []
     exp_checks = []
-    for point, j in enumerate(cfg.j_values):
-        j = int(j)
-        base = point * cfg.trials
-        tasks = [
-            (alpha, cfg.m_min, cfg.heterogeneous, cfg.master_seed, base + t, cfg.n, j)
-            for t in range(cfg.trials)
-        ]
-        ys = _run_tasks(_yj_trial, tasks, cfg.workers)
+    outcomes = _sweep(cfg, _yj_trial, [(spec, cfg.n, j) for j in cfg.j_values])
+    for j, ys in zip(cfg.j_values, outcomes):
         s = summarize(ys)
         scale = (cfg.n - j) ** alpha
         scaled = scale * s.mean
@@ -562,10 +570,12 @@ def run_yj_moments(cfg: ExperimentConfig) -> ExperimentReport:
     return _report(cfg, tables, verdicts, started)
 
 
-def _validate_lattice(cfg: ExperimentConfig):
+def _validate_lattice(cfg: ExperimentConfig) -> PassageTimeSpec:
+    """Check the fields every lattice driver reads; returns the passage-time spec."""
     _require(cfg.d >= 2, "lattice dimension must be at least 2")
     _require(cfg.trials >= 1, "trials must be at least 1")
-    cfg.passage_spec()  # raises ConfigurationError on bad distributions
+    _require(all(n >= 1 for n in cfg.n_values), "lattice n values must be at least 1")
+    return cfg.passage_spec()
 
 
 def run_fpp_band(cfg: ExperimentConfig) -> ExperimentReport:
@@ -577,23 +587,18 @@ def run_fpp_band(cfg: ExperimentConfig) -> ExperimentReport:
     below hops_ratio_max.
     """
     started = time.time()
-    _validate_lattice(cfg)
+    pspec = _validate_lattice(cfg)
     _require(len(cfg.n_values) > 0, "n sweep must not be empty")
     _require(cfg.k_multiple >= 1, "k_multiple must be at least 1 so that k >= n")
-    pspec = cfg.passage_spec()
+    points = []
+    for n in cfg.n_values:
+        k = cfg.k_multiple * n
+        points.append((pspec, cfg.d, n, k, _initial_radius(cfg.box_radius_factor, n, k)))
     rows = []
     violations = 0
     tinf_means = []
     hop_ratios = []
-    for point, n in enumerate(cfg.n_values):
-        n = int(n)
-        k = cfg.k_multiple * n
-        radius0 = _initial_radius(cfg.box_radius_factor, n, k)
-        base = point * cfg.trials
-        tasks = [
-            (pspec, cfg.d, cfg.master_seed, base + t, n, k, radius0) for t in range(cfg.trials)
-        ]
-        out = _run_tasks(_fpp_band_trial, tasks, cfg.workers)
+    for (_, _, n, k, _), out in zip(points, _sweep(cfg, _fpp_band_trial, points)):
         tk = summarize([o[0] / n for o in out])
         tinf = summarize([o[1] / n for o in out])
         straight = summarize([o[2] / n for o in out])
@@ -675,18 +680,13 @@ def run_fpp_band(cfg: ExperimentConfig) -> ExperimentReport:
 def run_constraint_decay(cfg: ExperimentConfig) -> ExperimentReport:
     """Decay of P(T_n(k) != T_n) along an increasing hop-budget schedule."""
     started = time.time()
-    _validate_lattice(cfg)
+    pspec = _validate_lattice(cfg)
     _require(cfg.n >= 1, "set n to the (single) target abscissa")
     _require(len(cfg.k_values) > 0, "k schedule must not be empty")
-    ks = [int(k) for k in cfg.k_values]
+    ks = cfg.k_values
     _require(all(b > a for a, b in zip(ks, ks[1:])), "k schedule must be strictly increasing")
     _require(ks[0] >= cfg.n, "k schedule must start at or above n")
-    pspec = cfg.passage_spec()
-    tasks = [
-        (pspec, cfg.d, cfg.master_seed, t, cfg.n, tuple(ks), cfg.box_radius_factor)
-        for t in range(cfg.trials)
-    ]
-    out = _run_tasks(_decay_trial, tasks, cfg.workers)
+    (out,) = _sweep(cfg, _decay_trial, [(pspec, cfg.d, cfg.n, ks, cfg.box_radius_factor)])
     rows = []
     estimates = []
     for idx, k in enumerate(ks):
@@ -738,22 +738,14 @@ def run_constraint_decay(cfg: ExperimentConfig) -> ExperimentReport:
 def run_fpp_variance(cfg: ExperimentConfig) -> ExperimentReport:
     """Growth of var(T_n(k)) with n for one passage-time distribution."""
     started = time.time()
-    _validate_lattice(cfg)
+    pspec = _validate_lattice(cfg)
     _require(len(cfg.n_values) >= 2, "variance fit needs at least two n values")
     _require(cfg.trials >= 2, "variance needs at least 2 trials")
     _require(cfg.k_multiple >= 1, "k_multiple must be at least 1 so that k >= n")
-    pspec = cfg.passage_spec()
+    grid = [(pspec, cfg.d, n, cfg.k_multiple * n, cfg.box_radius_factor) for n in cfg.n_values]
     rows = []
     points = []
-    for point, n in enumerate(cfg.n_values):
-        n = int(n)
-        k = cfg.k_multiple * n
-        base = point * cfg.trials
-        tasks = [
-            (pspec, cfg.d, cfg.master_seed, base + t, n, k, cfg.box_radius_factor)
-            for t in range(cfg.trials)
-        ]
-        values = _run_tasks(_fpp_variance_trial, tasks, cfg.workers)
+    for (_, _, n, k, _), values in zip(grid, _sweep(cfg, _fpp_variance_trial, grid)):
         s = summarize(values)
         rows.append((pspec.kind, n, k, cfg.trials, s.mean, s.unbiased_variance))
         points.append((n, s.unbiased_variance))
@@ -812,7 +804,8 @@ def run_oracle_suite(cfg: ExperimentConfig) -> ExperimentReport:
     if unknown:
         raise ConfigurationError(f"unknown suite part {sorted(unknown)[0]!r}")
     _require(len(cfg.alpha_values) == 1, "oracle suite uses a single alpha")
-    alpha = cfg.alpha_values[0]
+    _require(all(g > 0.0 for g in cfg.suite_gammas), "suite gammas must be positive")
+    spec = cfg.tree_spec(cfg.alpha_values[0])
     rows = []
     verdicts = []
 
@@ -836,7 +829,6 @@ def run_oracle_suite(cfg: ExperimentConfig) -> ExperimentReport:
         gtrial = 0
         for n in tree_ns:
             for _ in range(cfg.suite_tree_instances):
-                spec = cfg.tree_spec(alpha)
                 inst = CompleteInstance(n, spec, SeedContext(cfg.master_seed, gtrial))
                 gtrial += 1
                 path = greedy_spanning_path(inst)
@@ -888,7 +880,6 @@ def run_oracle_suite(cfg: ExperimentConfig) -> ExperimentReport:
     if "prufer" in cfg.suite:
         checks = bad = 0
         for seed_off in range(cfg.suite_prufer_instances):
-            spec = cfg.tree_spec(alpha)
             inst = CompleteInstance(7, spec, SeedContext(cfg.master_seed, 10_000 + seed_off))
             checks += 1
             if kruskal_mst(inst).total_weight != prufer_mst_weight(inst):

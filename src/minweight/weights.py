@@ -61,9 +61,9 @@ class TreeWeightSpec:
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+            raise ConfigurationError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not 0.0 < self.m_min <= 1.0:
-            raise ValueError(f"m_min must lie in (0, 1], got {self.m_min}")
+            raise ConfigurationError(f"m_min must lie in (0, 1], got {self.m_min}")
 
     @property
     def envelope_d1(self) -> float:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from minweight.cli import emit_report, parse_and_dispatch, report_document
+from minweight.cli import SMOKE_CONFIGS, emit_report, parse_and_dispatch, report_document
 from minweight.experiments import ExperimentConfig, ExperimentReport, Table, Verdict, run_experiment
 
 
@@ -262,3 +262,44 @@ def test_workers_flag_must_be_positive(tmp_path, capsys, workers):
     code = parse_and_dispatch(["tree-scaling", "--workers", workers, "--output-dir", str(tmp_path)])
     assert code == 1
     assert "workers" in _single_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "name,override,needle",
+    [
+        # wrong JSON types
+        ("tree-scaling", {"m_min": "0.5"}, "m_min"),
+        ("tree-scaling", {"n_values": [8.7, 16]}, "n_values"),
+        ("tree-scaling", {"alpha_values": 0.5}, "alpha_values"),
+        ("constraint-decay", {"k_values": [4.5, 6]}, "k_values"),
+        ("yj-moments", {"n": "32"}, "n must"),
+        ("fpp-band", {"d": 2.5}, "d must"),
+        ("fpp-band", {"k_multiple": 2.5}, "k_multiple"),
+        ("fpp-band", {"distribution": "exponential"}, "distribution"),
+        ("oracle-suite", {"suite_prufer_instances": "2"}, "suite_prufer_instances"),
+        # out-of-range values
+        ("yj-moments", {"alpha_values": [1.5]}, "alpha"),
+        ("oracle-suite", {"alpha_values": [1.5]}, "alpha"),
+        ("tree-scaling", {"m_min": 0}, "m_min"),
+        ("tree-variance", {"m_min": 0}, "m_min"),
+        ("yj-moments", {"m_min": 0}, "m_min"),
+        ("oracle-suite", {"m_min": 0}, "m_min"),
+        ("tree-scaling", {"gamma": -1}, "gamma"),
+        ("fpp-band", {"n_values": [0, 16]}, "n values"),
+        ("fpp-variance", {"n_values": [-1, 16]}, "n values"),
+        ("oracle-suite", {"suite_gammas": [0.5, -1]}, "gammas"),
+        # distribution parameters
+        ("fpp-band", {"distribution": {"kind": "exponential", "rate": "1"}}, "rate"),
+        ("fpp-band", {"distribution": {"kind": "exponential", "rate": True}}, "rate"),
+        ("fpp-band", {"distribution": {"kind": "uniform", "a": 0.5, "b": "1.5"}}, "'b'"),
+        ("fpp-band", {"distribution": {"kind": "exponential", "param_range": [1.0]}}, "param_range"),
+        ("fpp-band", {"distribution": {"kind": "exponential", "param_range": "12"}}, "param_range"),
+    ],
+)
+def test_malformed_config_exits_one_with_one_error_line(tmp_path, capsys, name, override, needle):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SMOKE_CONFIGS[name], **override}))
+    code = parse_and_dispatch([name, "--config", str(cfg), "--output-dir", str(tmp_path)])
+    assert code == 1
+    assert needle in _single_error_line(capsys)  # one line, so no traceback
+    assert not (tmp_path / f"{name}.json").exists()

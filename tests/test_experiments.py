@@ -1,5 +1,8 @@
+import dataclasses
 import hashlib
 import json
+import operator
+import typing
 
 import pytest
 
@@ -9,6 +12,7 @@ from minweight.errors import ConfigurationError
 from minweight.experiments import (
     ExperimentConfig,
     _random_prefix,
+    _sweep,
     passage_spec_from_config,
     run_constraint_decay,
     run_experiment,
@@ -54,10 +58,30 @@ def test_smoke_goldens(name):
     assert digest(report) == GOLDEN_DIGESTS[name]
 
 
-def test_worker_count_does_not_change_report():
-    base = run_experiment(smoke("tree-scaling"))
-    pooled = run_experiment(smoke("tree-scaling", workers=2))
+# Small runs of the six sweep drivers; the multi-point ones share one pool
+# across their sweep points at workers=2.
+SMALL_SWEEPS = {
+    "tree-scaling": {},
+    "tree-variance": {"trials": 100, "n_values": [32, 64]},
+    "yj-moments": {"trials": 50},
+    "fpp-band": {"trials": 5},
+    "constraint-decay": {"trials": 20},
+    "fpp-variance": {"trials": 10},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_SWEEPS))
+def test_worker_count_does_not_change_report(name):
+    base = run_experiment(smoke(name, **SMALL_SWEEPS[name]))
+    pooled = run_experiment(smoke(name, workers=2, **SMALL_SWEEPS[name]))
     assert report_document(base) == report_document(pooled)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_runs_trial_t_of_point_p_at_index_p_trials_plus_t(workers):
+    cfg = ExperimentConfig(experiment="tree-scaling", trials=4, workers=workers)
+    got = _sweep(cfg, operator.attrgetter("trial_index"), [(), (), ()])
+    assert got == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]]
 
 
 def test_config_rejects_unknown_key():
@@ -67,6 +91,32 @@ def test_config_rejects_unknown_key():
         ExperimentConfig.from_dict({"trials": 5})
     with pytest.raises(ConfigurationError):
         run_experiment(ExperimentConfig(experiment="nope"))
+
+
+# Values of the wrong JSON type for each declared field type: a string for a
+# number, a fractional number for an integer, a bool for a number.
+WRONG_JSON = {
+    int: ["3", 2.5, True],
+    float: ["0.5", True],
+    bool: ["false", 0],
+    str: [5, True],
+    dict: ["exponential", [1.0]],
+}
+LIST_ELEMENT = {int: 4, float: 0.5, str: "prufer"}
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ExperimentConfig)])
+def test_config_rejects_wrong_json_type_for_every_field(name):
+    hint = typing.get_type_hints(ExperimentConfig)[name]
+    if typing.get_origin(hint) is tuple:
+        element = typing.get_args(hint)[0]
+        wrong = [LIST_ELEMENT[element]] + [[v] for v in WRONG_JSON[element]]  # scalar for a list
+    else:
+        wrong = WRONG_JSON[hint]
+    for value in wrong:
+        raw = {"experiment": "tree-scaling", name: value}
+        with pytest.raises(ConfigurationError, match=name):
+            ExperimentConfig.from_dict(raw)
 
 
 def test_passage_spec_from_config():
@@ -83,8 +133,8 @@ def test_passage_spec_from_config():
 
 
 def test_tree_scaling_fit_identity_hook(monkeypatch):
-    # trial args: alpha, m_min, het, master, gtrial, n_vertices, tau, gamma
-    monkeypatch.setattr(exp_mod, "_tree_scaling_trial", lambda *a: (3.0 * a[5] ** 0.5, 0.0, 0.0, True))
+    # trial args: ctx, spec, n_vertices, tau, gamma
+    monkeypatch.setattr(exp_mod, "_tree_scaling_trial", lambda *a: (3.0 * a[2] ** 0.5, 0.0, 0.0, True))
     cfg = smoke("tree-scaling", workers=1)
     report = run_tree_scaling(cfg)
     slope = report.table("fits").rows[0][1]
@@ -208,12 +258,3 @@ def test_verdicts_map_to_criteria():
                                 if name != "tree-variance" else smoke(name, trials=100))
         for v in report.verdicts:
             assert v.criterion in {f"AC{i}" for i in range(1, 12)}
-
-
-def test_tau_rule():
-    cfg = smoke("tree-scaling")
-    assert cfg.tau_for(100) == 99
-    cfg2 = smoke("tree-scaling", rho=0.5)
-    assert cfg2.tau_for(100) == 50
-    with pytest.raises(ConfigurationError):
-        smoke("tree-scaling", rho=1.5).tau_for(100)
