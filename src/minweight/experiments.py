@@ -305,42 +305,33 @@ def _yj_trial(ctx, spec, n_vertices, j):
     return sample_yj(inst, _random_prefix(ctx.master_seed, ctx.trial_index, n_vertices, j))
 
 
-def _initial_radius(cfg_factor: float, n: int, k: int) -> int:
-    return min(k, int(cfg_factor * n) + 8)
+def _initial_radius(cfg_factor: float, n: int) -> int:
+    return int(cfg_factor * n) + 8
 
 
 def _fpp_band_trial(ctx, pspec, d, n, k, radius0):
     lat = LatticeSpec(d=d, spec=pspec, ctx=ctx)
-    res_k = hop_constrained_certified(lat, n, k, initial_radius=radius0, want_path=False)
+    res_k = hop_constrained_certified(lat, n, k, initial_radius=radius0)
     res_inf = unconstrained_time(lat, n, want_path=False)
     straight = straight_path_time(lat, n)
     ok = res_inf.value <= res_k.value <= straight
     return res_k.value, res_inf.value, straight, res_k.hop_count, ok
 
 
-def _constrained_value(lat, n, k, res_inf, factor):
-    """T_n(k), given the unconstrained result res_inf of the same lattice."""
-    if k >= res_inf.hop_count:
-        # the unconstrained witness is feasible, so T_n(k) = T_n exactly
-        return res_inf.value
-    res_k = hop_constrained_certified(
-        lat, n, k, initial_radius=_initial_radius(factor, n, k), want_path=False
-    )
-    return res_k.value
-
-
 def _decay_trial(ctx, pspec, d, n, k_values, factor):
     lat = LatticeSpec(d=d, spec=pspec, ctx=ctx)
-    res_inf = unconstrained_time(lat, n, want_path=False)
-    return tuple(
-        (_constrained_value(lat, n, k, res_inf, factor) - res_inf.value) > EQUALITY_RTOL * res_inf.value
-        for k in k_values
+    free = unconstrained_time(lat, n, want_path=False)
+    results = hop_constrained_certified(
+        lat, n, k_values, initial_radius=_initial_radius(factor, n), free=free
     )
+    return tuple((res.value - free.value) > EQUALITY_RTOL * free.value for res in results)
 
 
 def _fpp_variance_trial(ctx, pspec, d, n, k, factor):
     lat = LatticeSpec(d=d, spec=pspec, ctx=ctx)
-    return _constrained_value(lat, n, k, unconstrained_time(lat, n, want_path=False), factor)
+    free = unconstrained_time(lat, n, want_path=False)
+    res = hop_constrained_certified(lat, n, k, initial_radius=_initial_radius(factor, n), free=free)
+    return res.value
 
 
 # -- drivers -----------------------------------------------------------------
@@ -593,7 +584,7 @@ def run_fpp_band(cfg: ExperimentConfig) -> ExperimentReport:
     points = []
     for n in cfg.n_values:
         k = cfg.k_multiple * n
-        points.append((pspec, cfg.d, n, k, _initial_radius(cfg.box_radius_factor, n, k)))
+        points.append((pspec, cfg.d, n, k, _initial_radius(cfg.box_radius_factor, n)))
     rows = []
     violations = 0
     tinf_means = []

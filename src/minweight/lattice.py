@@ -18,8 +18,9 @@ splicing out (necessarily zero-weight) cycles.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -96,6 +97,10 @@ class ConstrainedResult:
     certified: bool
     k: int | None
     n: int
+    # set by hop_constrained_time only: the target label after each hop
+    # 1..k, and the least boundary label after each hop box_radius+1..k
+    target_labels: tuple = field(default=(), repr=False, compare=False)
+    boundary_minima: tuple = field(default=(), repr=False, compare=False)
 
 
 def _axis_coords(box: BoxRegion, axis: int) -> list:
@@ -115,12 +120,23 @@ def _axis_times(lat: LatticeSpec, box: BoxRegion, axis: int) -> np.ndarray:
     return passage_time_grid(lat.spec, lat.ctx, axis, tuple(_axis_coords(box, axis)))
 
 
-def _lo_slice(d: int, axis: int) -> tuple:
-    return tuple(slice(None) if i != axis else slice(None, -1) for i in range(d))
+@functools.lru_cache(maxsize=4096)
+def _active_region(d: int, side: int, off: int) -> tuple:
+    """Slices of the sub-box [off, side - off)^d of a box with the given side.
 
-
-def _hi_slice(d: int, axis: int) -> tuple:
-    return tuple(slice(None) if i != axis else slice(1, None) for i in range(d))
+    Returns the window of the sub-box and, per axis a, the slices (lo, hi) of
+    the base and head vertices of its +a edges; lo also indexes that axis's
+    edge-time array, which is keyed by base vertex.
+    """
+    inner = slice(off, side - off)
+    ends = tuple(
+        (
+            tuple(slice(off, side - off - 1) if i == a else inner for i in range(d)),
+            tuple(slice(off + 1, side - off) if i == a else inner for i in range(d)),
+        )
+        for a in range(d)
+    )
+    return (inner,) * d, ends
 
 
 def _trivial_result(lat: LatticeSpec, k) -> ConstrainedResult:
@@ -144,6 +160,17 @@ def _remove_cycles(path: list) -> list:
     return out
 
 
+def _read_budget(labels, boundary_minima, box_radius: int, k: int) -> tuple:
+    """(value, hop count, certified) of budget k from one DP pass of budget >= k.
+
+    The hop count is the smallest h at which the target label reaches its
+    final value, i.e. the fewest-edge witness; labels never increase in h.
+    """
+    value = labels[k - 1]
+    certified = box_radius >= k or boundary_minima[k - 1 - box_radius] >= value
+    return value, labels.index(value) + 1, certified
+
+
 def hop_constrained_time(
     lat: LatticeSpec, n: int, k: int, box_radius: int, want_path: bool = True
 ) -> ConstrainedResult:
@@ -152,10 +179,16 @@ def hop_constrained_time(
 
     Labels satisfy d_0(origin) = 0 and
     d_h(v) = min(d_{h-1}(v), min_u adjacent d_{h-1}(u) + t(u, v)).
-    The hop count reported is the smallest h at which the target label
+    Hop h relaxes only the sub-box of radius min(h, box_radius): a vertex
+    farther out is more than h edges from the origin, so its label is still
+    +inf. The hop count reported is the smallest h at which the target label
     reaches its final value, i.e. the fewest-edge witness. Ties during
     relaxation keep the earlier label (strict improvement only), with
     directions scanned in axis order, +axis before -axis.
+
+    The result also carries the target label after every hop and the least
+    boundary label after every hop beyond box_radius, so one pass answers
+    every smaller budget as well (see hop_constrained_certified).
 
     Raises InfeasibleError when k < n (the L1 distance) and ValueError when
     the box does not contain the target.
@@ -173,40 +206,36 @@ def hop_constrained_time(
     times = [_axis_times(lat, box, a) for a in range(lat.d)]
     origin = box.grid_index((0,) * lat.d)
     target = box.grid_index((n,) + (0,) * (lat.d - 1))
+    boundary = box.boundary_mask() if k > box_radius else None
 
     cur = np.full(box.shape, np.inf)
     cur[origin] = 0.0
-    target_trace = []
+    new = cur.copy()
+    labels = []
+    boundary_minima = []
     choices = [] if want_path else None
 
-    for _ in range(k):
-        new = cur.copy()
+    for h in range(1, k + 1):
+        window, ends = _active_region(lat.d, box.side, max(box_radius - h, 0))
+        # outside the window both buffers hold +inf
+        new[window] = cur[window]
         log = np.full(box.shape, -1, dtype=np.int8) if want_path else None
-        for a in range(lat.d):
-            lo = _lo_slice(lat.d, a)
-            hi = _hi_slice(lat.d, a)
+        for a, (lo, hi) in enumerate(ends):
+            t = times[a][lo]
             # +axis moves leave the base vertex, -axis moves arrive at it
             for src, dst, code in ((lo, hi, 2 * a), (hi, lo, 2 * a + 1)):
-                cand = cur[src] + times[a]
+                cand = cur[src] + t
                 if want_path:
                     log[dst][cand < new[dst]] = code
                 np.minimum(new[dst], cand, out=new[dst])
-        cur = new
-        target_trace.append(float(cur[target]))
+        cur, new = new, cur
+        labels.append(float(cur[target]))
+        if h > box_radius:
+            boundary_minima.append(float(cur[boundary].min()))
         if want_path:
             choices.append(log)
 
-    value = target_trace[-1]
-    hop_count = k
-    for h, tv in enumerate(target_trace, start=1):
-        if tv == value:
-            hop_count = h
-            break
-
-    if box_radius >= k:
-        certified = True
-    else:
-        certified = bool(cur[box.boundary_mask()].min() >= value)
+    value, hop_count, certified = _read_budget(labels, boundary_minima, box_radius, k)
 
     path = None
     if want_path:
@@ -231,51 +260,103 @@ def hop_constrained_time(
         hop_count = len(path) - 1
 
     return ConstrainedResult(
-        value=value, hop_count=hop_count, path=path, certified=certified, k=k, n=n
+        value=value,
+        hop_count=hop_count,
+        path=path,
+        certified=certified,
+        k=k,
+        n=n,
+        target_labels=tuple(labels),
+        boundary_minima=tuple(boundary_minima),
     )
 
 
 def hop_constrained_certified(
     lat: LatticeSpec,
     n: int,
-    k: int,
+    k,
     initial_radius: int | None = None,
-    want_path: bool = False,
-) -> ConstrainedResult:
-    """hop_constrained_time with certificate verification and retry.
+    free: ConstrainedResult | None = None,
+):
+    """Certified T_n(k) for one hop budget k, or for each budget of a schedule.
 
-    Starts from min(k, initial_radius) (default min(k, 3n)) and enlarges the
-    box by +n whenever the boundary certificate fails; radius k certifies
-    unconditionally, so the loop terminates with an exact value.
+    One hop_constrained_time pass to the largest budget K serves every
+    budget. Its box has radius min(K, initial_radius) (default min(K, 3n)),
+    and each k is certified on its own terms: outright when the radius is at
+    least k, otherwise by the boundary labels after hop k. Only a budget
+    whose certificate fails is solved again, alone, on a box enlarged by +n
+    until it certifies; radius k certifies unconditionally, so every value
+    is exact.
+
+    free, the unconstrained result of the same lattice, answers every
+    k >= free.hop_count without a DP: its witness fits the budget, so
+    T_n(k) = T_n.
+
+    Returns a ConstrainedResult without a path for an int k, and a tuple of
+    them in schedule order for a sequence of budgets.
     """
-    r = 3 * n if initial_radius is None else initial_radius
-    r = min(k, max(r, n))
-    step = max(n, 1)
-    while True:
-        res = hop_constrained_time(lat, n, k, r, want_path=want_path)
-        if res.certified:
-            return res
-        r = min(k, r + step)
+    single = np.ndim(k) == 0
+    budgets = (k,) if single else tuple(k)
+    if min(budgets) < n:
+        raise InfeasibleError(f"hop budget {min(budgets)} below L1 distance {n}: no path exists")
+    if n == 0:
+        free = _trivial_result(lat, None)
+    shortcut = math.inf if free is None else free.hop_count
+    solve = [b for b in budgets if b < shortcut]
+    if solve:
+        top = max(solve)
+        radius = min(top, max(3 * n if initial_radius is None else initial_radius, n))
+        res = hop_constrained_time(lat, n, top, radius, want_path=False)
+
+    out = []
+    for b in budgets:
+        if b >= shortcut:
+            out.append(ConstrainedResult(free.value, free.hop_count, None, True, b, n))
+            continue
+        value, hop_count, certified = _read_budget(res.target_labels, res.boundary_minima, radius, b)
+        r = radius
+        while not certified:
+            r = min(b, r + n)
+            retry = hop_constrained_time(lat, n, b, r, want_path=False)
+            value, hop_count, certified = retry.value, retry.hop_count, retry.certified
+        out.append(ConstrainedResult(value, hop_count, None, True, b, n))
+    return out[0] if single else tuple(out)
+
+
+@functools.lru_cache(maxsize=1)
+def _csr_pattern(radius: int, d: int) -> tuple:
+    """indptr, indices and COO-to-CSR order of the arcs of the box [-radius, radius]^d.
+
+    The arcs are listed as _box_csr lists their times: per axis, the +axis
+    arcs and then the -axis arcs. The order sorts them by row, then column,
+    which is the layout csr_matrix builds from those COO triplets.
+    """
+    box = BoxRegion(radius, d)
+    idx = np.arange(box.cells, dtype=np.int32).reshape(box.shape)
+    rows, cols = [], []
+    for lo, hi in _active_region(d, box.side, 0)[1]:
+        u = idx[lo].ravel()
+        v = idx[hi].ravel()
+        rows += [u, v]
+        cols += [v, u]
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(box.cells + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=box.cells), out=indptr[1:])
+    pattern = (indptr, cols[order], order)
+    for a in pattern:
+        a.flags.writeable = False  # every graph built from the cache shares these
+    return pattern
 
 
 def _box_csr(lat: LatticeSpec, box: BoxRegion):
     """Sparse adjacency of the box with per-edge passage times (both arcs)."""
-    idx = np.arange(box.cells, dtype=np.int32).reshape(box.shape)
-    rows, cols, data = [], [], []
-    for a in range(lat.d):
-        t = _axis_times(lat, box, a).ravel()
-        u = idx[_lo_slice(lat.d, a)].ravel()
-        v = idx[_hi_slice(lat.d, a)].ravel()
-        rows.append(u)
-        cols.append(v)
-        data.append(t)
-        rows.append(v)
-        cols.append(u)
-        data.append(t)
-    return csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(box.cells, box.cells),
-    )
+    indptr, indices, order = _csr_pattern(box.radius, box.d)
+    times = [_axis_times(lat, box, a).ravel() for a in range(lat.d)]
+    # each edge's time serves its +axis and its -axis arc
+    data = np.concatenate([t for t in times for _ in range(2)])
+    return csr_matrix((data[order], indices, indptr), shape=(box.cells, box.cells))
 
 
 def unconstrained_time(
@@ -283,10 +364,11 @@ def unconstrained_time(
 ) -> ConstrainedResult:
     """Certified unconstrained minimum passage time to (n, 0, ..., 0).
 
-    Runs Dijkstra on a box of initial radius 2n and doubles the radius until
-    every boundary vertex's distance is at least the target's distance; the
-    returned value is then exact for the infinite lattice and certified is
-    always True. Radius growth beyond radius_cap_multiple * n raises
+    Runs Dijkstra on a box of initial radius ceil(5n/4) + 8, clamped to the
+    cap radius_cap_multiple * n, and doubles the radius (again clamped to
+    the cap) until every boundary vertex's distance is at least the target's
+    distance; the returned value is then exact for the infinite lattice and
+    certified is always True. A certificate that fails at the cap raises
     CapacityError rather than returning an uncertified value.
 
     Distance ties between distinct optimal paths occur with probability zero
@@ -297,14 +379,12 @@ def unconstrained_time(
         raise ValueError(f"target abscissa must be nonnegative, got {n}")
     if n == 0:
         return _trivial_result(lat, None)
+    if radius_cap_multiple < 1:
+        raise CapacityError(f"the cap {radius_cap_multiple}*n leaves the target outside the box")
 
-    radius = 2 * n
+    cap = radius_cap_multiple * n
+    radius = min((5 * n + 3) // 4 + 8, cap)
     while True:
-        if radius > radius_cap_multiple * n:
-            raise CapacityError(
-                f"boundary certificate requires radius {radius}, "
-                f"beyond the cap {radius_cap_multiple}*n"
-            )
         box = BoxRegion(radius, lat.d)
         graph = _box_csr(lat, box)
         source = box.flat_index((0,) * lat.d)
@@ -316,7 +396,12 @@ def unconstrained_time(
         boundary = box.boundary_mask().ravel()
         if float(dist[boundary].min()) >= value:
             break
-        radius *= 2
+        if radius >= cap:
+            raise CapacityError(
+                f"boundary certificate fails at radius {radius}, "
+                f"the cap {radius_cap_multiple}*n"
+            )
+        radius = min(2 * radius, cap)
 
     flat_chain = [target]
     v = target

@@ -1,7 +1,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
+from minweight import lattice
 from minweight.errors import CapacityError, InfeasibleError
 from minweight.lattice import (
     BoxRegion,
@@ -17,6 +22,8 @@ from minweight.weights import PassageTimeSpec, SeedContext, passage_time_grid
 from reference import passage_time
 
 EXP1 = PassageTimeSpec("exponential", (1.0,))
+UNIFORM = PassageTimeSpec("uniform", (0.5, 1.5), param_range=(0.5, 2.0))
+PARETO3 = PassageTimeSpec("pareto", (1.0, 3.0), param_range=(0.5, 2.0))
 
 
 def lat(seed, trial=0, spec=EXP1, d=2):
@@ -161,7 +168,7 @@ def test_unconstrained_matches_saturated_dp():
     l = lat(9)
     n = 3
     res = unconstrained_time(l, n)
-    radius = 2 * n  # the initial certified box
+    radius = 2 * n  # the Dijkstra certificate already holds at this radius for this seed
     k = (2 * radius + 1) ** 2
     sat = hop_constrained_time(l, n, k, box_radius=radius, want_path=False)
     assert sat.value == res.value
@@ -171,6 +178,168 @@ def test_unconstrained_matches_saturated_dp():
 def test_unconstrained_radius_cap():
     with pytest.raises(CapacityError):
         unconstrained_time(lat(5), 3, radius_cap_multiple=1)
+    with pytest.raises(CapacityError):
+        unconstrained_time(lat(5), 3, radius_cap_multiple=0)
+
+
+def test_unconstrained_cap_clamps_the_first_box():
+    # the start radius ceil(5n/4) + 8 exceeds 2n here; the cap limits it instead of raising
+    for n in (1, 2, 3):
+        res = unconstrained_time(lat(1), n, radius_cap_multiple=2)
+        assert res.certified
+        assert (res.value, res.hop_count, res.path) == dijkstra_from_radius_2n(lat(1), n)
+
+
+# -- references for the Dijkstra and hop-DP changes -----------------------------
+
+
+def _ends(d, axis):
+    lo = tuple(slice(None, -1) if i == axis else slice(None) for i in range(d))
+    hi = tuple(slice(1, None) if i == axis else slice(None) for i in range(d))
+    return lo, hi
+
+
+def coo_box_csr(lat_spec, box):
+    """The box's sparse adjacency built afresh from COO triplets."""
+    idx = np.arange(box.cells, dtype=np.int32).reshape(box.shape)
+    rows, cols, data = [], [], []
+    for a in range(box.d):
+        lo, hi = _ends(box.d, a)
+        t = lattice._axis_times(lat_spec, box, a).ravel()
+        u, v = idx[lo].ravel(), idx[hi].ravel()
+        rows += [u, v]
+        cols += [v, u]
+        data += [t, t]
+    return csr_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(box.cells, box.cells),
+    )
+
+
+def dijkstra_from_radius_2n(lat_spec, n):
+    """(value, hop count, path): Dijkstra from radius 2n, doubling until certified."""
+    radius = 2 * n
+    while True:
+        box = BoxRegion(radius, lat_spec.d)
+        source = box.flat_index((0,) * lat_spec.d)
+        target = box.flat_index((n,) + (0,) * (lat_spec.d - 1))
+        dist, pred = dijkstra(coo_box_csr(lat_spec, box), indices=source, return_predecessors=True)
+        if dist[box.boundary_mask().ravel()].min() >= dist[target]:
+            break
+        radius *= 2
+    chain = [target]
+    while chain[-1] != source:
+        chain.append(int(pred[chain[-1]]))
+    grid = np.unravel_index(chain[::-1], box.shape)
+    path = tuple(box.coord_of(g) for g in zip(*grid))
+    return float(dist[target]), len(chain) - 1, path
+
+
+def full_box_labels(lat_spec, n, k, radius):
+    """Target label after each hop 1..k, relaxing the whole box at every hop."""
+    box = BoxRegion(radius, lat_spec.d)
+    cur = np.full(box.shape, np.inf)
+    cur[box.grid_index((0,) * lat_spec.d)] = 0.0
+    target = box.grid_index((n,) + (0,) * (lat_spec.d - 1))
+    labels = []
+    for _ in range(k):
+        new = cur.copy()
+        for a in range(lat_spec.d):
+            lo, hi = _ends(lat_spec.d, a)
+            t = lattice._axis_times(lat_spec, box, a)
+            np.minimum(new[hi], cur[lo] + t, out=new[hi])
+            np.minimum(new[lo], cur[hi] + t, out=new[lo])
+        cur = new
+        labels.append(float(cur[target]))
+    return labels
+
+
+def test_cached_csr_equals_fresh_coo_build():
+    # alternate radii so that the one-entry pattern cache is evicted and rebuilt,
+    # and take two trials in a row so that a cached pattern is reused
+    for radius, d in ((1, 2), (5, 2), (88, 2), (4, 3), (5, 2), (1, 2), (4, 3), (88, 2)):
+        box = BoxRegion(radius, d)
+        for trial in (0, 1):
+            cached = lattice._box_csr(lat(17, trial=trial, d=d), box)
+            fresh = coo_box_csr(lat(17, trial=trial, d=d), box)
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(cached, name), getattr(fresh, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (radius, d, name)
+
+
+def test_unconstrained_matches_dijkstra_from_radius_2n(monkeypatch):
+    radii = []
+    box_csr = lattice._box_csr
+
+    def recording_box_csr(lat_spec, box):
+        radii.append(box.radius)
+        return box_csr(lat_spec, box)
+
+    monkeypatch.setattr(lattice, "_box_csr", recording_box_csr)
+    cases = [(EXP1, seed) for seed in range(40)]
+    cases += [(spec, 100 + seed) for spec in (UNIFORM, PARETO3) for seed in range(10)]
+    grown = 0
+    for spec, seed in cases:
+        l = lat(seed, spec=spec)
+        radii.clear()
+        res = unconstrained_time(l, 4)
+        assert (res.value, res.hop_count, res.path) == dijkstra_from_radius_2n(l, 4), (spec, seed)
+        grown += len(radii) > 1
+    assert grown >= 1  # the doubling branch ran
+
+
+def test_schedule_matches_per_k_solver(monkeypatch):
+    solves = []
+    dp = lattice.hop_constrained_time
+
+    def recording_dp(lat_spec, n, k, box_radius, want_path=True):
+        solves.append((k, box_radius))
+        return dp(lat_spec, n, k, box_radius, want_path=want_path)
+
+    monkeypatch.setattr(lattice, "hop_constrained_time", recording_dp)
+    retried = boundary_certified = 0
+    for d, n, schedule in ((2, 5, (5, 6, 7, 9, 12, 15, 19)), (3, 3, (3, 4, 6, 8, 11))):
+        for spec in (EXP1, UNIFORM, PARETO3):
+            for seed in range(4):
+                l = lat(300 + seed, spec=spec, d=d)
+                for radius0 in (n, n + 2):
+                    solves.clear()
+                    results = hop_constrained_certified(l, n, schedule, initial_radius=radius0)
+                    radius = solves[0][1]
+                    # exactly the budgets whose own certificate fails at that radius are retried
+                    failing = {k for k in schedule if not dp(l, n, k, radius, want_path=False).certified}
+                    assert {k for k, _ in solves[1:]} == failing
+                    retried += len(failing)
+                    boundary_certified += sum(k > radius and k not in failing for k in schedule)
+                    for k, res in zip(schedule, results):
+                        single = hop_constrained_certified(l, n, k, initial_radius=radius0)
+                        assert (res.value, res.hop_count) == (single.value, single.hop_count)
+                        labels = full_box_labels(l, n, k, k)  # radius k loses nothing
+                        assert res.value == labels[-1], (d, spec, seed, radius0, k)
+                        assert res.hop_count == labels.index(labels[-1]) + 1
+                        assert res.certified and res.k == k
+    assert retried > 0 and boundary_certified > 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    n=st.integers(1, 6),
+    spec=st.sampled_from((EXP1, UNIFORM, PARETO3)),
+    offsets=st.lists(st.integers(0, 12), min_size=1, max_size=5),
+)
+def test_constrained_time_invariants(seed, n, spec, offsets):
+    l = lat(seed, spec=spec)
+    free = unconstrained_time(l, n, want_path=False)
+    schedule = sorted({n + o for o in offsets} | {free.hop_count})
+    # without free every budget goes through the DP
+    values = [r.value for r in hop_constrained_certified(l, n, schedule, initial_radius=n)]
+    straight = straight_path_time(l, n)
+    assert all(free.value <= v <= straight for v in values)
+    assert all(b <= a for a, b in zip(values, values[1:]))
+    assert all(v == free.value for k, v in zip(schedule, values) if k >= free.hop_count)
+    shortcut = hop_constrained_certified(l, n, schedule, initial_radius=n, free=free)
+    assert [r.value for r in shortcut] == values
 
 
 def test_straight_path():
