@@ -311,8 +311,8 @@ def _initial_radius(cfg_factor: float, n: int) -> int:
 
 def _fpp_band_trial(ctx, pspec, d, n, k, radius0):
     lat = LatticeSpec(d=d, spec=pspec, ctx=ctx)
-    res_k = hop_constrained_certified(lat, n, k, initial_radius=radius0)
-    res_inf = unconstrained_time(lat, n, want_path=False)
+    res_inf = unconstrained_time(lat, n)
+    res_k = hop_constrained_certified(lat, n, k, initial_radius=radius0, free=res_inf)
     straight = straight_path_time(lat, n)
     ok = res_inf.value <= res_k.value <= straight
     return res_k.value, res_inf.value, straight, res_k.hop_count, ok
@@ -320,7 +320,7 @@ def _fpp_band_trial(ctx, pspec, d, n, k, radius0):
 
 def _decay_trial(ctx, pspec, d, n, k_values, factor):
     lat = LatticeSpec(d=d, spec=pspec, ctx=ctx)
-    free = unconstrained_time(lat, n, want_path=False)
+    free = unconstrained_time(lat, n)
     results = hop_constrained_certified(
         lat, n, k_values, initial_radius=_initial_radius(factor, n), free=free
     )
@@ -329,7 +329,7 @@ def _decay_trial(ctx, pspec, d, n, k_values, factor):
 
 def _fpp_variance_trial(ctx, pspec, d, n, k, factor):
     lat = LatticeSpec(d=d, spec=pspec, ctx=ctx)
-    free = unconstrained_time(lat, n, want_path=False)
+    free = unconstrained_time(lat, n)
     res = hop_constrained_certified(lat, n, k, initial_radius=_initial_radius(factor, n), free=free)
     return res.value
 
@@ -853,7 +853,7 @@ def run_oracle_suite(cfg: ExperimentConfig) -> ExperimentReport:
             for n in (1, 2, 3):
                 for k in range(n, n + 5):
                     checks += 1
-                    dp = hop_constrained_time(lat, n, k, box_radius=3, want_path=False)
+                    dp = hop_constrained_time(lat, n, k, box_radius=3)
                     oracle = enumerate_paths_oracle(lat, n, k, box_radius=3)
                     if dp.value != oracle:
                         bad += 1

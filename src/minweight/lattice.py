@@ -12,8 +12,7 @@ respect to the infinite lattice is certified in one of two ways:
 
 The hop-constrained solver is a dynamic program over walks indexed by
 (vertex, hop); with nonnegative times the walk relaxation is exact for
-self-avoiding paths, and the reconstructed walk is made self-avoiding by
-splicing out (necessarily zero-weight) cycles.
+self-avoiding paths.
 """
 
 from __future__ import annotations
@@ -85,10 +84,11 @@ class ConstrainedResult:
     """Outcome of one passage-time computation.
 
     value is the (possibly hop-constrained) minimum passage time; hop_count
-    the edge count of the witnessing optimal path; path the vertex sequence
-    (None when reconstruction was not requested); certified means the finite
-    box provably reproduces the infinite-lattice value. k is None for
-    unconstrained results.
+    the edge count of the witnessing optimal path. path is the vertex
+    sequence of the Dijkstra witness of unconstrained_time, or the
+    one-vertex path at n = 0; the hop DP computes values only and leaves it
+    None. certified means the finite box provably reproduces the
+    infinite-lattice value. k is None for unconstrained results.
     """
 
     value: float
@@ -144,22 +144,6 @@ def _trivial_result(lat: LatticeSpec, k) -> ConstrainedResult:
     return ConstrainedResult(value=0.0, hop_count=0, path=(origin,), certified=True, k=k, n=0)
 
 
-def _remove_cycles(path: list) -> list:
-    """Splice out revisits; at an optimum any such cycle has zero weight."""
-    out = []
-    seen = {}
-    for v in path:
-        if v in seen:
-            del_from = seen[v] + 1
-            for w in out[del_from:]:
-                del seen[w]
-            del out[del_from:]
-        else:
-            out.append(v)
-            seen[v] = len(out) - 1
-    return out
-
-
 def _read_budget(labels, boundary_minima, box_radius: int, k: int) -> tuple:
     """(value, hop count, certified) of budget k from one DP pass of budget >= k.
 
@@ -171,9 +155,7 @@ def _read_budget(labels, boundary_minima, box_radius: int, k: int) -> tuple:
     return value, labels.index(value) + 1, certified
 
 
-def hop_constrained_time(
-    lat: LatticeSpec, n: int, k: int, box_radius: int, want_path: bool = True
-) -> ConstrainedResult:
+def hop_constrained_time(lat: LatticeSpec, n: int, k: int, box_radius: int) -> ConstrainedResult:
     """Minimum passage time from the origin to (n, 0, ..., 0) over paths of
     at most k edges, restricted to the box of the given radius.
 
@@ -182,9 +164,7 @@ def hop_constrained_time(
     Hop h relaxes only the sub-box of radius min(h, box_radius): a vertex
     farther out is more than h edges from the origin, so its label is still
     +inf. The hop count reported is the smallest h at which the target label
-    reaches its final value, i.e. the fewest-edge witness. Ties during
-    relaxation keep the earlier label (strict improvement only), with
-    directions scanned in axis order, +axis before -axis.
+    reaches its final value, i.e. the fewest-edge witness.
 
     The result also carries the target label after every hop and the least
     boundary label after every hop beyond box_radius, so one pass answers
@@ -213,56 +193,26 @@ def hop_constrained_time(
     new = cur.copy()
     labels = []
     boundary_minima = []
-    choices = [] if want_path else None
 
     for h in range(1, k + 1):
         window, ends = _active_region(lat.d, box.side, max(box_radius - h, 0))
         # outside the window both buffers hold +inf
         new[window] = cur[window]
-        log = np.full(box.shape, -1, dtype=np.int8) if want_path else None
         for a, (lo, hi) in enumerate(ends):
             t = times[a][lo]
             # +axis moves leave the base vertex, -axis moves arrive at it
-            for src, dst, code in ((lo, hi, 2 * a), (hi, lo, 2 * a + 1)):
-                cand = cur[src] + t
-                if want_path:
-                    log[dst][cand < new[dst]] = code
-                np.minimum(new[dst], cand, out=new[dst])
+            for src, dst in ((lo, hi), (hi, lo)):
+                np.minimum(new[dst], cur[src] + t, out=new[dst])
         cur, new = new, cur
         labels.append(float(cur[target]))
         if h > box_radius:
             boundary_minima.append(float(cur[boundary].min()))
-        if want_path:
-            choices.append(log)
 
     value, hop_count, certified = _read_budget(labels, boundary_minima, box_radius, k)
-
-    path = None
-    if want_path:
-        chain = [target]
-        v = target
-        h = k
-        while h > 0:
-            code = int(choices[h - 1][v])
-            if code < 0:
-                h -= 1
-                continue
-            a, backwards = divmod(code, 2)
-            prev = list(v)
-            prev[a] += 1 if backwards else -1
-            v = tuple(prev)
-            chain.append(v)
-            h -= 1
-        chain.reverse()
-        coords = [box.coord_of(g) for g in chain]
-        coords = _remove_cycles(coords)
-        path = tuple(coords)
-        hop_count = len(path) - 1
-
     return ConstrainedResult(
         value=value,
         hop_count=hop_count,
-        path=path,
+        path=None,
         certified=certified,
         k=k,
         n=n,
@@ -275,18 +225,18 @@ def hop_constrained_certified(
     lat: LatticeSpec,
     n: int,
     k,
-    initial_radius: int | None = None,
+    initial_radius: int,
     free: ConstrainedResult | None = None,
 ):
     """Certified T_n(k) for one hop budget k, or for each budget of a schedule.
 
     One hop_constrained_time pass to the largest budget K serves every
-    budget. Its box has radius min(K, initial_radius) (default min(K, 3n)),
-    and each k is certified on its own terms: outright when the radius is at
-    least k, otherwise by the boundary labels after hop k. Only a budget
-    whose certificate fails is solved again, alone, on a box enlarged by +n
-    until it certifies; radius k certifies unconditionally, so every value
-    is exact.
+    budget. Its box has radius min(K, max(initial_radius, n)), and each k
+    is certified on its own terms: outright when the radius is at least k,
+    otherwise by the boundary labels after hop k. Only a budget whose
+    certificate fails is solved again, alone, on a box enlarged by +n until
+    it certifies; radius k certifies unconditionally, so every value is
+    exact.
 
     free, the unconstrained result of the same lattice, answers every
     k >= free.hop_count without a DP: its witness fits the budget, so
@@ -305,8 +255,8 @@ def hop_constrained_certified(
     solve = [b for b in budgets if b < shortcut]
     if solve:
         top = max(solve)
-        radius = min(top, max(3 * n if initial_radius is None else initial_radius, n))
-        res = hop_constrained_time(lat, n, top, radius, want_path=False)
+        radius = min(top, max(initial_radius, n))
+        res = hop_constrained_time(lat, n, top, radius)
 
     out = []
     for b in budgets:
@@ -317,7 +267,7 @@ def hop_constrained_certified(
         r = radius
         while not certified:
             r = min(b, r + n)
-            retry = hop_constrained_time(lat, n, b, r, want_path=False)
+            retry = hop_constrained_time(lat, n, b, r)
             value, hop_count, certified = retry.value, retry.hop_count, retry.certified
         out.append(ConstrainedResult(value, hop_count, None, True, b, n))
     return out[0] if single else tuple(out)
@@ -359,9 +309,7 @@ def _box_csr(lat: LatticeSpec, box: BoxRegion):
     return csr_matrix((data[order], indices, indptr), shape=(box.cells, box.cells))
 
 
-def unconstrained_time(
-    lat: LatticeSpec, n: int, radius_cap_multiple: int = 64, want_path: bool = True
-) -> ConstrainedResult:
+def unconstrained_time(lat: LatticeSpec, n: int, radius_cap_multiple: int = 64) -> ConstrainedResult:
     """Certified unconstrained minimum passage time to (n, 0, ..., 0).
 
     Runs Dijkstra on a box of initial radius ceil(5n/4) + 8, clamped to the
@@ -409,13 +357,10 @@ def unconstrained_time(
         v = int(pred[v])
         flat_chain.append(v)
     flat_chain.reverse()
-    hop_count = len(flat_chain) - 1
-    path = None
-    if want_path:
-        grid = np.unravel_index(flat_chain, box.shape)
-        path = tuple(box.coord_of(g) for g in zip(*grid))
+    grid = np.unravel_index(flat_chain, box.shape)
+    path = tuple(box.coord_of(g) for g in zip(*grid))
     return ConstrainedResult(
-        value=value, hop_count=hop_count, path=path, certified=True, k=None, n=n
+        value=value, hop_count=len(path) - 1, path=path, certified=True, k=None, n=n
     )
 
 

@@ -118,18 +118,3 @@ def wilson_interval(successes: int, trials: int) -> ProbEstimate:
         wilson_low=max(0.0, center - margin),
         wilson_high=min(1.0, center + margin),
     )
-
-
-def bernoulli_upper_bound(m: int, mu2: float, epsilon: float) -> float:
-    """Reference tail bound exp(-epsilon**2 * m * mu2 / 4).
-
-    Bounds the probability that a sum of m independent Bernoulli variables
-    with success probability at most mu2 exceeds m * mu2 * (1 + epsilon).
-    """
-    if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
-    if not 0.0 < mu2 <= 1.0:
-        raise ValueError(f"mu2 must lie in (0, 1], got {mu2}")
-    if not 0.0 < epsilon < 0.5:
-        raise ValueError(f"epsilon must lie in (0, 0.5), got {epsilon}")
-    return math.exp(-(epsilon**2) * m * mu2 / 4.0)

@@ -161,12 +161,10 @@ def greedy_spanning_path(inst: CompleteInstance) -> GreedyPathResult:
     return GreedyPathResult(order=tuple(order), step_weights=tuple(steps), prefix_sums=tuple(prefix))
 
 
-def min_tree_upper_bound(inst: CompleteInstance, tau: int, path: GreedyPathResult | None = None) -> float:
-    """Weight of the first tau greedy steps; a feasible tau-edge tree."""
+def min_tree_upper_bound(inst: CompleteInstance, tau: int, path: GreedyPathResult) -> float:
+    """Weight of the first tau steps of the greedy path; a feasible tau-edge tree."""
     if not 1 <= tau <= inst.n - 1:
         raise ValueError(f"tau must lie in 1..{inst.n - 1}, got {tau}")
-    if path is None:
-        path = greedy_spanning_path(inst)
     return path.prefix_sums[tau - 1]
 
 

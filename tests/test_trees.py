@@ -1,8 +1,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minweight.errors import CapacityError
+from minweight.experiments import SANDWICH_SLACK
 from minweight.trees import (
     CompleteInstance,
     all_labelled_trees,
@@ -17,6 +20,7 @@ from minweight.trees import (
     threshold_lower_bound,
 )
 from minweight.weights import SeedContext, TreeWeightSpec
+from reference import bernoulli_upper_bound, envelope_d2
 
 # Small instance worked through by hand: the greedy walk is 1 -> 3 -> 4 -> 2.
 FROZEN4 = [
@@ -116,14 +120,14 @@ def test_greedy_structure():
 
 def test_upper_bound_frozen():
     inst = frozen4()
-    assert min_tree_upper_bound(inst, 2) == 0.5
-    assert min_tree_upper_bound(inst, 1) == 0.2
     path = greedy_spanning_path(inst)
+    assert min_tree_upper_bound(inst, 2, path) == 0.5
+    assert min_tree_upper_bound(inst, 1, path) == 0.2
     assert min_tree_upper_bound(inst, 3, path) == path.prefix_sums[-1]
     with pytest.raises(ValueError):
-        min_tree_upper_bound(inst, 0)
+        min_tree_upper_bound(inst, 0, path)
     with pytest.raises(ValueError):
-        min_tree_upper_bound(inst, 4)
+        min_tree_upper_bound(inst, 4, path)
 
 
 def test_kruskal_frozen():
@@ -181,12 +185,10 @@ def test_light_edge_count_concentration():
     # m = C(n,2) pairs, per-edge probability at most D2*gamma/n, eps = 1/4
     import math as _math
 
-    from minweight.stats import bernoulli_upper_bound
-
     n, gamma, eps, reps = 64, 1.0, 0.25, 400
     spec = TreeWeightSpec(alpha=0.5)
     m = n * (n - 1) // 2
-    mu2 = spec.envelope_d2 * gamma / n
+    mu2 = envelope_d2(spec) * gamma / n
     cutoff = m * mu2 * (1 + eps)
     overflow = 0
     for seed_off in range(reps):
@@ -246,6 +248,27 @@ def test_sandwich_and_monotonicity():
                     assert threshold_lower_bound(inst, tau, g) <= exact + 1e-15
                 assert exact >= prev  # nondecreasing in tau
                 prev = exact
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    n=st.integers(2, 8),
+    alpha=st.floats(0.05, 0.95),
+    m_min=st.floats(0.1, 1.0),
+    het=st.booleans(),
+    gamma=st.floats(0.05, 8.0),
+)
+def test_bounds_sandwich_exact_property(seed, n, alpha, m_min, het, gamma):
+    inst = seeded(n, seed, alpha=alpha, m_min=m_min, het=het)
+    path = greedy_spanning_path(inst)
+    slack = SANDWICH_SLACK * n
+    for tau in range(1, n):
+        exact = exact_min_tree(inst, tau).total_weight
+        assert threshold_lower_bound(inst, tau, gamma) <= exact + slack
+        assert exact <= min_tree_upper_bound(inst, tau, path) + slack
+    # the loop ends at tau = n - 1, the spanning tree
+    assert kruskal_mst(inst).total_weight == exact
 
 
 def test_sample_yj():
