@@ -4,7 +4,9 @@ Each lattice edge carries a random positive passage time. The minimum time
 from the origin to (n, 0) over paths of at most k edges decreases in k and
 locks onto the unconstrained minimum once the hop budget covers the optimal
 path. Both solvers certify exactness with respect to the infinite lattice,
-despite running on finite boxes.
+despite running on finite boxes: the hop DP when its box holds every cell a
+walk of at most k edges to the target can visit, Dijkstra by its boundary
+labels.
 """
 
 from minweight.lattice import (

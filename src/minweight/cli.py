@@ -1,7 +1,7 @@
 """Command-line surface: parse a JSON config, dispatch a driver, emit reports.
 
 Exit codes: 0 when every verdict passes, 2 when any verdict fails, 1 on
-usage or configuration errors and on exceeded enumeration budgets. Reports
+usage, configuration and I/O errors and on exceeded enumeration budgets. Reports
 are emitted as CSV (one file per table, 17-significant-digit floats) and/or
 a single JSON document; emitted bytes depend only on the effective
 configuration, never on wall-clock time or worker scheduling, so identical
@@ -188,7 +188,11 @@ def _load_config(args) -> ExperimentConfig:
         if not path.exists():
             raise ConfigurationError(f"config file not found: {path}")
         try:
-            raw = json.loads(path.read_text())
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
+        try:
+            raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
@@ -237,7 +241,7 @@ def parse_and_dispatch(argv) -> int:
         cfg = _load_config(args)
         report = run_experiment(cfg)
         paths = emit_report(report, args.format, _output_dir(args))
-    except (ConfigurationError, CapacityError) as exc:
+    except (ConfigurationError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for v in report.verdicts:

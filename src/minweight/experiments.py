@@ -87,6 +87,7 @@ class ExperimentConfig:
     distribution: dict = field(default_factory=dict)
     k_multiple: int = 3
     k_values: tuple[int, ...] = ()
+    # accepted, checked and echoed, but no solver reads it: the hop DP sizes its own box
     box_radius_factor: float = 3.0
     hops_ratio_max: float = 3.0
     stabilization_tol: float = 0.10
@@ -305,32 +306,26 @@ def _yj_trial(ctx, spec, n_vertices, j):
     return sample_yj(inst, _random_prefix(ctx.master_seed, ctx.trial_index, n_vertices, j))
 
 
-def _initial_radius(cfg_factor: float, n: int) -> int:
-    return int(cfg_factor * n) + 8
-
-
-def _fpp_band_trial(ctx, pspec, d, n, k, radius0):
+def _fpp_band_trial(ctx, pspec, d, n, k):
     lat = LatticeSpec(d=d, spec=pspec, ctx=ctx)
     res_inf = unconstrained_time(lat, n)
-    res_k = hop_constrained_certified(lat, n, k, initial_radius=radius0, free=res_inf)
+    res_k = hop_constrained_certified(lat, n, k, free=res_inf)
     straight = straight_path_time(lat, n)
     ok = res_inf.value <= res_k.value <= straight
     return res_k.value, res_inf.value, straight, res_k.hop_count, ok
 
 
-def _decay_trial(ctx, pspec, d, n, k_values, factor):
+def _decay_trial(ctx, pspec, d, n, k_values):
     lat = LatticeSpec(d=d, spec=pspec, ctx=ctx)
     free = unconstrained_time(lat, n)
-    results = hop_constrained_certified(
-        lat, n, k_values, initial_radius=_initial_radius(factor, n), free=free
-    )
+    results = hop_constrained_certified(lat, n, k_values, free=free)
     return tuple((res.value - free.value) > EQUALITY_RTOL * free.value for res in results)
 
 
-def _fpp_variance_trial(ctx, pspec, d, n, k, factor):
+def _fpp_variance_trial(ctx, pspec, d, n, k):
     lat = LatticeSpec(d=d, spec=pspec, ctx=ctx)
     free = unconstrained_time(lat, n)
-    res = hop_constrained_certified(lat, n, k, initial_radius=_initial_radius(factor, n), free=free)
+    res = hop_constrained_certified(lat, n, k, free=free)
     return res.value
 
 
@@ -581,15 +576,12 @@ def run_fpp_band(cfg: ExperimentConfig) -> ExperimentReport:
     pspec = _validate_lattice(cfg)
     _require(len(cfg.n_values) > 0, "n sweep must not be empty")
     _require(cfg.k_multiple >= 1, "k_multiple must be at least 1 so that k >= n")
-    points = []
-    for n in cfg.n_values:
-        k = cfg.k_multiple * n
-        points.append((pspec, cfg.d, n, k, _initial_radius(cfg.box_radius_factor, n)))
+    points = [(pspec, cfg.d, n, cfg.k_multiple * n) for n in cfg.n_values]
     rows = []
     violations = 0
     tinf_means = []
     hop_ratios = []
-    for (_, _, n, k, _), out in zip(points, _sweep(cfg, _fpp_band_trial, points)):
+    for (_, _, n, k), out in zip(points, _sweep(cfg, _fpp_band_trial, points)):
         tk = summarize([o[0] / n for o in out])
         tinf = summarize([o[1] / n for o in out])
         straight = summarize([o[2] / n for o in out])
@@ -677,7 +669,7 @@ def run_constraint_decay(cfg: ExperimentConfig) -> ExperimentReport:
     ks = cfg.k_values
     _require(all(b > a for a, b in zip(ks, ks[1:])), "k schedule must be strictly increasing")
     _require(ks[0] >= cfg.n, "k schedule must start at or above n")
-    (out,) = _sweep(cfg, _decay_trial, [(pspec, cfg.d, cfg.n, ks, cfg.box_radius_factor)])
+    (out,) = _sweep(cfg, _decay_trial, [(pspec, cfg.d, cfg.n, ks)])
     rows = []
     estimates = []
     for idx, k in enumerate(ks):
@@ -733,10 +725,10 @@ def run_fpp_variance(cfg: ExperimentConfig) -> ExperimentReport:
     _require(len(cfg.n_values) >= 2, "variance fit needs at least two n values")
     _require(cfg.trials >= 2, "variance needs at least 2 trials")
     _require(cfg.k_multiple >= 1, "k_multiple must be at least 1 so that k >= n")
-    grid = [(pspec, cfg.d, n, cfg.k_multiple * n, cfg.box_radius_factor) for n in cfg.n_values]
+    grid = [(pspec, cfg.d, n, cfg.k_multiple * n) for n in cfg.n_values]
     rows = []
     points = []
-    for (_, _, n, k, _), values in zip(grid, _sweep(cfg, _fpp_variance_trial, grid)):
+    for (_, _, n, k), values in zip(grid, _sweep(cfg, _fpp_variance_trial, grid)):
         s = summarize(values)
         rows.append((pspec.kind, n, k, cfg.trials, s.mean, s.unbiased_variance))
         points.append((n, s.unbiased_variance))

@@ -3,12 +3,13 @@
 Computations run on finite boxes [-r, r]^d around the origin. Exactness with
 respect to the infinite lattice is certified in one of two ways:
 
-* truncation at radius >= k is unconditionally lossless for a hop budget k,
-  because a path of at most k edges stays inside the L1 ball of radius k;
-* otherwise a boundary certificate: if every boundary vertex's k-hop label
-  is already at least the candidate value, a path leaving the box pays at
-  least the boundary label before it exits and passage times are
-  nonnegative, so it cannot improve.
+* the hop DP by containment: it relaxes only cells that a walk of at most
+  k edges to the target can visit, and when the box holds all of them,
+  which radius k always does, the box cuts no such walk;
+* Dijkstra by a boundary certificate: if every boundary vertex's distance
+  is already at least the target's, a path leaving the box pays at least
+  that before it exits and passage times are nonnegative, so it cannot
+  improve.
 
 The hop-constrained solver is a dynamic program over walks indexed by
 (vertex, hop); with nonnegative times the walk relaxation is exact for
@@ -63,9 +64,6 @@ class BoxRegion:
             idx = idx * self.side + (c + self.radius)
         return idx
 
-    def grid_index(self, coord) -> tuple:
-        return tuple(c + self.radius for c in coord)
-
     def coord_of(self, grid_index) -> tuple:
         return tuple(int(g) - self.radius for g in grid_index)
 
@@ -97,46 +95,62 @@ class ConstrainedResult:
     certified: bool
     k: int | None
     n: int
-    # set by hop_constrained_time only: the target label after each hop
-    # 1..k, and the least boundary label after each hop box_radius+1..k
+    # set by hop_constrained_time only: the target label after each hop 1..k
     target_labels: tuple = field(default=(), repr=False, compare=False)
-    boundary_minima: tuple = field(default=(), repr=False, compare=False)
 
 
-def _axis_coords(box: BoxRegion, axis: int) -> list:
-    """Sparse broadcastable coordinate arrays for base vertices on one axis."""
+def _axis_times(lat: LatticeSpec, lows: tuple, shape: tuple, axis: int) -> np.ndarray:
+    """Passage times of the +axis edges of the grid spanning
+    [lows[i], lows[i] + shape[i]) on each axis i, indexed by base vertex."""
     coords = []
-    for i in range(box.d):
-        extent = box.side - 1 if i == axis else box.side
-        c = np.arange(-box.radius, -box.radius + extent, dtype=np.int64)
-        shape = [1] * box.d
-        shape[i] = extent
-        coords.append(c.reshape(shape))
-    return coords
+    for i, (lo, size) in enumerate(zip(lows, shape)):
+        c = np.arange(lo, lo + size - (i == axis), dtype=np.int64)
+        coords.append(c.reshape([-1 if j == i else 1 for j in range(len(shape))]))
+    return passage_time_grid(lat.spec, lat.ctx, axis, tuple(coords))
 
 
-def _axis_times(lat: LatticeSpec, box: BoxRegion, axis: int) -> np.ndarray:
-    """Passage times of all +axis edges in the box, indexed by base vertex."""
-    return passage_time_grid(lat.spec, lat.ctx, axis, tuple(_axis_coords(box, axis)))
+@functools.lru_cache(maxsize=256)
+def _walk_windows(d: int, n: int, k: int, r: int) -> tuple:
+    """Cells the hop DP relaxes at each hop: those a walk of at most k edges
+    from the origin to t = (n, 0, ..., 0) can visit, within the box [-r, r]^d.
 
+    After h hops such a walk is at some v with |v|_1 <= h and
+    |v - t|_1 <= k - h, and every vertex of it satisfies
+    |v|_1 + |v - t|_1 <= k. Per axis a, the window of hop h therefore
+    intersects the box [-r, r], the origin cube [-h, h], the target cube
+    [t_a - (k - h + 1), t_a + (k - h + 1)] (the base of a hop-h move is one
+    hop farther from t than its head) and the bounding box of that ellipse,
+    [-m, t_a + m] with m = floor((k - n) / 2).
 
-@functools.lru_cache(maxsize=4096)
-def _active_region(d: int, side: int, off: int) -> tuple:
-    """Slices of the sub-box [off, side - off)^d of a box with the given side.
-
-    Returns the window of the sub-box and, per axis a, the slices (lo, hi) of
+    Returns (certified, lows, shape, hops). Labels live on the grid spanning
+    [lows[a], lows[a] + shape[a]) on each axis a. hops[h - 1] holds the
+    window of hop h in grid slices and, per axis a, the slices (lo, hi) of
     the base and head vertices of its +a edges; lo also indexes that axis's
-    edge-time array, which is keyed by base vertex.
+    edge-time array, keyed by base vertex on the same grid. certified is
+    True when the box clips no window; without the box the windows fill that
+    bounding box, so this holds iff r >= n + m.
     """
-    inner = slice(off, side - off)
-    ends = tuple(
-        (
-            tuple(slice(off, side - off - 1) if i == a else inner for i in range(d)),
-            tuple(slice(off + 1, side - off) if i == a else inner for i in range(d)),
+    m = (k - n) // 2
+    target = (n,) + (0,) * (d - 1)
+    spans = [
+        [(max(-h, t - k + h - 1, -m, -r), min(h, t + k - h + 1, t + m, r)) for t in target]
+        for h in range(1, k + 1)
+    ]
+    lows = tuple(min(hop[a][0] for hop in spans) for a in range(d))
+    shape = tuple(max(hop[a][1] for hop in spans) - lows[a] + 1 for a in range(d))
+
+    hops = []
+    for hop in spans:
+        window = tuple(slice(lo - g, hi - g + 1) for (lo, hi), g in zip(hop, lows))
+        ends = tuple(
+            (
+                window[:a] + (slice(lo - lows[a], hi - lows[a]),) + window[a + 1 :],
+                window[:a] + (slice(lo - lows[a] + 1, hi - lows[a] + 1),) + window[a + 1 :],
+            )
+            for a, (lo, hi) in enumerate(hop)
         )
-        for a in range(d)
-    )
-    return (inner,) * d, ends
+        hops.append((window, ends))
+    return r >= n + m, lows, shape, tuple(hops)
 
 
 def _trivial_result(lat: LatticeSpec, k) -> ConstrainedResult:
@@ -144,15 +158,14 @@ def _trivial_result(lat: LatticeSpec, k) -> ConstrainedResult:
     return ConstrainedResult(value=0.0, hop_count=0, path=(origin,), certified=True, k=k, n=0)
 
 
-def _read_budget(labels, boundary_minima, box_radius: int, k: int) -> tuple:
-    """(value, hop count, certified) of budget k from one DP pass of budget >= k.
+def _read_budget(labels, k: int) -> tuple:
+    """(value, hop count) of budget k from the target labels of a DP pass of budget >= k.
 
     The hop count is the smallest h at which the target label reaches its
     final value, i.e. the fewest-edge witness; labels never increase in h.
     """
     value = labels[k - 1]
-    certified = box_radius >= k or boundary_minima[k - 1 - box_radius] >= value
-    return value, labels.index(value) + 1, certified
+    return value, labels.index(value) + 1
 
 
 def hop_constrained_time(lat: LatticeSpec, n: int, k: int, box_radius: int) -> ConstrainedResult:
@@ -161,14 +174,15 @@ def hop_constrained_time(lat: LatticeSpec, n: int, k: int, box_radius: int) -> C
 
     Labels satisfy d_0(origin) = 0 and
     d_h(v) = min(d_{h-1}(v), min_u adjacent d_{h-1}(u) + t(u, v)).
-    Hop h relaxes only the sub-box of radius min(h, box_radius): a vertex
-    farther out is more than h edges from the origin, so its label is still
-    +inf. The hop count reported is the smallest h at which the target label
-    reaches its final value, i.e. the fewest-edge witness.
+    Hop h relaxes only its window of _walk_windows. Every prefix of every
+    walk of at most k edges to the target lies in the windows of its hops,
+    and rounded addition is monotone, so the target label after each hop is
+    the whole box's, bit for bit. The hop count is that of _read_budget.
+    certified is True when the box clips no window, so that it cuts no walk
+    and the value is the infinite lattice's; radius k always qualifies.
 
-    The result also carries the target label after every hop and the least
-    boundary label after every hop beyond box_radius, so one pass answers
-    every smaller budget as well (see hop_constrained_certified).
+    The result also carries the target label after every hop, so one pass
+    answers every smaller budget as well (see hop_constrained_certified).
 
     Raises InfeasibleError when k < n (the L1 distance) and ValueError when
     the box does not contain the target.
@@ -182,21 +196,19 @@ def hop_constrained_time(lat: LatticeSpec, n: int, k: int, box_radius: int) -> C
     if n == 0:
         return _trivial_result(lat, k)
 
-    box = BoxRegion(box_radius, lat.d)
-    times = [_axis_times(lat, box, a) for a in range(lat.d)]
-    origin = box.grid_index((0,) * lat.d)
-    target = box.grid_index((n,) + (0,) * (lat.d - 1))
-    boundary = box.boundary_mask() if k > box_radius else None
+    certified, lows, shape, hops = _walk_windows(lat.d, n, k, box_radius)
+    times = [_axis_times(lat, lows, shape, a) for a in range(lat.d)]
+    origin = tuple(-g for g in lows)
+    target = (n - lows[0],) + origin[1:]
 
-    cur = np.full(box.shape, np.inf)
+    cur = np.full(shape, np.inf)
     cur[origin] = 0.0
     new = cur.copy()
     labels = []
-    boundary_minima = []
 
-    for h in range(1, k + 1):
-        window, ends = _active_region(lat.d, box.side, max(box_radius - h, 0))
-        # outside the window both buffers hold +inf
+    for window, ends in hops:
+        # cells enter the windows only before any label reaches them and never
+        # re-enter, so what the buffers hold outside the window is never read
         new[window] = cur[window]
         for a, (lo, hi) in enumerate(ends):
             t = times[a][lo]
@@ -205,10 +217,8 @@ def hop_constrained_time(lat: LatticeSpec, n: int, k: int, box_radius: int) -> C
                 np.minimum(new[dst], cur[src] + t, out=new[dst])
         cur, new = new, cur
         labels.append(float(cur[target]))
-        if h > box_radius:
-            boundary_minima.append(float(cur[boundary].min()))
 
-    value, hop_count, certified = _read_budget(labels, boundary_minima, box_radius, k)
+    value, hop_count = _read_budget(labels, k)
     return ConstrainedResult(
         value=value,
         hop_count=hop_count,
@@ -217,26 +227,15 @@ def hop_constrained_time(lat: LatticeSpec, n: int, k: int, box_radius: int) -> C
         k=k,
         n=n,
         target_labels=tuple(labels),
-        boundary_minima=tuple(boundary_minima),
     )
 
 
-def hop_constrained_certified(
-    lat: LatticeSpec,
-    n: int,
-    k,
-    initial_radius: int,
-    free: ConstrainedResult | None = None,
-):
+def hop_constrained_certified(lat: LatticeSpec, n: int, k, free: ConstrainedResult | None = None):
     """Certified T_n(k) for one hop budget k, or for each budget of a schedule.
 
     One hop_constrained_time pass to the largest budget K serves every
-    budget. Its box has radius min(K, max(initial_radius, n)), and each k
-    is certified on its own terms: outright when the radius is at least k,
-    otherwise by the boundary labels after hop k. Only a budget whose
-    certificate fails is solved again, alone, on a box enlarged by +n until
-    it certifies; radius k certifies unconditionally, so every value is
-    exact.
+    budget. Its box has radius K, which holds every walk of at most K edges,
+    so every value is exact.
 
     free, the unconstrained result of the same lattice, answers every
     k >= free.hop_count without a DP: its witness fits the budget, so
@@ -255,21 +254,14 @@ def hop_constrained_certified(
     solve = [b for b in budgets if b < shortcut]
     if solve:
         top = max(solve)
-        radius = min(top, max(initial_radius, n))
-        res = hop_constrained_time(lat, n, top, radius)
+        labels = hop_constrained_time(lat, n, top, top).target_labels
 
     out = []
     for b in budgets:
         if b >= shortcut:
             out.append(ConstrainedResult(free.value, free.hop_count, None, True, b, n))
-            continue
-        value, hop_count, certified = _read_budget(res.target_labels, res.boundary_minima, radius, b)
-        r = radius
-        while not certified:
-            r = min(b, r + n)
-            retry = hop_constrained_time(lat, n, b, r)
-            value, hop_count, certified = retry.value, retry.hop_count, retry.certified
-        out.append(ConstrainedResult(value, hop_count, None, True, b, n))
+        else:
+            out.append(ConstrainedResult(*_read_budget(labels, b), None, True, b, n))
     return out[0] if single else tuple(out)
 
 
@@ -284,9 +276,9 @@ def _csr_pattern(radius: int, d: int) -> tuple:
     box = BoxRegion(radius, d)
     idx = np.arange(box.cells, dtype=np.int32).reshape(box.shape)
     rows, cols = [], []
-    for lo, hi in _active_region(d, box.side, 0)[1]:
-        u = idx[lo].ravel()
-        v = idx[hi].ravel()
+    for a in range(d):
+        u = idx[tuple(slice(0, -1) if i == a else slice(None) for i in range(d))].ravel()
+        v = idx[tuple(slice(1, None) if i == a else slice(None) for i in range(d))].ravel()
         rows += [u, v]
         cols += [v, u]
     rows = np.concatenate(rows)
@@ -303,7 +295,7 @@ def _csr_pattern(radius: int, d: int) -> tuple:
 def _box_csr(lat: LatticeSpec, box: BoxRegion):
     """Sparse adjacency of the box with per-edge passage times (both arcs)."""
     indptr, indices, order = _csr_pattern(box.radius, box.d)
-    times = [_axis_times(lat, box, a).ravel() for a in range(lat.d)]
+    times = [_axis_times(lat, (-box.radius,) * box.d, box.shape, a).ravel() for a in range(lat.d)]
     # each edge's time serves its +axis and its -axis arc
     data = np.concatenate([t for t in times for _ in range(2)])
     return csr_matrix((data[order], indices, indptr), shape=(box.cells, box.cells))
@@ -319,6 +311,10 @@ def unconstrained_time(lat: LatticeSpec, n: int, radius_cap_multiple: int = 64) 
     certified is always True. A certificate that fails at the cap raises
     CapacityError rather than returning an uncertified value.
 
+    Dijkstra stops at the straight-path time, an upper bound on the target's
+    distance (the limit is inclusive); vertices beyond it read +inf, which
+    changes neither the value, the witness nor the certificate.
+
     Distance ties between distinct optimal paths occur with probability zero
     under the continuous passage-time laws; on such ties the reported witness
     path is the deterministic one produced by the sparse Dijkstra routine.
@@ -332,13 +328,14 @@ def unconstrained_time(lat: LatticeSpec, n: int, radius_cap_multiple: int = 64) 
 
     cap = radius_cap_multiple * n
     radius = min((5 * n + 3) // 4 + 8, cap)
+    limit = straight_path_time(lat, n)
     while True:
         box = BoxRegion(radius, lat.d)
         graph = _box_csr(lat, box)
         source = box.flat_index((0,) * lat.d)
         target = box.flat_index((n,) + (0,) * (lat.d - 1))
         dist, pred = _csgraph_dijkstra(
-            graph, directed=True, indices=source, return_predecessors=True
+            graph, directed=True, indices=source, return_predecessors=True, limit=limit
         )
         value = float(dist[target])
         boundary = box.boundary_mask().ravel()

@@ -303,3 +303,22 @@ def test_malformed_config_exits_one_with_one_error_line(tmp_path, capsys, name, 
     assert code == 1
     assert needle in _single_error_line(capsys)  # one line, so no traceback
     assert not (tmp_path / f"{name}.json").exists()
+
+
+@pytest.mark.parametrize("case", ["config_is_directory", "config_not_utf8", "output_below_file"])
+def test_io_failure_exits_one_with_one_error_line(tmp_path, capsys, case):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "tree-scaling", "trials": 2, "n_values": [8, 16]}))
+    out = tmp_path / "reports"
+    if case == "config_is_directory":
+        cfg = tmp_path / "cfg_dir"
+        cfg.mkdir()
+    elif case == "config_not_utf8":
+        cfg.write_bytes(b'{"experiment": "tree-scaling", "trials": 2, "n_values": [8], "\xff": 1}')
+    else:
+        (tmp_path / "blocker").write_text("")
+        out = tmp_path / "blocker" / "reports"
+    code = parse_and_dispatch(["tree-scaling", "--config", str(cfg), "--output-dir", str(out)])
+    assert code == 1
+    line = _single_error_line(capsys)  # one line, so no traceback
+    assert str(cfg if case != "output_below_file" else out) in line

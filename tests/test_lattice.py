@@ -43,7 +43,7 @@ def test_box_region_indexing():
     box = BoxRegion(3, 2)
     assert box.cells == 49
     assert box.flat_index((0, 0)) == 24
-    assert box.coord_of(box.grid_index((-3, 2))) == (-3, 2)
+    assert box.coord_of((0, 5)) == (-3, 2)
     assert box.boundary_mask().sum() == 24
     with pytest.raises(ValueError):
         box.flat_index((4, 0))
@@ -108,21 +108,38 @@ def test_hop_monotonicity():
 
 
 def test_certificate_soundness():
-    # certified truncation should not change under a +2 radius enlargement
-    checked = 0
-    for seed in range(50):
-        l = lat(1000 + seed)
-        small = hop_constrained_time(l, 2, 8, box_radius=4)
-        if small.certified:
-            bigger = hop_constrained_time(l, 2, 8, box_radius=6)
-            assert bigger.value == small.value
-            checked += 1
-    assert checked >= 10  # the check must not be vacuous
+    # a certified box cuts no walk of at most k edges, so every target label
+    # equals that of the box of radius k, which loses nothing
+    cases = [
+        (d, n, k, spec, 1000 + seed)
+        for d, n, k in ((2, 2, 8), (2, 4, 11), (3, 2, 7))
+        for spec in (EXP1, UNIFORM, PARETO3)
+        for seed in range(6)
+    ]
+    # about one seed in thirty loses its optimum to the tightest box here
+    cases += [(2, 1, 9, EXP1, 5000 + seed) for seed in range(100)]
+    outcomes = set()
+    cut = 0
+    for d, n, k, spec, seed in cases:
+        l = lat(seed, spec=spec, d=d)
+        exact = full_box_labels(l, n, k, k)
+        for radius in range(n, k + 1):
+            res = hop_constrained_time(l, n, k, box_radius=radius)
+            # the walk out to (n + m, 0, ...) and back, m = (k - n) // 2, has
+            # at most k edges, and radius n + m holds every such walk
+            assert res.certified == (radius >= (n + k) // 2)
+            outcomes.add(res.certified)
+            if res.certified:
+                assert list(res.target_labels) == exact, (d, n, k, spec, seed, radius)
+            else:
+                cut += res.value != exact[-1]
+    assert outcomes == {True, False}
+    assert cut > 0  # an uncertified box can lose the optimum, so the check has teeth
 
 
 def test_certified_wrapper():
     l = lat(3)
-    res = hop_constrained_certified(l, 4, 12, initial_radius=4)
+    res = hop_constrained_certified(l, 4, 12)
     assert res.certified
     direct = hop_constrained_time(l, 4, 12, box_radius=12)
     assert res.value == direct.value
@@ -186,13 +203,20 @@ def _ends(d, axis):
     return lo, hi
 
 
+def box_times(lat_spec, box, axis):
+    """Times of all +axis edges in the box, indexed by base vertex."""
+    ranges = [np.arange(-box.radius, box.radius + (i != axis)) for i in range(box.d)]
+    coords = tuple(np.meshgrid(*ranges, indexing="ij"))
+    return passage_time_grid(lat_spec.spec, lat_spec.ctx, axis, coords)
+
+
 def coo_box_csr(lat_spec, box):
     """The box's sparse adjacency built afresh from COO triplets."""
     idx = np.arange(box.cells, dtype=np.int32).reshape(box.shape)
     rows, cols, data = [], [], []
     for a in range(box.d):
         lo, hi = _ends(box.d, a)
-        t = lattice._axis_times(lat_spec, box, a).ravel()
+        t = box_times(lat_spec, box, a).ravel()
         u, v = idx[lo].ravel(), idx[hi].ravel()
         rows += [u, v]
         cols += [v, u]
@@ -226,14 +250,14 @@ def full_box_labels(lat_spec, n, k, radius):
     """Target label after each hop 1..k, relaxing the whole box at every hop."""
     box = BoxRegion(radius, lat_spec.d)
     cur = np.full(box.shape, np.inf)
-    cur[box.grid_index((0,) * lat_spec.d)] = 0.0
-    target = box.grid_index((n,) + (0,) * (lat_spec.d - 1))
+    cur[(radius,) * lat_spec.d] = 0.0
+    target = (radius + n,) + (radius,) * (lat_spec.d - 1)
+    times = [box_times(lat_spec, box, a) for a in range(lat_spec.d)]
     labels = []
     for _ in range(k):
         new = cur.copy()
-        for a in range(lat_spec.d):
+        for a, t in enumerate(times):
             lo, hi = _ends(lat_spec.d, a)
-            t = lattice._axis_times(lat_spec, box, a)
             np.minimum(new[hi], cur[lo] + t, out=new[hi])
             np.minimum(new[lo], cur[hi] + t, out=new[lo])
         cur = new
@@ -275,6 +299,44 @@ def test_unconstrained_matches_dijkstra_from_radius_2n(monkeypatch):
     assert grown >= 1  # the doubling branch ran
 
 
+def test_dijkstra_limit_keeps_value_path_and_certificate(monkeypatch):
+    # unconstrained_time stops Dijkstra at the straight-path time; without
+    # the limit it must see the same boxes, value, hop count and witness
+    dijkstra = lattice._csgraph_dijkstra
+    boxes, limits = [], []
+
+    def bounded(graph, **kwargs):
+        boxes.append(graph.shape[0])
+        limits.append(kwargs["limit"])
+        return dijkstra(graph, **kwargs)
+
+    def unbounded(graph, **kwargs):
+        boxes.append(graph.shape[0])
+        return dijkstra(graph, **{key: v for key, v in kwargs.items() if key != "limit"})
+
+    single_edge = PassageTimeSpec("uniform", (0.5, 1.5))  # no detour beats one edge
+    cases = [(single_edge, 2, 1, 200 + seed) for seed in range(20)]
+    cases += [(EXP1, 2, 4, seed) for seed in range(40)]  # seeds whose first box fails
+    cases += [(spec, 2, 9, 300 + seed) for spec in (EXP1, UNIFORM, PARETO3) for seed in range(8)]
+    cases += [(spec, 3, 4, 400 + seed) for spec in (EXP1, UNIFORM, PARETO3) for seed in range(3)]
+    at_limit = grown = 0
+    for spec, d, n, seed in cases:
+        l = lat(seed, spec=spec, d=d)
+        limits.clear()
+        outcomes = []
+        for dijkstra_fn in (bounded, unbounded):
+            monkeypatch.setattr(lattice, "_csgraph_dijkstra", dijkstra_fn)
+            boxes.clear()
+            res = unconstrained_time(l, n)
+            outcomes.append((res.value, res.hop_count, res.path, res.certified, tuple(boxes)))
+        assert outcomes[0] == outcomes[1], (spec, d, n, seed)
+        straight = straight_path_time(l, n)
+        assert set(limits) == {straight}
+        at_limit += res.value == straight
+        grown += len(boxes) > 1
+    assert at_limit >= 20 and grown >= 1  # dist == limit occurs, and so does a failed certificate
+
+
 def test_schedule_matches_per_k_solver(monkeypatch):
     solves = []
     dp = lattice.hop_constrained_time
@@ -284,28 +346,39 @@ def test_schedule_matches_per_k_solver(monkeypatch):
         return dp(lat_spec, n, k, box_radius)
 
     monkeypatch.setattr(lattice, "hop_constrained_time", recording_dp)
-    retried = boundary_certified = 0
     for d, n, schedule in ((2, 5, (5, 6, 7, 9, 12, 15, 19)), (3, 3, (3, 4, 6, 8, 11))):
         for spec in (EXP1, UNIFORM, PARETO3):
             for seed in range(4):
                 l = lat(300 + seed, spec=spec, d=d)
-                for radius0 in (n, n + 2):
-                    solves.clear()
-                    results = hop_constrained_certified(l, n, schedule, initial_radius=radius0)
-                    radius = solves[0][1]
-                    # exactly the budgets whose own certificate fails at that radius are retried
-                    failing = {k for k in schedule if not dp(l, n, k, radius).certified}
-                    assert {k for k, _ in solves[1:]} == failing
-                    retried += len(failing)
-                    boundary_certified += sum(k > radius and k not in failing for k in schedule)
-                    for k, res in zip(schedule, results):
-                        single = hop_constrained_certified(l, n, k, initial_radius=radius0)
-                        assert (res.value, res.hop_count) == (single.value, single.hop_count)
-                        labels = full_box_labels(l, n, k, k)  # radius k loses nothing
-                        assert res.value == labels[-1], (d, spec, seed, radius0, k)
-                        assert res.hop_count == labels.index(labels[-1]) + 1
-                        assert res.certified and res.k == k
-    assert retried > 0 and boundary_certified > 0
+                solves.clear()
+                results = hop_constrained_certified(l, n, schedule)
+                # one pass at the largest budget, on the box of that radius
+                assert solves == [(schedule[-1], schedule[-1])]
+                for k, res in zip(schedule, results):
+                    single = hop_constrained_certified(l, n, k)
+                    assert (res.value, res.hop_count) == (single.value, single.hop_count)
+                    labels = full_box_labels(l, n, k, k)  # radius k loses nothing
+                    assert res.value == labels[-1], (d, spec, seed, k)
+                    assert res.hop_count == labels.index(labels[-1]) + 1
+                    assert res.certified and res.k == k
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    d=st.sampled_from((2, 3)),
+    spec=st.sampled_from((EXP1, UNIFORM, PARETO3)),
+    n=st.integers(1, 5),
+    extra=st.integers(0, 8),
+    data=st.data(),
+)
+def test_walk_windows_keep_every_target_label(seed, d, spec, n, extra, data):
+    # radii below the walk region's extent cut it; the windows then follow the box
+    k = n + extra
+    radius = data.draw(st.integers(n, k + 2), label="radius")
+    l = lat(seed, spec=spec, d=d)
+    res = hop_constrained_time(l, n, k, box_radius=radius)
+    assert list(res.target_labels) == full_box_labels(l, n, k, radius)
 
 
 @settings(max_examples=100, deadline=None)
@@ -320,12 +393,12 @@ def test_constrained_time_invariants(seed, n, spec, offsets):
     free = unconstrained_time(l, n)
     schedule = sorted({n + o for o in offsets} | {free.hop_count})
     # without free every budget goes through the DP
-    values = [r.value for r in hop_constrained_certified(l, n, schedule, initial_radius=n)]
+    values = [r.value for r in hop_constrained_certified(l, n, schedule)]
     straight = straight_path_time(l, n)
     assert all(free.value <= v <= straight for v in values)
     assert all(b <= a for a, b in zip(values, values[1:]))
     assert all(v == free.value for k, v in zip(schedule, values) if k >= free.hop_count)
-    shortcut = hop_constrained_certified(l, n, schedule, initial_radius=n, free=free)
+    shortcut = hop_constrained_certified(l, n, schedule, free=free)
     assert [r.value for r in shortcut] == values
 
 
