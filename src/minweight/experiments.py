@@ -87,7 +87,7 @@ class ExperimentConfig:
     distribution: dict = field(default_factory=dict)
     k_multiple: int = 3
     k_values: tuple[int, ...] = ()
-    # accepted, checked and echoed, but no solver reads it: the hop DP sizes its own box
+    # accepted, checked and echoed, but no solver reads it: the hop DP uses no box
     box_radius_factor: float = 3.0
     hops_ratio_max: float = 3.0
     stabilization_tol: float = 0.10
@@ -788,6 +788,8 @@ def run_oracle_suite(cfg: ExperimentConfig) -> ExperimentReport:
         raise ConfigurationError(f"unknown suite part {sorted(unknown)[0]!r}")
     _require(len(cfg.alpha_values) == 1, "oracle suite uses a single alpha")
     _require(all(g > 0.0 for g in cfg.suite_gammas), "suite gammas must be positive")
+    for key in ("suite_tree_instances", "suite_prufer_instances", "suite_lattice_instances"):
+        _require(getattr(cfg, key) >= 1, f"{key} must be at least 1")
     spec = cfg.tree_spec(cfg.alpha_values[0])
     rows = []
     verdicts = []
@@ -845,16 +847,16 @@ def run_oracle_suite(cfg: ExperimentConfig) -> ExperimentReport:
             for n in (1, 2, 3):
                 for k in range(n, n + 5):
                     checks += 1
-                    dp = hop_constrained_time(lat, n, k, box_radius=3)
-                    oracle = enumerate_paths_oracle(lat, n, k, box_radius=3)
+                    dp = hop_constrained_time(lat, n, k)
+                    oracle = enumerate_paths_oracle(lat, n, k)
                     if dp.value != oracle:
                         bad += 1
                 # infeasibility agreement below the L1 distance
                 checks += 1
-                if enumerate_paths_oracle(lat, n, n - 1, box_radius=3) is not None:
+                if enumerate_paths_oracle(lat, n, n - 1) is not None:
                     bad += 1
                 try:
-                    hop_constrained_time(lat, n, n - 1, box_radius=3)
+                    hop_constrained_time(lat, n, n - 1)
                     bad += 1  # should have signalled infeasibility
                 except InfeasibleError:
                     pass

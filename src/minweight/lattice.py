@@ -1,19 +1,15 @@
 """Hop-constrained and unconstrained minimum passage times on Z^d.
 
-Computations run on finite boxes [-r, r]^d around the origin. Exactness with
-respect to the infinite lattice is certified in one of two ways:
-
-* the hop DP by containment: it relaxes only cells that a walk of at most
-  k edges to the target can visit, and when the box holds all of them,
-  which radius k always does, the box cuts no such walk;
-* Dijkstra by a boundary certificate: if every boundary vertex's distance
-  is already at least the target's, a path leaving the box pays at least
-  that before it exits and passage times are nonnegative, so it cannot
-  improve.
-
-The hop-constrained solver is a dynamic program over walks indexed by
-(vertex, hop); with nonnegative times the walk relaxation is exact for
+Every value is exact for the infinite lattice. The hop-constrained solver is
+a dynamic program over walks indexed by (vertex, hop); it relaxes only the
+cells a walk of at most k edges to the target can visit, a finite set, so it
+needs no box. With nonnegative times the walk relaxation is exact for
 self-avoiding paths.
+
+Only Dijkstra runs on a box [-r, r]^d around the origin, and a boundary
+certificate proves it exact: if every boundary vertex's distance is already
+at least the target's, a path leaving the box pays at least that before it
+exits and passage times are nonnegative, so it cannot improve.
 """
 
 from __future__ import annotations
@@ -85,14 +81,12 @@ class ConstrainedResult:
     the edge count of the witnessing optimal path. path is the vertex
     sequence of the Dijkstra witness of unconstrained_time, or the
     one-vertex path at n = 0; the hop DP computes values only and leaves it
-    None. certified means the finite box provably reproduces the
-    infinite-lattice value. k is None for unconstrained results.
+    None. k is None for unconstrained results.
     """
 
     value: float
     hop_count: int
     path: tuple | None
-    certified: bool
     k: int | None
     n: int
     # set by hop_constrained_time only: the target label after each hop 1..k
@@ -110,30 +104,28 @@ def _axis_times(lat: LatticeSpec, lows: tuple, shape: tuple, axis: int) -> np.nd
 
 
 @functools.lru_cache(maxsize=256)
-def _walk_windows(d: int, n: int, k: int, r: int) -> tuple:
+def _walk_windows(d: int, n: int, k: int) -> tuple:
     """Cells the hop DP relaxes at each hop: those a walk of at most k edges
-    from the origin to t = (n, 0, ..., 0) can visit, within the box [-r, r]^d.
+    from the origin to t = (n, 0, ..., 0) can visit.
 
     After h hops such a walk is at some v with |v|_1 <= h and
     |v - t|_1 <= k - h, and every vertex of it satisfies
     |v|_1 + |v - t|_1 <= k. Per axis a, the window of hop h therefore
-    intersects the box [-r, r], the origin cube [-h, h], the target cube
+    intersects the origin cube [-h, h], the target cube
     [t_a - (k - h + 1), t_a + (k - h + 1)] (the base of a hop-h move is one
     hop farther from t than its head) and the bounding box of that ellipse,
     [-m, t_a + m] with m = floor((k - n) / 2).
 
-    Returns (certified, lows, shape, hops). Labels live on the grid spanning
+    Returns (lows, shape, hops). Labels live on the grid spanning
     [lows[a], lows[a] + shape[a]) on each axis a. hops[h - 1] holds the
     window of hop h in grid slices and, per axis a, the slices (lo, hi) of
     the base and head vertices of its +a edges; lo also indexes that axis's
-    edge-time array, keyed by base vertex on the same grid. certified is
-    True when the box clips no window; without the box the windows fill that
-    bounding box, so this holds iff r >= n + m.
+    edge-time array, keyed by base vertex on the same grid.
     """
     m = (k - n) // 2
     target = (n,) + (0,) * (d - 1)
     spans = [
-        [(max(-h, t - k + h - 1, -m, -r), min(h, t + k - h + 1, t + m, r)) for t in target]
+        [(max(-h, t - k + h - 1, -m), min(h, t + k - h + 1, t + m)) for t in target]
         for h in range(1, k + 1)
     ]
     lows = tuple(min(hop[a][0] for hop in spans) for a in range(d))
@@ -150,12 +142,12 @@ def _walk_windows(d: int, n: int, k: int, r: int) -> tuple:
             for a, (lo, hi) in enumerate(hop)
         )
         hops.append((window, ends))
-    return r >= n + m, lows, shape, tuple(hops)
+    return lows, shape, tuple(hops)
 
 
 def _trivial_result(lat: LatticeSpec, k) -> ConstrainedResult:
     origin = (0,) * lat.d
-    return ConstrainedResult(value=0.0, hop_count=0, path=(origin,), certified=True, k=k, n=0)
+    return ConstrainedResult(value=0.0, hop_count=0, path=(origin,), k=k, n=0)
 
 
 def _read_budget(labels, k: int) -> tuple:
@@ -168,35 +160,31 @@ def _read_budget(labels, k: int) -> tuple:
     return value, labels.index(value) + 1
 
 
-def hop_constrained_time(lat: LatticeSpec, n: int, k: int, box_radius: int) -> ConstrainedResult:
-    """Minimum passage time from the origin to (n, 0, ..., 0) over paths of
-    at most k edges, restricted to the box of the given radius.
+def hop_constrained_time(lat: LatticeSpec, n: int, k: int) -> ConstrainedResult:
+    """Minimum passage time on Z^d from the origin to (n, 0, ..., 0) over
+    paths of at most k edges.
 
     Labels satisfy d_0(origin) = 0 and
     d_h(v) = min(d_{h-1}(v), min_u adjacent d_{h-1}(u) + t(u, v)).
     Hop h relaxes only its window of _walk_windows. Every prefix of every
     walk of at most k edges to the target lies in the windows of its hops,
     and rounded addition is monotone, so the target label after each hop is
-    the whole box's, bit for bit. The hop count is that of _read_budget.
-    certified is True when the box clips no window, so that it cuts no walk
-    and the value is the infinite lattice's; radius k always qualifies.
+    the infinite lattice's, bit for bit. The hop count is that of
+    _read_budget.
 
     The result also carries the target label after every hop, so one pass
     answers every smaller budget as well (see hop_constrained_certified).
 
-    Raises InfeasibleError when k < n (the L1 distance) and ValueError when
-    the box does not contain the target.
+    Raises InfeasibleError when k < n (the L1 distance).
     """
     if n < 0:
         raise ValueError(f"target abscissa must be nonnegative, got {n}")
     if k < n:
         raise InfeasibleError(f"hop budget {k} below L1 distance {n}: no path exists")
-    if box_radius < n:
-        raise ValueError(f"box radius {box_radius} does not contain the target at {n}")
     if n == 0:
         return _trivial_result(lat, k)
 
-    certified, lows, shape, hops = _walk_windows(lat.d, n, k, box_radius)
+    lows, shape, hops = _walk_windows(lat.d, n, k)
     times = [_axis_times(lat, lows, shape, a) for a in range(lat.d)]
     origin = tuple(-g for g in lows)
     target = (n - lows[0],) + origin[1:]
@@ -223,7 +211,6 @@ def hop_constrained_time(lat: LatticeSpec, n: int, k: int, box_radius: int) -> C
         value=value,
         hop_count=hop_count,
         path=None,
-        certified=certified,
         k=k,
         n=n,
         target_labels=tuple(labels),
@@ -231,11 +218,11 @@ def hop_constrained_time(lat: LatticeSpec, n: int, k: int, box_radius: int) -> C
 
 
 def hop_constrained_certified(lat: LatticeSpec, n: int, k, free: ConstrainedResult | None = None):
-    """Certified T_n(k) for one hop budget k, or for each budget of a schedule.
+    """T_n(k) for one hop budget k, or for each budget of a schedule.
 
     One hop_constrained_time pass to the largest budget K serves every
-    budget. Its box has radius K, which holds every walk of at most K edges,
-    so every value is exact.
+    budget. The name is kept because perfbench/tracer.py and
+    perfbench/selfcheck.py look it up, as they do kruskal_mst.
 
     free, the unconstrained result of the same lattice, answers every
     k >= free.hop_count without a DP: its witness fits the budget, so
@@ -254,14 +241,14 @@ def hop_constrained_certified(lat: LatticeSpec, n: int, k, free: ConstrainedResu
     solve = [b for b in budgets if b < shortcut]
     if solve:
         top = max(solve)
-        labels = hop_constrained_time(lat, n, top, top).target_labels
+        labels = hop_constrained_time(lat, n, top).target_labels
 
     out = []
     for b in budgets:
         if b >= shortcut:
-            out.append(ConstrainedResult(free.value, free.hop_count, None, True, b, n))
+            out.append(ConstrainedResult(free.value, free.hop_count, None, b, n))
         else:
-            out.append(ConstrainedResult(*_read_budget(labels, b), None, True, b, n))
+            out.append(ConstrainedResult(*_read_budget(labels, b), None, b, n))
     return out[0] if single else tuple(out)
 
 
@@ -301,15 +288,19 @@ def _box_csr(lat: LatticeSpec, box: BoxRegion):
     return csr_matrix((data[order], indices, indptr), shape=(box.cells, box.cells))
 
 
-def unconstrained_time(lat: LatticeSpec, n: int, radius_cap_multiple: int = 64) -> ConstrainedResult:
-    """Certified unconstrained minimum passage time to (n, 0, ..., 0).
+# Dijkstra's box never grows past radius RADIUS_CAP_MULTIPLE * n
+RADIUS_CAP_MULTIPLE = 64
+
+
+def unconstrained_time(lat: LatticeSpec, n: int) -> ConstrainedResult:
+    """Unconstrained minimum passage time on Z^d to (n, 0, ..., 0).
 
     Runs Dijkstra on a box of initial radius ceil(5n/4) + 8, clamped to the
-    cap radius_cap_multiple * n, and doubles the radius (again clamped to
+    cap RADIUS_CAP_MULTIPLE * n, and doubles the radius (again clamped to
     the cap) until every boundary vertex's distance is at least the target's
-    distance; the returned value is then exact for the infinite lattice and
-    certified is always True. A certificate that fails at the cap raises
-    CapacityError rather than returning an uncertified value.
+    distance; the returned value is then exact for the infinite lattice. A
+    certificate that fails at the cap raises CapacityError rather than
+    returning an unproven value.
 
     Dijkstra stops at the straight-path time, an upper bound on the target's
     distance (the limit is inclusive); vertices beyond it read +inf, which
@@ -323,10 +314,8 @@ def unconstrained_time(lat: LatticeSpec, n: int, radius_cap_multiple: int = 64) 
         raise ValueError(f"target abscissa must be nonnegative, got {n}")
     if n == 0:
         return _trivial_result(lat, None)
-    if radius_cap_multiple < 1:
-        raise CapacityError(f"the cap {radius_cap_multiple}*n leaves the target outside the box")
 
-    cap = radius_cap_multiple * n
+    cap = RADIUS_CAP_MULTIPLE * n
     radius = min((5 * n + 3) // 4 + 8, cap)
     limit = straight_path_time(lat, n)
     while True:
@@ -344,7 +333,7 @@ def unconstrained_time(lat: LatticeSpec, n: int, radius_cap_multiple: int = 64) 
         if radius >= cap:
             raise CapacityError(
                 f"boundary certificate fails at radius {radius}, "
-                f"the cap {radius_cap_multiple}*n"
+                f"the cap {RADIUS_CAP_MULTIPLE}*n"
             )
         radius = min(2 * radius, cap)
 
@@ -356,38 +345,39 @@ def unconstrained_time(lat: LatticeSpec, n: int, radius_cap_multiple: int = 64) 
     flat_chain.reverse()
     grid = np.unravel_index(flat_chain, box.shape)
     path = tuple(box.coord_of(g) for g in zip(*grid))
-    return ConstrainedResult(
-        value=value, hop_count=len(path) - 1, path=path, certified=True, k=None, n=n
-    )
+    return ConstrainedResult(value=value, hop_count=len(path) - 1, path=path, k=None, n=n)
 
 
-def enumerate_paths_oracle(lat: LatticeSpec, n: int, k: int, box_radius: int):
-    """Exhaustive minimum over self-avoiding paths of at most k edges.
+def enumerate_paths_oracle(lat: LatticeSpec, n: int, k: int):
+    """Exhaustive minimum over self-avoiding paths of at most k edges on Z^2.
 
-    Only for tiny instances (d = 2, box_radius <= 4, k <= 9). Returns the
-    minimum passage time, or None when no such path exists. Costs accumulate
-    in path order, so values match hop_constrained_time bit for bit.
+    Only for tiny instances (d = 2, k <= 9). Returns the minimum passage
+    time, or None when no such path exists. Costs accumulate in path order,
+    so values match hop_constrained_time bit for bit.
+
+    Every vertex v of such a path satisfies |v|_1 + |v - t|_1 <= k for the
+    target t = (n, 0), so the search stays in that set's bounding box,
+    x in [-m, n + m] and y in [-m, m] with m = floor((k - n) / 2), and loses
+    no path.
     """
     if lat.d != 2:
         raise ValueError("oracle is limited to d = 2")
-    if box_radius > 4:
-        raise ValueError(f"oracle is limited to box_radius <= 4, got {box_radius}")
     if k > 9:
         raise ValueError(f"oracle is limited to k <= 9, got {k}")
     if n < 0:
         raise ValueError(f"target abscissa must be nonnegative, got {n}")
     if n == 0:
         return 0.0
-    if k < n or box_radius < n:
+    if k < n:
         return None
 
     target = (n, 0)
-    r = box_radius
+    m = (k - n) // 2
     # time of every edge inside the box, keyed by (base vertex, axis)
     edge_time = {}
     for axis in (0, 1):
-        xs = np.arange(-r, r + axis, dtype=np.int64)
-        ys = np.arange(-r, r + 1 - axis, dtype=np.int64)
+        xs = np.arange(-m, n + m + axis, dtype=np.int64)
+        ys = np.arange(-m, m + 1 - axis, dtype=np.int64)
         grid = passage_time_grid(lat.spec, lat.ctx, axis, (xs[:, None], ys[None, :])).tolist()
         for x, row in zip(xs.tolist(), grid):
             for y, t in zip(ys.tolist(), row):
@@ -409,7 +399,7 @@ def enumerate_paths_oracle(lat: LatticeSpec, n: int, k: int, box_radius: int):
             return
         for dx, dy, axis in moves:
             npos = (pos[0] + dx, pos[1] + dy)
-            if abs(npos[0]) > r or abs(npos[1]) > r or npos in visited:
+            if not (-m <= npos[0] <= n + m and abs(npos[1]) <= m) or npos in visited:
                 continue
             base = min(pos, npos)
             visited.add(npos)

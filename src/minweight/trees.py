@@ -61,13 +61,6 @@ class CompleteInstance:
             self._matrix = weight_matrix(self.spec, self.ctx, self.n)
         return self._matrix
 
-    def weight(self, i: int, j: int) -> float:
-        if i == j:
-            raise ValueError(f"self-loop ({i},{i}) has no weight")
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
-            raise ValueError(f"vertex indices must lie in 1..{self.n}, got ({i},{j})")
-        return float(self.matrix()[i - 1, j - 1])
-
 
 @dataclass(frozen=True)
 class TreeResult:

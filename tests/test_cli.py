@@ -294,6 +294,15 @@ def test_workers_flag_must_be_positive(tmp_path, capsys, workers):
         ("fpp-band", {"distribution": {"kind": "uniform", "a": 0.5, "b": "1.5"}}, "'b'"),
         ("fpp-band", {"distribution": {"kind": "exponential", "param_range": [1.0]}}, "param_range"),
         ("fpp-band", {"distribution": {"kind": "exponential", "param_range": "12"}}, "param_range"),
+        # oracle-suite instance counts below 1, which would compare nothing
+        ("oracle-suite", {"suite_tree_instances": -3}, "suite_tree_instances"),
+        ("oracle-suite", {"suite_prufer_instances": 0}, "suite_prufer_instances"),
+        ("oracle-suite", {"suite_lattice_instances": 0}, "suite_lattice_instances"),
+        (
+            "oracle-suite",
+            {"suite_tree_instances": -3, "suite_prufer_instances": 0, "suite_lattice_instances": 0},
+            "must be at least 1",
+        ),
     ],
 )
 def test_malformed_config_exits_one_with_one_error_line(tmp_path, capsys, name, override, needle):

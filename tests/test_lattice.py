@@ -50,27 +50,21 @@ def test_box_region_indexing():
 
 
 def test_origin_target():
-    res = hop_constrained_time(lat(1), 0, 5, 3)
+    res = hop_constrained_time(lat(1), 0, 5)
     assert res.value == 0.0 and res.hop_count == 0 and res.path == ((0, 0),)
-    assert res.certified
     assert unconstrained_time(lat(1), 0).value == 0.0
 
 
 def test_infeasible_budget():
     with pytest.raises(InfeasibleError):
-        hop_constrained_time(lat(1), 4, 3, 6)
-    assert enumerate_paths_oracle(lat(1), 4, 3, 4) is None
-
-
-def test_box_must_contain_target():
-    with pytest.raises(ValueError):
-        hop_constrained_time(lat(1), 5, 7, 4)
+        hop_constrained_time(lat(1), 4, 3)
+    assert enumerate_paths_oracle(lat(1), 4, 3) is None
 
 
 def test_tight_budget_forces_straight_path():
     l = lat(42)
     n = 4
-    res = hop_constrained_time(l, n, n, box_radius=n)
+    res = hop_constrained_time(l, n, n)
     assert res.value == straight_path_time(l, n)
     assert res.hop_count == n
 
@@ -81,67 +75,34 @@ def test_dp_matches_oracle():
         for n in (1, 2, 3):
             for k in range(n, n + 5):
                 l = lat(500 + seed)
-                dp = hop_constrained_time(l, n, k, box_radius=3)
-                oracle = enumerate_paths_oracle(l, n, k, box_radius=3)
+                dp = hop_constrained_time(l, n, k)
+                oracle = enumerate_paths_oracle(l, n, k)
                 if dp.value != oracle:
                     mismatches += 1
     assert mismatches == 0
 
 
 def test_dp_matches_oracle_heterogeneous():
-    uniform = PassageTimeSpec("uniform", (0.5, 1.5), param_range=(0.5, 2.0))
-    pareto = PassageTimeSpec("pareto", (1.0, 3.0), param_range=(0.5, 2.0))
-    for spec, radius, k in ((uniform, 3, 6), (pareto, 4, 7)):
+    # up to k = 9 the walk region reaches m = 4 cells beyond the segment
+    for spec in (UNIFORM, PARETO3):
         for seed in range(10):
             l = lat(900 + seed, spec=spec)
-            dp = hop_constrained_time(l, 2, k, box_radius=radius)
-            assert dp.value == enumerate_paths_oracle(l, 2, k, box_radius=radius)
+            for n in (1, 2):
+                for k in range(n, 10):
+                    dp = hop_constrained_time(l, n, k)
+                    assert dp.value == enumerate_paths_oracle(l, n, k), (spec, seed, n, k)
 
 
 def test_hop_monotonicity():
     l = lat(7)
-    values = [hop_constrained_time(l, 3, k, box_radius=9).value for k in range(3, 12)]
+    values = [hop_constrained_time(l, 3, k).value for k in range(3, 12)]
     assert all(b <= a for a, b in zip(values, values[1:]))
-    # monotone in radius as well
-    r_values = [hop_constrained_time(l, 3, 7, box_radius=r).value for r in (3, 5, 7)]
-    assert all(b <= a for a, b in zip(r_values, r_values[1:]))
-
-
-def test_certificate_soundness():
-    # a certified box cuts no walk of at most k edges, so every target label
-    # equals that of the box of radius k, which loses nothing
-    cases = [
-        (d, n, k, spec, 1000 + seed)
-        for d, n, k in ((2, 2, 8), (2, 4, 11), (3, 2, 7))
-        for spec in (EXP1, UNIFORM, PARETO3)
-        for seed in range(6)
-    ]
-    # about one seed in thirty loses its optimum to the tightest box here
-    cases += [(2, 1, 9, EXP1, 5000 + seed) for seed in range(100)]
-    outcomes = set()
-    cut = 0
-    for d, n, k, spec, seed in cases:
-        l = lat(seed, spec=spec, d=d)
-        exact = full_box_labels(l, n, k, k)
-        for radius in range(n, k + 1):
-            res = hop_constrained_time(l, n, k, box_radius=radius)
-            # the walk out to (n + m, 0, ...) and back, m = (k - n) // 2, has
-            # at most k edges, and radius n + m holds every such walk
-            assert res.certified == (radius >= (n + k) // 2)
-            outcomes.add(res.certified)
-            if res.certified:
-                assert list(res.target_labels) == exact, (d, n, k, spec, seed, radius)
-            else:
-                cut += res.value != exact[-1]
-    assert outcomes == {True, False}
-    assert cut > 0  # an uncertified box can lose the optimum, so the check has teeth
 
 
 def test_certified_wrapper():
     l = lat(3)
     res = hop_constrained_certified(l, 4, 12)
-    assert res.certified
-    direct = hop_constrained_time(l, 4, 12, box_radius=12)
+    direct = hop_constrained_time(l, 4, 12)
     assert res.value == direct.value
 
 
@@ -149,7 +110,7 @@ def test_unconstrained_certified_and_ordered():
     for seed in range(10):
         l = lat(60 + seed)
         res = unconstrained_time(l, 5)
-        assert res.certified and res.k is None
+        assert res.k is None
         straight = straight_path_time(l, 5)
         assert res.value <= straight
         assert res.path[0] == (0, 0) and res.path[-1] == (5, 0)
@@ -161,36 +122,33 @@ def test_unconstrained_matches_saturated_dp():
     l = lat(9)
     n = 3
     res = unconstrained_time(l, n)
-    radius = 2 * n  # the Dijkstra certificate already holds at this radius for this seed
-    k = (2 * radius + 1) ** 2
-    sat = hop_constrained_time(l, n, k, box_radius=radius)
+    sat = hop_constrained_time(l, n, 169)  # a budget far above the witness's hop count
     assert sat.value == res.value
     assert res.hop_count >= n
-    # the DP at a budget the Dijkstra witness fits, on a box of that radius
-    # (which loses nothing), finds the same value and the same fewest hops
+    # the DP at a budget the Dijkstra witness fits finds the same value and
+    # the same fewest hops
     for spec in (EXP1, UNIFORM, PARETO3):
         for seed in range(20):
             for n in (2, 3, 5):
                 l = lat(700 + seed, spec=spec)
                 free = unconstrained_time(l, n)
                 k = free.hop_count + 4
-                dp = hop_constrained_time(l, n, k, box_radius=k)
+                dp = hop_constrained_time(l, n, k)
                 assert free.hop_count == len(free.path) - 1
                 assert (dp.value, dp.hop_count) == (free.value, free.hop_count), (spec, seed, n)
 
 
-def test_unconstrained_radius_cap():
+def test_unconstrained_radius_cap(monkeypatch):
+    monkeypatch.setattr(lattice, "RADIUS_CAP_MULTIPLE", 1)
     with pytest.raises(CapacityError):
-        unconstrained_time(lat(5), 3, radius_cap_multiple=1)
-    with pytest.raises(CapacityError):
-        unconstrained_time(lat(5), 3, radius_cap_multiple=0)
+        unconstrained_time(lat(5), 3)
 
 
-def test_unconstrained_cap_clamps_the_first_box():
+def test_unconstrained_cap_clamps_the_first_box(monkeypatch):
     # the start radius ceil(5n/4) + 8 exceeds 2n here; the cap limits it instead of raising
+    monkeypatch.setattr(lattice, "RADIUS_CAP_MULTIPLE", 2)
     for n in (1, 2, 3):
-        res = unconstrained_time(lat(1), n, radius_cap_multiple=2)
-        assert res.certified
+        res = unconstrained_time(lat(1), n)
         assert (res.value, res.hop_count, res.path) == dijkstra_from_radius_2n(lat(1), n)
 
 
@@ -328,7 +286,7 @@ def test_dijkstra_limit_keeps_value_path_and_certificate(monkeypatch):
             monkeypatch.setattr(lattice, "_csgraph_dijkstra", dijkstra_fn)
             boxes.clear()
             res = unconstrained_time(l, n)
-            outcomes.append((res.value, res.hop_count, res.path, res.certified, tuple(boxes)))
+            outcomes.append((res.value, res.hop_count, res.path, tuple(boxes)))
         assert outcomes[0] == outcomes[1], (spec, d, n, seed)
         straight = straight_path_time(l, n)
         assert set(limits) == {straight}
@@ -341,9 +299,9 @@ def test_schedule_matches_per_k_solver(monkeypatch):
     solves = []
     dp = lattice.hop_constrained_time
 
-    def recording_dp(lat_spec, n, k, box_radius):
-        solves.append((k, box_radius))
-        return dp(lat_spec, n, k, box_radius)
+    def recording_dp(lat_spec, n, k):
+        solves.append(k)
+        return dp(lat_spec, n, k)
 
     monkeypatch.setattr(lattice, "hop_constrained_time", recording_dp)
     for d, n, schedule in ((2, 5, (5, 6, 7, 9, 12, 15, 19)), (3, 3, (3, 4, 6, 8, 11))):
@@ -352,15 +310,15 @@ def test_schedule_matches_per_k_solver(monkeypatch):
                 l = lat(300 + seed, spec=spec, d=d)
                 solves.clear()
                 results = hop_constrained_certified(l, n, schedule)
-                # one pass at the largest budget, on the box of that radius
-                assert solves == [(schedule[-1], schedule[-1])]
+                # one pass at the largest budget
+                assert solves == [schedule[-1]]
                 for k, res in zip(schedule, results):
                     single = hop_constrained_certified(l, n, k)
                     assert (res.value, res.hop_count) == (single.value, single.hop_count)
                     labels = full_box_labels(l, n, k, k)  # radius k loses nothing
                     assert res.value == labels[-1], (d, spec, seed, k)
                     assert res.hop_count == labels.index(labels[-1]) + 1
-                    assert res.certified and res.k == k
+                    assert res.k == k
 
 
 @settings(max_examples=60, deadline=None)
@@ -370,15 +328,13 @@ def test_schedule_matches_per_k_solver(monkeypatch):
     spec=st.sampled_from((EXP1, UNIFORM, PARETO3)),
     n=st.integers(1, 5),
     extra=st.integers(0, 8),
-    data=st.data(),
 )
-def test_walk_windows_keep_every_target_label(seed, d, spec, n, extra, data):
-    # radii below the walk region's extent cut it; the windows then follow the box
+def test_walk_windows_keep_every_target_label(seed, d, spec, n, extra):
+    # the box of radius k holds every walk of at most k edges, so its labels are exact
     k = n + extra
-    radius = data.draw(st.integers(n, k + 2), label="radius")
     l = lat(seed, spec=spec, d=d)
-    res = hop_constrained_time(l, n, k, box_radius=radius)
-    assert list(res.target_labels) == full_box_labels(l, n, k, radius)
+    res = hop_constrained_time(l, n, k)
+    assert list(res.target_labels) == full_box_labels(l, n, k, k)
 
 
 @settings(max_examples=100, deadline=None)
@@ -468,8 +424,6 @@ def test_lattice_spec_guard():
 def test_oracle_guards():
     l = lat(1)
     with pytest.raises(ValueError):
-        enumerate_paths_oracle(l, 2, 10, 3)
+        enumerate_paths_oracle(l, 2, 10)
     with pytest.raises(ValueError):
-        enumerate_paths_oracle(l, 2, 5, 5)
-    with pytest.raises(ValueError):
-        enumerate_paths_oracle(lat(1, d=3), 2, 5, 3)
+        enumerate_paths_oracle(lat(1, d=3), 2, 5)

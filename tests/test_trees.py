@@ -74,7 +74,7 @@ def kruskal_oracle(inst):
                 break
     total = 0.0
     for a, b in sorted(edges):
-        total += inst.weight(a, b)
+        total += inst.matrix()[a - 1, b - 1]
     return set(edges), total
 
 
@@ -99,7 +99,7 @@ def test_greedy_two_vertices():
     inst = seeded(2, 5)
     res = greedy_spanning_path(inst)
     assert res.order == (1, 2)
-    assert res.step_weights == (inst.weight(1, 2),)
+    assert res.step_weights == (inst.matrix()[0, 1],)
 
 
 def test_greedy_structure():
@@ -112,7 +112,7 @@ def test_greedy_structure():
     for idx in range(5):
         cur = res.order[idx]
         seen = set(res.order[: idx + 1])
-        expected = min(inst.weight(cur, a) for a in range(1, 41) if a not in seen)
+        expected = min(inst.matrix()[cur - 1, a - 1] for a in range(1, 41) if a not in seen)
         assert res.step_weights[idx] == expected
     # prefix sums nondecreasing
     assert all(b >= a for a, b in zip(res.prefix_sums, res.prefix_sums[1:]))
@@ -164,7 +164,7 @@ def test_kruskal_is_tree():
     roots = {uf.find(v) for v in range(1, 31)}
     assert len(roots) == 1  # connected
     # totals re-sum within accumulation tolerance
-    resum = sum(inst.weight(a, b) for a, b in res.edges)
+    resum = sum(inst.matrix()[a - 1, b - 1] for a, b in res.edges)
     assert abs(resum - res.total_weight) <= 1e-12 * res.edge_count
 
 
@@ -275,7 +275,7 @@ def test_sample_yj():
     inst = frozen4()
     assert sample_yj(inst, (1, 3)) == 0.3
     inst3 = seeded(3, 9)
-    assert sample_yj(inst3, (1,)) == min(inst3.weight(1, 2), inst3.weight(1, 3))
+    assert sample_yj(inst3, (1,)) == min(inst3.matrix()[0, 1], inst3.matrix()[0, 2])
     big = seeded(50, 4)
     assert sample_yj(big, tuple(range(1, 30))) <= 1.0
     with pytest.raises(ValueError):
