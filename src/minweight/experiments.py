@@ -48,9 +48,9 @@ from .trees import (
 )
 from .weights import PassageTimeSpec, SeedContext, TreeWeightSpec
 
-# Relative tolerance for deciding T_n(k) == T_n: values are sums of O(n)
-# doubles, so exact bit equality would be brittle across reconstruction
-# orders.
+# Relative tolerance for deciding T_n(k) == T_n. Once k covers the
+# unconstrained witness the two agree bit for bit, so it decides only
+# near-ties; it stays because the pinned reports were made with it.
 EQUALITY_RTOL = 1e-9
 
 # Absolute slack for the per-trial sandwich chain, scaled by n (accumulation
@@ -62,9 +62,9 @@ SANDWICH_SLACK = 1e-12
 class ExperimentConfig:
     """Declarative description of one experiment run.
 
-    Not every field applies to every driver; each driver validates the
-    fields it consumes and rejects configurations it cannot honour before
-    doing any work.
+    Not every field applies to every driver: run_experiment rejects a field
+    set away from its default unless DRIVER_FIELDS lists it for the driver,
+    and each driver validates the fields it reads before doing any work.
     """
 
     experiment: str
@@ -306,27 +306,16 @@ def _yj_trial(ctx, spec, n_vertices, j):
     return sample_yj(inst, _random_prefix(ctx.master_seed, ctx.trial_index, n_vertices, j))
 
 
-def _fpp_band_trial(ctx, pspec, d, n, k):
-    lat = LatticeSpec(d=d, spec=pspec, ctx=ctx)
-    res_inf = unconstrained_time(lat, n)
-    res_k = hop_constrained_certified(lat, n, k, free=res_inf)
-    straight = straight_path_time(lat, n)
-    ok = res_inf.value <= res_k.value <= straight
-    return res_k.value, res_inf.value, straight, res_k.hop_count, ok
+def _lattice_trial(ctx, pspec, d, n, budgets):
+    """(T_n, straight-path time, ((T_n(k), hop count) for each budget k)).
 
-
-def _decay_trial(ctx, pspec, d, n, k_values):
+    Dijkstra solves T_n first; every budget at or above its hop count reuses
+    it, and one hop-DP pass answers the rest.
+    """
     lat = LatticeSpec(d=d, spec=pspec, ctx=ctx)
     free = unconstrained_time(lat, n)
-    results = hop_constrained_certified(lat, n, k_values, free=free)
-    return tuple((res.value - free.value) > EQUALITY_RTOL * free.value for res in results)
-
-
-def _fpp_variance_trial(ctx, pspec, d, n, k):
-    lat = LatticeSpec(d=d, spec=pspec, ctx=ctx)
-    free = unconstrained_time(lat, n)
-    res = hop_constrained_certified(lat, n, k, free=free)
-    return res.value
+    results = hop_constrained_certified(lat, n, budgets, free=free)
+    return free.value, straight_path_time(lat, n), tuple((r.value, r.hop_count) for r in results)
 
 
 # -- drivers -----------------------------------------------------------------
@@ -343,6 +332,7 @@ def _validate_tree_sweep(cfg: ExperimentConfig):
     _require(all(n >= 2 for n in cfg.n_values), "tree sizes must be at least 2")
     _require(len(set(cfg.n_values)) == len(cfg.n_values), "n sweep must not repeat values")
     _require(len(cfg.alpha_values) > 0, "alpha sweep must not be empty")
+    _require(len(set(cfg.alpha_values)) == len(cfg.alpha_values), "alpha sweep must not repeat values")
     _require(cfg.rho == 1.0, "this driver runs the spanning rule; set rho = 1")
 
 
@@ -561,6 +551,7 @@ def _validate_lattice(cfg: ExperimentConfig) -> PassageTimeSpec:
     _require(cfg.d >= 2, "lattice dimension must be at least 2")
     _require(cfg.trials >= 1, "trials must be at least 1")
     _require(all(n >= 1 for n in cfg.n_values), "lattice n values must be at least 1")
+    _require(len(set(cfg.n_values)) == len(cfg.n_values), "n sweep must not repeat values")
     return cfg.passage_spec()
 
 
@@ -576,17 +567,18 @@ def run_fpp_band(cfg: ExperimentConfig) -> ExperimentReport:
     pspec = _validate_lattice(cfg)
     _require(len(cfg.n_values) > 0, "n sweep must not be empty")
     _require(cfg.k_multiple >= 1, "k_multiple must be at least 1 so that k >= n")
-    points = [(pspec, cfg.d, n, cfg.k_multiple * n) for n in cfg.n_values]
+    points = [(pspec, cfg.d, n, (cfg.k_multiple * n,)) for n in cfg.n_values]
     rows = []
     violations = 0
     tinf_means = []
     hop_ratios = []
-    for (_, _, n, k), out in zip(points, _sweep(cfg, _fpp_band_trial, points)):
-        tk = summarize([o[0] / n for o in out])
-        tinf = summarize([o[1] / n for o in out])
-        straight = summarize([o[2] / n for o in out])
-        hops = summarize([o[3] / n for o in out])
-        bad = sum(1 for o in out if not o[4])
+    for (_, _, n, (k,)), out in zip(points, _sweep(cfg, _lattice_trial, points)):
+        t_inf, t_straight, t_k, n_hops = zip(*((a, b, c, h) for a, b, ((c, h),) in out))
+        tk = summarize([v / n for v in t_k])
+        tinf = summarize([v / n for v in t_inf])
+        straight = summarize([v / n for v in t_straight])
+        hops = summarize([v / n for v in n_hops])
+        bad = sum(1 for a, b, c in zip(t_inf, t_k, t_straight) if not a <= b <= c)
         violations += bad
         tinf_means.append((n, tinf.mean))
         hop_ratios.append(hops.mean)
@@ -669,11 +661,11 @@ def run_constraint_decay(cfg: ExperimentConfig) -> ExperimentReport:
     ks = cfg.k_values
     _require(all(b > a for a, b in zip(ks, ks[1:])), "k schedule must be strictly increasing")
     _require(ks[0] >= cfg.n, "k schedule must start at or above n")
-    (out,) = _sweep(cfg, _decay_trial, [(pspec, cfg.d, cfg.n, ks)])
+    (out,) = _sweep(cfg, _lattice_trial, [(pspec, cfg.d, cfg.n, ks)])
     rows = []
     estimates = []
     for idx, k in enumerate(ks):
-        mism = sum(1 for flags in out if flags[idx])
+        mism = sum(1 for tinf, _, per_k in out if per_k[idx][0] - tinf > EQUALITY_RTOL * tinf)
         est = wilson_interval(mism, cfg.trials)
         estimates.append(est)
         rows.append((cfg.n, k, cfg.trials, mism, est.point, est.wilson_low, est.wilson_high, k * est.point))
@@ -725,11 +717,11 @@ def run_fpp_variance(cfg: ExperimentConfig) -> ExperimentReport:
     _require(len(cfg.n_values) >= 2, "variance fit needs at least two n values")
     _require(cfg.trials >= 2, "variance needs at least 2 trials")
     _require(cfg.k_multiple >= 1, "k_multiple must be at least 1 so that k >= n")
-    grid = [(pspec, cfg.d, n, cfg.k_multiple * n) for n in cfg.n_values]
+    grid = [(pspec, cfg.d, n, (cfg.k_multiple * n,)) for n in cfg.n_values]
     rows = []
     points = []
-    for (_, _, n, k), values in zip(grid, _sweep(cfg, _fpp_variance_trial, grid)):
-        s = summarize(values)
+    for (_, _, n, (k,)), out in zip(grid, _sweep(cfg, _lattice_trial, grid)):
+        s = summarize([tk for _, _, ((tk, _),) in out])
         rows.append((pspec.kind, n, k, cfg.trials, s.mean, s.unbiased_variance))
         points.append((n, s.unbiased_variance))
     degenerate = any(v <= 0.0 for _, v in points)
@@ -885,9 +877,31 @@ DRIVERS = {
     "oracle-suite": run_oracle_suite,
 }
 
+# Config fields each driver reads besides experiment, master_seed and workers.
+# The lattice drivers list box_radius_factor, which no solver reads, because
+# pinned configs set it.
+_TREE = ("alpha_values", "m_min", "heterogeneous")
+_LATTICE = ("trials", "d", "distribution", "box_radius_factor")
+DRIVER_FIELDS = {
+    "tree-scaling": ("trials", "n_values", "rho", "gamma", *_TREE),
+    "tree-variance": ("trials", "n_values", "rho", *_TREE),
+    "yj-moments": ("trials", "n", "j_values", "exp_moment_s", *_TREE),
+    "fpp-band": ("n_values", "k_multiple", "hops_ratio_max", "stabilization_tol", *_LATTICE),
+    "constraint-decay": ("n", "k_values", *_LATTICE),
+    "fpp-variance": ("n_values", "k_multiple", *_LATTICE),
+    "oracle-suite": ("suite", "suite_gammas", "suite_tree_instances", "suite_prufer_instances",
+                     "suite_lattice_instances", "distribution", *_TREE),
+}
+
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
+    """Run cfg's driver; a field the driver does not read must keep its default."""
     driver = DRIVERS.get(cfg.experiment)
     if driver is None:
         raise ConfigurationError(f"unknown experiment {cfg.experiment!r}")
+    reads = {"experiment", "master_seed", "workers", *DRIVER_FIELDS[cfg.experiment]}
+    default = ExperimentConfig(cfg.experiment)
+    for f in fields(cfg):
+        if f.name not in reads and getattr(cfg, f.name) != getattr(default, f.name):
+            raise ConfigurationError(f"the {cfg.experiment} experiment does not read config key {f.name!r}")
     return driver(cfg)

@@ -10,6 +10,10 @@ Only Dijkstra runs on a box [-r, r]^d around the origin, and a boundary
 certificate proves it exact: if every boundary vertex's distance is already
 at least the target's, a path leaving the box pays at least that before it
 exits and passage times are nonnegative, so it cannot improve.
+
+Both solvers keep their cells on a numpy grid spanning [lows[a], lows[a] +
+shape[a]) on each axis a, row-major: the DP's grid is its walk region, and
+Dijkstra's is the box, with lows = (-r,) * d and shape = (2r + 1,) * d.
 """
 
 from __future__ import annotations
@@ -40,39 +44,6 @@ class LatticeSpec:
             raise ValueError(f"lattice dimension must be at least 2, got {self.d}")
 
 
-class BoxRegion:
-    """The box [-r, r]^d with row-major vertex indexing."""
-
-    def __init__(self, radius: int, d: int):
-        if radius < 0:
-            raise ValueError(f"radius must be nonnegative, got {radius}")
-        self.radius = radius
-        self.d = d
-        self.side = 2 * radius + 1
-        self.shape = (self.side,) * d
-        self.cells = self.side**d
-
-    def flat_index(self, coord) -> int:
-        idx = 0
-        for c in coord:
-            if abs(c) > self.radius:
-                raise ValueError(f"coordinate {coord} outside radius {self.radius}")
-            idx = idx * self.side + (c + self.radius)
-        return idx
-
-    def coord_of(self, grid_index) -> tuple:
-        return tuple(int(g) - self.radius for g in grid_index)
-
-    def boundary_mask(self) -> np.ndarray:
-        mask = np.zeros(self.shape, dtype=bool)
-        for a in range(self.d):
-            sl0 = tuple(slice(None) if i != a else 0 for i in range(self.d))
-            sl1 = tuple(slice(None) if i != a else -1 for i in range(self.d))
-            mask[sl0] = True
-            mask[sl1] = True
-        return mask
-
-
 @dataclass(frozen=True)
 class ConstrainedResult:
     """Outcome of one passage-time computation.
@@ -81,14 +52,12 @@ class ConstrainedResult:
     the edge count of the witnessing optimal path. path is the vertex
     sequence of the Dijkstra witness of unconstrained_time, or the
     one-vertex path at n = 0; the hop DP computes values only and leaves it
-    None. k is None for unconstrained results.
+    None.
     """
 
     value: float
     hop_count: int
-    path: tuple | None
-    k: int | None
-    n: int
+    path: tuple | None = None
     # set by hop_constrained_time only: the target label after each hop 1..k
     target_labels: tuple = field(default=(), repr=False, compare=False)
 
@@ -145,9 +114,8 @@ def _walk_windows(d: int, n: int, k: int) -> tuple:
     return lows, shape, tuple(hops)
 
 
-def _trivial_result(lat: LatticeSpec, k) -> ConstrainedResult:
-    origin = (0,) * lat.d
-    return ConstrainedResult(value=0.0, hop_count=0, path=(origin,), k=k, n=0)
+def _trivial_result(lat: LatticeSpec) -> ConstrainedResult:
+    return ConstrainedResult(value=0.0, hop_count=0, path=((0,) * lat.d,))
 
 
 def _read_budget(labels, k: int) -> tuple:
@@ -182,7 +150,7 @@ def hop_constrained_time(lat: LatticeSpec, n: int, k: int) -> ConstrainedResult:
     if k < n:
         raise InfeasibleError(f"hop budget {k} below L1 distance {n}: no path exists")
     if n == 0:
-        return _trivial_result(lat, k)
+        return _trivial_result(lat)
 
     lows, shape, hops = _walk_windows(lat.d, n, k)
     times = [_axis_times(lat, lows, shape, a) for a in range(lat.d)]
@@ -206,86 +174,75 @@ def hop_constrained_time(lat: LatticeSpec, n: int, k: int) -> ConstrainedResult:
         cur, new = new, cur
         labels.append(float(cur[target]))
 
-    value, hop_count = _read_budget(labels, k)
-    return ConstrainedResult(
-        value=value,
-        hop_count=hop_count,
-        path=None,
-        k=k,
-        n=n,
-        target_labels=tuple(labels),
-    )
+    return ConstrainedResult(*_read_budget(labels, k), target_labels=tuple(labels))
 
 
-def hop_constrained_certified(lat: LatticeSpec, n: int, k, free: ConstrainedResult | None = None):
-    """T_n(k) for one hop budget k, or for each budget of a schedule.
+def hop_constrained_certified(lat: LatticeSpec, n: int, budgets, free: ConstrainedResult | None = None):
+    """T_n(k) for each hop budget k of a schedule: a tuple of path-less ConstrainedResult.
 
-    One hop_constrained_time pass to the largest budget K serves every
-    budget. The name is kept because perfbench/tracer.py and
+    One hop_constrained_time pass to the largest budget that needs it serves
+    every budget. The name is kept because perfbench/tracer.py and
     perfbench/selfcheck.py look it up, as they do kruskal_mst.
 
     free, the unconstrained result of the same lattice, answers every
     k >= free.hop_count without a DP: its witness fits the budget, so
     T_n(k) = T_n.
-
-    Returns a ConstrainedResult without a path for an int k, and a tuple of
-    them in schedule order for a sequence of budgets.
     """
-    single = np.ndim(k) == 0
-    budgets = (k,) if single else tuple(k)
     if min(budgets) < n:
         raise InfeasibleError(f"hop budget {min(budgets)} below L1 distance {n}: no path exists")
     if n == 0:
-        free = _trivial_result(lat, None)
+        free = _trivial_result(lat)
     shortcut = math.inf if free is None else free.hop_count
     solve = [b for b in budgets if b < shortcut]
     if solve:
-        top = max(solve)
-        labels = hop_constrained_time(lat, n, top).target_labels
-
-    out = []
-    for b in budgets:
-        if b >= shortcut:
-            out.append(ConstrainedResult(free.value, free.hop_count, None, b, n))
-        else:
-            out.append(ConstrainedResult(*_read_budget(labels, b), None, b, n))
-    return out[0] if single else tuple(out)
+        labels = hop_constrained_time(lat, n, max(solve)).target_labels
+    return tuple(
+        ConstrainedResult(free.value, free.hop_count)
+        if b >= shortcut
+        else ConstrainedResult(*_read_budget(labels, b))
+        for b in budgets
+    )
 
 
 @functools.lru_cache(maxsize=1)
 def _csr_pattern(radius: int, d: int) -> tuple:
-    """indptr, indices and COO-to-CSR order of the arcs of the box [-radius, radius]^d.
+    """indptr, indices and COO-to-CSR order of the arcs of the box
+    [-radius, radius]^d, and the flat indices of its boundary cells.
 
+    Cells are indexed row-major on the grid of shape (2 * radius + 1,) * d.
     The arcs are listed as _box_csr lists their times: per axis, the +axis
     arcs and then the -axis arcs. The order sorts them by row, then column,
     which is the layout csr_matrix builds from those COO triplets.
     """
-    box = BoxRegion(radius, d)
-    idx = np.arange(box.cells, dtype=np.int32).reshape(box.shape)
+    cells = (2 * radius + 1) ** d
+    idx = np.arange(cells, dtype=np.int32).reshape((2 * radius + 1,) * d)
     rows, cols = [], []
     for a in range(d):
         u = idx[tuple(slice(0, -1) if i == a else slice(None) for i in range(d))].ravel()
         v = idx[tuple(slice(1, None) if i == a else slice(None) for i in range(d))].ravel()
         rows += [u, v]
         cols += [v, u]
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
     order = np.lexsort((cols, rows))
-    indptr = np.zeros(box.cells + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=box.cells), out=indptr[1:])
-    pattern = (indptr, cols[order], order)
+    indptr = np.zeros(cells + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=cells), out=indptr[1:])
+    interior = np.zeros((2 * radius - 1,) * d, dtype=bool)
+    boundary = np.flatnonzero(np.pad(interior, 1, constant_values=True))
+    pattern = (indptr, cols[order], order, boundary)
     for a in pattern:
         a.flags.writeable = False  # every graph built from the cache shares these
     return pattern
 
 
-def _box_csr(lat: LatticeSpec, box: BoxRegion):
-    """Sparse adjacency of the box with per-edge passage times (both arcs)."""
-    indptr, indices, order = _csr_pattern(box.radius, box.d)
-    times = [_axis_times(lat, (-box.radius,) * box.d, box.shape, a).ravel() for a in range(lat.d)]
+def _box_csr(lat: LatticeSpec, radius: int):
+    """Sparse adjacency of the box [-radius, radius]^d with per-edge passage
+    times (both arcs), indexed as _csr_pattern indexes it."""
+    indptr, indices, order, _ = _csr_pattern(radius, lat.d)
+    shape = (2 * radius + 1,) * lat.d
+    times = [_axis_times(lat, (-radius,) * lat.d, shape, a).ravel() for a in range(lat.d)]
     # each edge's time serves its +axis and its -axis arc
     data = np.concatenate([t for t in times for _ in range(2)])
-    return csr_matrix((data[order], indices, indptr), shape=(box.cells, box.cells))
+    return csr_matrix((data[order], indices, indptr), shape=(indptr.size - 1,) * 2)
 
 
 # Dijkstra's box never grows past radius RADIUS_CAP_MULTIPLE * n
@@ -313,39 +270,32 @@ def unconstrained_time(lat: LatticeSpec, n: int) -> ConstrainedResult:
     if n < 0:
         raise ValueError(f"target abscissa must be nonnegative, got {n}")
     if n == 0:
-        return _trivial_result(lat, None)
+        return _trivial_result(lat)
 
     cap = RADIUS_CAP_MULTIPLE * n
     radius = min((5 * n + 3) // 4 + 8, cap)
     limit = straight_path_time(lat, n)
     while True:
-        box = BoxRegion(radius, lat.d)
-        graph = _box_csr(lat, box)
-        source = box.flat_index((0,) * lat.d)
-        target = box.flat_index((n,) + (0,) * (lat.d - 1))
+        shape = (2 * radius + 1,) * lat.d
+        source = int(np.ravel_multi_index((radius,) * lat.d, shape))
+        target = int(np.ravel_multi_index((radius + n,) + (radius,) * (lat.d - 1), shape))
         dist, pred = _csgraph_dijkstra(
-            graph, directed=True, indices=source, return_predecessors=True, limit=limit
+            _box_csr(lat, radius), directed=True, indices=source, return_predecessors=True, limit=limit
         )
         value = float(dist[target])
-        boundary = box.boundary_mask().ravel()
-        if float(dist[boundary].min()) >= value:
+        if float(dist[_csr_pattern(radius, lat.d)[3]].min()) >= value:
             break
         if radius >= cap:
-            raise CapacityError(
-                f"boundary certificate fails at radius {radius}, "
-                f"the cap {RADIUS_CAP_MULTIPLE}*n"
-            )
+            msg = f"boundary certificate fails at radius {radius}, the cap {RADIUS_CAP_MULTIPLE}*n"
+            raise CapacityError(msg)
         radius = min(2 * radius, cap)
 
-    flat_chain = [target]
-    v = target
-    while v != source:
-        v = int(pred[v])
-        flat_chain.append(v)
-    flat_chain.reverse()
-    grid = np.unravel_index(flat_chain, box.shape)
-    path = tuple(box.coord_of(g) for g in zip(*grid))
-    return ConstrainedResult(value=value, hop_count=len(path) - 1, path=path, k=None, n=n)
+    chain = [target]
+    while chain[-1] != source:
+        chain.append(int(pred[chain[-1]]))
+    coords = np.stack(np.unravel_index(chain[::-1], shape), axis=1) - radius
+    path = tuple(map(tuple, coords.tolist()))
+    return ConstrainedResult(value, len(path) - 1, path)
 
 
 def enumerate_paths_oracle(lat: LatticeSpec, n: int, k: int):
@@ -422,9 +372,11 @@ def straight_path_time(lat: LatticeSpec, n: int) -> float:
     return total
 
 
-def linear_path_tail_probe(
-    lat: LatticeSpec, m: int, beta: float, trials: int, chunk: int = 1 << 16
-) -> ProbEstimate:
+# linear_path_tail_probe draws at most TAIL_PROBE_CHUNK trials per kernel call
+TAIL_PROBE_CHUNK = 1 << 16
+
+
+def linear_path_tail_probe(lat: LatticeSpec, m: int, beta: float, trials: int) -> ProbEstimate:
     """Monte Carlo estimate of P(sum of the first m straight-edge times <= beta*m).
 
     Trial i uses trial index ctx.trial_index + i under the same master seed.
@@ -440,8 +392,8 @@ def linear_path_tail_probe(
     cutoff = beta * m
     successes = 0
     start = lat.ctx.trial_index
-    for t0 in range(start, start + trials, chunk):
-        t1 = min(t0 + chunk, start + trials)
+    for t0 in range(start, start + trials, TAIL_PROBE_CHUNK):
+        t1 = min(t0 + TAIL_PROBE_CHUNK, start + trials)
         tvec = np.arange(t0, t1, dtype=np.uint64)[:, None]
         times = _passage_times(lat.spec, lat.ctx.master_seed, tvec, 0, bases)
         successes += int(np.count_nonzero(times.sum(axis=1) <= cutoff))

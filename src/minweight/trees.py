@@ -200,14 +200,18 @@ def threshold_lower_bound(inst: CompleteInstance, tau: int, gamma: float) -> flo
     return max(0, tau - r_tot) * threshold
 
 
-def exact_min_tree(inst: CompleteInstance, tau: int, budget: int = 10**8) -> TreeResult:
+# exact_min_tree refuses an enumeration of more elementary steps than this
+EXACT_STEP_BUDGET = 10**8
+
+
+def exact_min_tree(inst: CompleteInstance, tau: int) -> TreeResult:
     """Exact minimum over trees with at least tau edges, by subset enumeration.
 
     With strictly positive weights the optimum has exactly tau edges and
     spans tau + 1 vertices, so the answer is the best MST over all
     (tau+1)-subsets, found by one batched Prim run. Ties go to the
     lexicographically smallest subset. Only feasible at desk scale: n <= 12
-    and C(n, tau+1)*(tau+1)**2 within the step budget.
+    and C(n, tau+1)*(tau+1)**2 within EXACT_STEP_BUDGET.
     """
     n = inst.n
     if not 1 <= tau <= n - 1:
@@ -215,9 +219,9 @@ def exact_min_tree(inst: CompleteInstance, tau: int, budget: int = 10**8) -> Tre
     if n > 12:
         raise ValueError(f"exact_min_tree is limited to n <= 12, got {n}")
     steps = math.comb(n, tau + 1) * (tau + 1) ** 2
-    if steps > budget:
+    if steps > EXACT_STEP_BUDGET:
         raise CapacityError(
-            f"enumeration would take {steps} elementary steps, budget is {budget}"
+            f"enumeration would take {steps} elementary steps, budget is {EXACT_STEP_BUDGET}"
         )
     # increasing subsets keep local edge keys in the order of the global ones
     subsets = np.array(list(itertools.combinations(range(n), tau + 1)), dtype=np.intp)

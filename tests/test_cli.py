@@ -68,6 +68,13 @@ def test_selftest_default_config(tmp_path):
     assert parse_and_dispatch(["selftest", "--output-dir", str(tmp_path), "--format", "json"]) == 0
 
 
+def test_selftest_rejects_the_trials_flag(tmp_path, capsys):
+    # the oracle suite sizes its parts by the suite_*_instances keys, not by trials
+    assert parse_and_dispatch(["selftest", "--trials", "5", "--output-dir", str(tmp_path)]) == 1
+    assert "'trials'" in _single_error_line(capsys)
+    assert not (tmp_path / "oracle-suite.json").exists()
+
+
 def _suite_config(tmp_path):
     path = tmp_path / "suite.json"
     path.write_text(
@@ -303,6 +310,13 @@ def test_workers_flag_must_be_positive(tmp_path, capsys, workers):
             {"suite_tree_instances": -3, "suite_prufer_instances": 0, "suite_lattice_instances": 0},
             "must be at least 1",
         ),
+        # repeated sweep values
+        ("fpp-variance", {"trials": 2, "n_values": [4, 4]}, "n sweep must not repeat"),
+        ("fpp-band", {"n_values": [16, 16]}, "n sweep must not repeat"),
+        ("tree-scaling", {"alpha_values": [0.5, 0.5]}, "alpha sweep must not repeat"),
+        # keys the driver does not read
+        ("tree-scaling", {"k_values": [3]}, "k_values"),
+        ("fpp-band", {"suite_gammas": [0.5]}, "suite_gammas"),
     ],
 )
 def test_malformed_config_exits_one_with_one_error_line(tmp_path, capsys, name, override, needle):

@@ -12,7 +12,9 @@ import minweight.experiments as exp_mod
 from minweight.cli import SMOKE_CONFIGS, report_document
 from minweight.errors import ConfigurationError
 from minweight.experiments import (
+    DRIVER_FIELDS,
     ExperimentConfig,
+    _lattice_trial,
     _random_prefix,
     _sweep,
     passage_spec_from_config,
@@ -25,6 +27,8 @@ from minweight.experiments import (
     run_tree_variance,
     run_yj_moments,
 )
+from minweight.lattice import LatticeSpec, hop_constrained_time, straight_path_time, unconstrained_time
+from minweight.weights import PassageTimeSpec, SeedContext
 from reference import random_prefix
 
 # First-run golden digests of the built-in smoke configurations. These pin
@@ -262,7 +266,8 @@ def test_decay_saturated_budget_has_zero_mismatch():
 
 
 def test_fpp_variance_constant_hook_reports_degenerate(monkeypatch):
-    monkeypatch.setattr(exp_mod, "_fpp_variance_trial", lambda *a: 1.5)
+    # trial args: ctx, pspec, d, n, budgets
+    monkeypatch.setattr(exp_mod, "_lattice_trial", lambda *a: (1.0, 2.0, ((1.5, a[3]),)))
     cfg = smoke("fpp-variance", trials=10, workers=1)
     report = run_fpp_variance(cfg)
     verdict = report.verdicts[0]
@@ -292,10 +297,48 @@ def test_oracle_suite_guards_and_subset():
 
 
 def test_verdicts_map_to_criteria():
+    small = {
+        "tree-variance": {"trials": 100},
+        "oracle-suite": {"suite_tree_instances": 2, "suite_prufer_instances": 2, "suite_lattice_instances": 2},
+    }
     for name in GOLDEN_DIGESTS:
-        report = run_experiment(smoke(name, trials=min(SMOKE_CONFIGS[name].get("trials", 10), 10),
-                                      suite_tree_instances=2, suite_prufer_instances=2,
-                                      suite_lattice_instances=2)
-                                if name != "tree-variance" else smoke(name, trials=100))
+        overrides = small[name] if name in small else {"trials": min(SMOKE_CONFIGS[name]["trials"], 10)}
+        report = run_experiment(smoke(name, **overrides))
         for v in report.verdicts:
             assert v.criterion in {f"AC{i}" for i in range(1, 12)}
+
+
+@pytest.mark.parametrize("name", sorted(DRIVER_FIELDS))
+def test_driver_rejects_a_field_it_does_not_read(name, monkeypatch):
+    # the check runs before the driver: no trial may start
+    monkeypatch.setitem(exp_mod.DRIVERS, name, lambda cfg: pytest.fail("driver ran"))
+    cfg = smoke(name)
+    reads = {"experiment", "master_seed", "workers", *DRIVER_FIELDS[name]}
+    ignored = [f.name for f in dataclasses.fields(cfg) if f.name not in reads]
+    assert ignored
+    for field_name in ignored:
+        with pytest.raises(ConfigurationError, match=f"'{field_name}'"):
+            run_experiment(dataclasses.replace(cfg, **{field_name: object()}))
+
+
+LAWS = (
+    PassageTimeSpec("exponential", (1.0,)),
+    PassageTimeSpec("uniform", (0.5, 1.5), param_range=(0.5, 2.0)),
+    PassageTimeSpec("pareto", (1.0, 3.0), param_range=(0.5, 2.0)),
+)
+
+
+@pytest.mark.parametrize("d,n,budgets", [(2, 4, (4, 5, 7, 10, 16)), (3, 3, (3, 4, 6, 9))])
+@pytest.mark.parametrize("law", LAWS, ids=[law.kind for law in LAWS])
+def test_lattice_trial_equals_the_solvers(law, d, n, budgets):
+    shortcut = dp = 0
+    for trial in range(6):
+        ctx = SeedContext(41, trial)
+        lat = LatticeSpec(d=d, spec=law, ctx=ctx)
+        free = unconstrained_time(lat, n)
+        per_k = tuple((r.value, r.hop_count) for r in (hop_constrained_time(lat, n, k) for k in budgets))
+        expected = (free.value, straight_path_time(lat, n), per_k)
+        assert _lattice_trial(ctx, law, d, n, budgets) == expected, (trial, free.hop_count)
+        shortcut += sum(k >= free.hop_count for k in budgets)
+        dp += sum(k < free.hop_count for k in budgets)
+    assert shortcut and dp  # budgets on both sides of the witness's hop count

@@ -9,7 +9,6 @@ from scipy.sparse.csgraph import dijkstra
 from minweight import lattice
 from minweight.errors import CapacityError, InfeasibleError
 from minweight.lattice import (
-    BoxRegion,
     LatticeSpec,
     enumerate_paths_oracle,
     hop_constrained_certified,
@@ -40,13 +39,14 @@ def path_time(lat_spec, path):
 
 
 def test_box_region_indexing():
-    box = BoxRegion(3, 2)
-    assert box.cells == 49
-    assert box.flat_index((0, 0)) == 24
-    assert box.coord_of((0, 5)) == (-3, 2)
-    assert box.boundary_mask().sum() == 24
+    # the row-major grid convention of Dijkstra's box, as the references below use it
+    assert box_shape(3, 2) == (7, 7)
+    assert box_index(3, (0, 0)) == 24
+    assert box_index(3, (-3, 2)) == 5
+    assert box_coords(3, 2, [5, 24]) == ((-3, 2), (0, 0))
+    assert boundary_mask(3, 2).sum() == 24 and boundary_mask(2, 3).sum() == 125 - 27
     with pytest.raises(ValueError):
-        box.flat_index((4, 0))
+        box_index(3, (4, 0))
 
 
 def test_origin_target():
@@ -101,16 +101,15 @@ def test_hop_monotonicity():
 
 def test_certified_wrapper():
     l = lat(3)
-    res = hop_constrained_certified(l, 4, 12)
+    (res,) = hop_constrained_certified(l, 4, (12,))
     direct = hop_constrained_time(l, 4, 12)
-    assert res.value == direct.value
+    assert (res.value, res.hop_count, res.path) == (direct.value, direct.hop_count, None)
 
 
 def test_unconstrained_certified_and_ordered():
     for seed in range(10):
         l = lat(60 + seed)
         res = unconstrained_time(l, 5)
-        assert res.k is None
         straight = straight_path_time(l, 5)
         assert res.value <= straight
         assert res.path[0] == (0, 0) and res.path[-1] == (5, 0)
@@ -161,56 +160,81 @@ def _ends(d, axis):
     return lo, hi
 
 
-def box_times(lat_spec, box, axis):
+def box_shape(radius, d):
+    return (2 * radius + 1,) * d
+
+
+def box_index(radius, coord):
+    """Flat row-major index of a coordinate of the box [-radius, radius]^d."""
+    return int(np.ravel_multi_index(tuple(c + radius for c in coord), box_shape(radius, len(coord))))
+
+
+def box_coords(radius, d, flat):
+    """Coordinates of flat box indices, as tuples of ints."""
+    grid = np.unravel_index(flat, box_shape(radius, d))
+    return tuple(tuple(int(g) - radius for g in cell) for cell in zip(*grid))
+
+
+def boundary_mask(radius, d):
+    """Cells of the box with some coordinate at -radius or radius."""
+    mask = np.zeros(box_shape(radius, d), dtype=bool)
+    for a in range(d):
+        for end in (0, -1):
+            mask[tuple(end if i == a else slice(None) for i in range(d))] = True
+    return mask
+
+
+def box_times(lat_spec, radius, axis):
     """Times of all +axis edges in the box, indexed by base vertex."""
-    ranges = [np.arange(-box.radius, box.radius + (i != axis)) for i in range(box.d)]
+    d = lat_spec.d
+    ranges = [np.arange(-radius, radius + (i != axis)) for i in range(d)]
     coords = tuple(np.meshgrid(*ranges, indexing="ij"))
     return passage_time_grid(lat_spec.spec, lat_spec.ctx, axis, coords)
 
 
-def coo_box_csr(lat_spec, box):
+def coo_box_csr(lat_spec, radius):
     """The box's sparse adjacency built afresh from COO triplets."""
-    idx = np.arange(box.cells, dtype=np.int32).reshape(box.shape)
+    shape = box_shape(radius, lat_spec.d)
+    cells = int(np.prod(shape))
+    idx = np.arange(cells, dtype=np.int32).reshape(shape)
     rows, cols, data = [], [], []
-    for a in range(box.d):
-        lo, hi = _ends(box.d, a)
-        t = box_times(lat_spec, box, a).ravel()
+    for a in range(lat_spec.d):
+        lo, hi = _ends(lat_spec.d, a)
+        t = box_times(lat_spec, radius, a).ravel()
         u, v = idx[lo].ravel(), idx[hi].ravel()
         rows += [u, v]
         cols += [v, u]
         data += [t, t]
     return csr_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(box.cells, box.cells),
+        shape=(cells, cells),
     )
 
 
 def dijkstra_from_radius_2n(lat_spec, n):
     """(value, hop count, path): Dijkstra from radius 2n, doubling until certified."""
+    d = lat_spec.d
     radius = 2 * n
     while True:
-        box = BoxRegion(radius, lat_spec.d)
-        source = box.flat_index((0,) * lat_spec.d)
-        target = box.flat_index((n,) + (0,) * (lat_spec.d - 1))
-        dist, pred = dijkstra(coo_box_csr(lat_spec, box), indices=source, return_predecessors=True)
-        if dist[box.boundary_mask().ravel()].min() >= dist[target]:
+        source = box_index(radius, (0,) * d)
+        target = box_index(radius, (n,) + (0,) * (d - 1))
+        dist, pred = dijkstra(coo_box_csr(lat_spec, radius), indices=source, return_predecessors=True)
+        if dist[boundary_mask(radius, d).ravel()].min() >= dist[target]:
             break
         radius *= 2
     chain = [target]
     while chain[-1] != source:
         chain.append(int(pred[chain[-1]]))
-    grid = np.unravel_index(chain[::-1], box.shape)
-    path = tuple(box.coord_of(g) for g in zip(*grid))
+    path = box_coords(radius, d, chain[::-1])
     return float(dist[target]), len(chain) - 1, path
 
 
 def full_box_labels(lat_spec, n, k, radius):
     """Target label after each hop 1..k, relaxing the whole box at every hop."""
-    box = BoxRegion(radius, lat_spec.d)
-    cur = np.full(box.shape, np.inf)
+    cur = np.full(box_shape(radius, lat_spec.d), np.inf)
     cur[(radius,) * lat_spec.d] = 0.0
     target = (radius + n,) + (radius,) * (lat_spec.d - 1)
-    times = [box_times(lat_spec, box, a) for a in range(lat_spec.d)]
+    times = [box_times(lat_spec, radius, a) for a in range(lat_spec.d)]
     labels = []
     for _ in range(k):
         new = cur.copy()
@@ -227,22 +251,23 @@ def test_cached_csr_equals_fresh_coo_build():
     # alternate radii so that the one-entry pattern cache is evicted and rebuilt,
     # and take two trials in a row so that a cached pattern is reused
     for radius, d in ((1, 2), (5, 2), (88, 2), (4, 3), (5, 2), (1, 2), (4, 3), (88, 2)):
-        box = BoxRegion(radius, d)
         for trial in (0, 1):
-            cached = lattice._box_csr(lat(17, trial=trial, d=d), box)
-            fresh = coo_box_csr(lat(17, trial=trial, d=d), box)
+            cached = lattice._box_csr(lat(17, trial=trial, d=d), radius)
+            fresh = coo_box_csr(lat(17, trial=trial, d=d), radius)
             for name in ("indptr", "indices", "data"):
                 a, b = getattr(cached, name), getattr(fresh, name)
                 assert a.dtype == b.dtype and np.array_equal(a, b), (radius, d, name)
+            boundary = lattice._csr_pattern(radius, d)[3]
+            assert np.array_equal(boundary, np.flatnonzero(boundary_mask(radius, d))), (radius, d)
 
 
 def test_unconstrained_matches_dijkstra_from_radius_2n(monkeypatch):
     radii = []
     box_csr = lattice._box_csr
 
-    def recording_box_csr(lat_spec, box):
-        radii.append(box.radius)
-        return box_csr(lat_spec, box)
+    def recording_box_csr(lat_spec, radius):
+        radii.append(radius)
+        return box_csr(lat_spec, radius)
 
     monkeypatch.setattr(lattice, "_box_csr", recording_box_csr)
     cases = [(EXP1, seed) for seed in range(40)]
@@ -313,12 +338,11 @@ def test_schedule_matches_per_k_solver(monkeypatch):
                 # one pass at the largest budget
                 assert solves == [schedule[-1]]
                 for k, res in zip(schedule, results):
-                    single = hop_constrained_certified(l, n, k)
+                    (single,) = hop_constrained_certified(l, n, (k,))
                     assert (res.value, res.hop_count) == (single.value, single.hop_count)
                     labels = full_box_labels(l, n, k, k)  # radius k loses nothing
                     assert res.value == labels[-1], (d, spec, seed, k)
                     assert res.hop_count == labels.index(labels[-1]) + 1
-                    assert res.k == k
 
 
 @settings(max_examples=60, deadline=None)
@@ -400,8 +424,9 @@ def test_tail_probe_matches_gamma_cdf():
     assert est.wilson_low <= analytic <= est.wilson_high
 
 
-def test_tail_probe_counts_match_per_trial_grids():
+def test_tail_probe_counts_match_per_trial_grids(monkeypatch):
     # per-edge scales, a nonzero first trial and a last chunk of 7 trials
+    monkeypatch.setattr(lattice, "TAIL_PROBE_CHUNK", 16)
     spec = PassageTimeSpec("pareto", (1.0, 3.0), param_range=(0.5, 2.0))
     m, trials, first = 5, 103, 11
     for d in (2, 3):
@@ -413,7 +438,7 @@ def test_tail_probe_counts_match_per_trial_grids():
         l = lat(2**63 + 5, trial=first, spec=spec, d=d)
         for beta in np.quantile(sums, [0.1, 0.3, 0.5, 0.7, 0.9]) / m:
             expected = sum(s <= beta * m for s in sums)
-            assert linear_path_tail_probe(l, m, beta, trials, chunk=16).successes == expected
+            assert linear_path_tail_probe(l, m, beta, trials).successes == expected
 
 
 def test_lattice_spec_guard():

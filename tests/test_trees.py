@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import minweight.trees as trees_mod
 from minweight.errors import CapacityError
 from minweight.experiments import SANDWICH_SLACK
 from minweight.trees import (
@@ -224,13 +225,14 @@ def test_exact_equals_kruskal_spanning():
             assert exact_min_tree(inst, n - 1).total_weight == kruskal_mst(inst).total_weight
 
 
-def test_exact_min_tree_guards():
+def test_exact_min_tree_guards(monkeypatch):
     inst = seeded(13, 1)
     with pytest.raises(ValueError):
         exact_min_tree(inst, 3)
     inst = seeded(12, 1)
+    monkeypatch.setattr(trees_mod, "EXACT_STEP_BUDGET", 10)
     with pytest.raises(CapacityError):
-        exact_min_tree(inst, 6, budget=10)
+        exact_min_tree(inst, 6)
 
 
 def test_sandwich_and_monotonicity():
