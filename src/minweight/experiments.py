@@ -4,10 +4,12 @@ One driver per quantitative claim: tree-weight scaling and variance, the
 nearest-unvisited-edge moment band, the lattice passage-time band, the
 constraint-mismatch decay, the passage-time variance growth, and a
 cross-validation oracle suite. Each driver returns an ExperimentReport whose
-tables and verdicts are pure functions of the configuration. The six sweep
+tables and verdicts are pure functions of the configuration. All seven
 drivers run their trials through _sweep, the one place the trial-index rule
-lives: trial t of sweep point p uses trial index p * trials + t under the
-master seed. Aggregation always runs in trial order, so reports are
+lives: trial t of sweep point p uses trial index first + p * trials + t
+under the master seed. The oracle suite pins its parts at indices
+p * suite_tree_instances + t (trees, n = 5, 6, 7), t (lattice) and
+10_000 + t (Pruefer). Aggregation runs in trial order, so reports are
 identical no matter how many workers computed them.
 
 Verdict.criterion names the acceptance criterion (AC1..AC11) the verdict
@@ -17,13 +19,13 @@ implements.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.stats import chi2
 
 from . import __version__, rng
 from .errors import ConfigurationError, InfeasibleError
@@ -35,7 +37,7 @@ from .lattice import (
     straight_path_time,
     unconstrained_time,
 )
-from .stats import loglog_fit, summarize, wilson_interval
+from .stats import chi2_quantile, loglog_fit, summarize, wilson_interval
 from .trees import (
     CompleteInstance,
     exact_min_tree,
@@ -151,15 +153,18 @@ _FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
 def _matches(value, hint) -> bool:
     """JSON type check without coercion.
 
-    A bool is never a number, an int passes where a float is declared, and a
-    tuple field takes a JSON list whose every element matches.
+    A bool is never a number, an int passes where a float is declared, a
+    float matches only when finite (NaN and Infinity are not JSON numbers),
+    and a tuple field takes a JSON list whose every element matches.
     """
     if typing.get_origin(hint) is tuple:
         element = typing.get_args(hint)[0]
         return isinstance(value, (list, tuple)) and all(_matches(v, element) for v in value)
     if isinstance(value, bool):
         return hint is bool
-    return isinstance(value, (int, float) if hint is float else hint)
+    if hint is float:
+        return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+    return isinstance(value, hint)
 
 
 def _json_name(hint) -> str:
@@ -251,18 +256,19 @@ def _report(cfg: ExperimentConfig, tables, verdicts, started: float) -> Experime
 # -- deterministic sweep runner ------------------------------------------------
 
 
-def _sweep(cfg: ExperimentConfig, fn, points) -> list:
-    """Run cfg.trials trials of fn(ctx, *point) for every sweep point.
+def _sweep(cfg: ExperimentConfig, fn, points, trials=None, first=0) -> list:
+    """Run trials trials (default cfg.trials) of fn(ctx, *point) for every sweep point.
 
     Trial t of point p runs under SeedContext(cfg.master_seed,
-    p * cfg.trials + t). All trials of all points go through one serial pass
-    or one process pool; the result holds one outcome list per point, in
-    trial order.
+    first + p * trials + t). All trials of all points go through one serial
+    pass or one process pool; the result holds one outcome list per point,
+    in trial order.
     """
+    trials = cfg.trials if trials is None else trials
     tasks = [
-        (SeedContext(cfg.master_seed, p * cfg.trials + t), *point)
+        (SeedContext(cfg.master_seed, first + p * trials + t), *point)
         for p, point in enumerate(points)
-        for t in range(cfg.trials)
+        for t in range(trials)
     ]
     if cfg.workers <= 1 or len(tasks) <= 1:
         outcomes = [fn(*task) for task in tasks]
@@ -270,7 +276,7 @@ def _sweep(cfg: ExperimentConfig, fn, points) -> list:
         chunk = max(1, len(tasks) // (cfg.workers * 8))
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             outcomes = list(pool.map(fn, *zip(*tasks), chunksize=chunk))
-    return [outcomes[p * cfg.trials : (p + 1) * cfg.trials] for p in range(len(points))]
+    return [outcomes[p * trials : (p + 1) * trials] for p in range(len(points))]
 
 
 # -- trial functions (module level so the process pool can pickle them) -----
@@ -318,6 +324,47 @@ def _lattice_trial(ctx, pspec, d, n, budgets):
     return free.value, straight_path_time(lat, n), tuple((r.value, r.hop_count) for r in results)
 
 
+def _tree_oracle_trial(ctx, spec, n_vertices, parts, gammas):
+    """(spanning mismatches, sandwich violations) of one K_n instance; see run_oracle_suite."""
+    inst = CompleteInstance(n_vertices, spec, ctx)
+    spanning_bad = sandwich_bad = 0
+    if "spanning" in parts:
+        mst = kruskal_mst(inst).total_weight
+        spanning_bad = exact_min_tree(inst, n_vertices - 1).total_weight != mst
+    if "sandwich" in parts:
+        path = greedy_spanning_path(inst)
+        slack = SANDWICH_SLACK * n_vertices
+        for tau in range(1, n_vertices):
+            exact = exact_min_tree(inst, tau).total_weight
+            sandwich_bad += exact > min_tree_upper_bound(inst, tau, path) + slack
+            sandwich_bad += sum(threshold_lower_bound(inst, tau, g) > exact + slack for g in gammas)
+    return spanning_bad, sandwich_bad
+
+
+def _lattice_oracle_trial(ctx, pspec):
+    """Hop-DP mismatches against path enumeration on one d = 2 lattice (18 checks)."""
+    lat = LatticeSpec(d=2, spec=pspec, ctx=ctx)
+    bad = 0
+    for n in (1, 2, 3):
+        budgets = range(n, n + 5)
+        results = hop_constrained_certified(lat, n, budgets)
+        bad += sum(r.value != enumerate_paths_oracle(lat, n, k) for r, k in zip(results, budgets))
+        # infeasibility agreement below the L1 distance
+        bad += enumerate_paths_oracle(lat, n, n - 1) is not None
+        try:
+            hop_constrained_time(lat, n, n - 1)
+            bad += 1  # should have signalled infeasibility
+        except InfeasibleError:
+            pass
+    return bad
+
+
+def _prufer_oracle_trial(ctx, spec):
+    """Whether the spanning tree of one K_7 instance misses the Pruefer enumeration minimum."""
+    inst = CompleteInstance(7, spec, ctx)
+    return kruskal_mst(inst).total_weight != prufer_mst_weight(inst)
+
+
 # -- drivers -----------------------------------------------------------------
 
 
@@ -357,10 +404,7 @@ def run_tree_scaling(cfg: ExperimentConfig) -> ExperimentReport:
     for alpha in cfg.alpha_values:
         means = []
         for (_, n, tau, _), out in itertools.islice(outcomes, len(cfg.n_values)):
-            values = [o[0] for o in out]
-            uppers = [o[1] for o in out]
-            lowers = [o[2] for o in out]
-            oks = [o[3] for o in out]
+            values, uppers, lowers, oks = zip(*out)
             violations = sum(1 for ok in oks if not ok)
             total_violations += violations
             s = summarize(values)
@@ -449,7 +493,7 @@ def run_tree_variance(cfg: ExperimentConfig) -> ExperimentReport:
         s = summarize(values)
         # upper 95% chi-square confidence bound under approximate normality
         df = cfg.trials - 1
-        var_upper = df * s.unbiased_variance / float(chi2.ppf(0.05, df))
+        var_upper = df * s.unbiased_variance / chi2_quantile(0.05, df)
         rows.append((alpha, n, cfg.trials, s.mean, s.unbiased_variance, var_upper, var_upper / n))
         verdicts.append(
             Verdict(
@@ -801,67 +845,23 @@ def run_oracle_suite(cfg: ExperimentConfig) -> ExperimentReport:
 
     tree_ns = (5, 6, 7)
     if "spanning" in cfg.suite or "sandwich" in cfg.suite:
-        spanning_checks = spanning_bad = 0
-        sandwich_checks = sandwich_bad = 0
-        gtrial = 0
-        for n in tree_ns:
-            for _ in range(cfg.suite_tree_instances):
-                inst = CompleteInstance(n, spec, SeedContext(cfg.master_seed, gtrial))
-                gtrial += 1
-                path = greedy_spanning_path(inst)
-                mst = kruskal_mst(inst).total_weight
-                if "spanning" in cfg.suite:
-                    spanning_checks += 1
-                    if exact_min_tree(inst, n - 1).total_weight != mst:
-                        spanning_bad += 1
-                if "sandwich" in cfg.suite:
-                    for tau in range(1, n):
-                        exact = exact_min_tree(inst, tau).total_weight
-                        upper = min_tree_upper_bound(inst, tau, path)
-                        slack = SANDWICH_SLACK * n
-                        if exact > upper + slack:
-                            sandwich_bad += 1
-                        sandwich_checks += 1
-                        for g in cfg.suite_gammas:
-                            sandwich_checks += 1
-                            if threshold_lower_bound(inst, tau, g) > exact + slack:
-                                sandwich_bad += 1
+        points = [(spec, n, cfg.suite, cfg.suite_gammas) for n in tree_ns]
+        out = _sweep(cfg, _tree_oracle_trial, points, trials=cfg.suite_tree_instances)
+        spanning_bad, sandwich_bad = map(sum, zip(*itertools.chain.from_iterable(out)))
         if "spanning" in cfg.suite:
-            add("spanning_exact_equals_kruskal", "AC1", spanning_checks, spanning_bad)
+            add("spanning_exact_equals_kruskal", "AC1", len(tree_ns) * cfg.suite_tree_instances, spanning_bad)
         if "sandwich" in cfg.suite:
-            add("bounds_sandwich_exact", "AC1", sandwich_checks, sandwich_bad)
+            checks = sum(n - 1 for n in tree_ns) * (1 + len(cfg.suite_gammas)) * cfg.suite_tree_instances
+            add("bounds_sandwich_exact", "AC1", checks, sandwich_bad)
 
     if "lattice" in cfg.suite:
         pspec = cfg.passage_spec() if cfg.distribution else PassageTimeSpec("exponential", (1.0,))
-        checks = bad = 0
-        for seed_off in range(cfg.suite_lattice_instances):
-            lat = LatticeSpec(d=2, spec=pspec, ctx=SeedContext(cfg.master_seed, seed_off))
-            for n in (1, 2, 3):
-                for k in range(n, n + 5):
-                    checks += 1
-                    dp = hop_constrained_time(lat, n, k)
-                    oracle = enumerate_paths_oracle(lat, n, k)
-                    if dp.value != oracle:
-                        bad += 1
-                # infeasibility agreement below the L1 distance
-                checks += 1
-                if enumerate_paths_oracle(lat, n, n - 1) is not None:
-                    bad += 1
-                try:
-                    hop_constrained_time(lat, n, n - 1)
-                    bad += 1  # should have signalled infeasibility
-                except InfeasibleError:
-                    pass
-        add("hop_dp_equals_enumeration", "AC3", checks, bad)
+        (out,) = _sweep(cfg, _lattice_oracle_trial, [(pspec,)], trials=cfg.suite_lattice_instances)
+        add("hop_dp_equals_enumeration", "AC3", 18 * cfg.suite_lattice_instances, sum(out))
 
     if "prufer" in cfg.suite:
-        checks = bad = 0
-        for seed_off in range(cfg.suite_prufer_instances):
-            inst = CompleteInstance(7, spec, SeedContext(cfg.master_seed, 10_000 + seed_off))
-            checks += 1
-            if kruskal_mst(inst).total_weight != prufer_mst_weight(inst):
-                bad += 1
-        add("kruskal_equals_prufer_enumeration", "AC2", checks, bad)
+        (out,) = _sweep(cfg, _prufer_oracle_trial, [(spec,)], trials=cfg.suite_prufer_instances, first=10_000)
+        add("kruskal_equals_prufer_enumeration", "AC2", cfg.suite_prufer_instances, sum(out))
 
     tables = [Table("suite", ("part", "comparisons", "mismatches"), tuple(rows))]
     return _report(cfg, tables, verdicts, started)

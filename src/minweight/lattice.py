@@ -213,7 +213,14 @@ def _csr_pattern(radius: int, d: int) -> tuple:
     The arcs are listed as _box_csr lists their times: per axis, the +axis
     arcs and then the -axis arcs. The order sorts them by row, then column,
     which is the layout csr_matrix builds from those COO triplets.
+
+    Raises CapacityError, before allocating, when the box has 2**31 arcs or
+    more: the int32 indptr and indices would wrap.
     """
+    arcs = 2 * d * 2 * radius * (2 * radius + 1) ** (d - 1)
+    if arcs >= 2**31:
+        msg = f"Dijkstra box of radius {radius} in d = {d} has {arcs} arcs, beyond int32 CSR indices"
+        raise CapacityError(msg)
     cells = (2 * radius + 1) ** d
     idx = np.arange(cells, dtype=np.int32).reshape((2 * radius + 1,) * d)
     rows, cols = [], []
@@ -257,7 +264,8 @@ def unconstrained_time(lat: LatticeSpec, n: int) -> ConstrainedResult:
     the cap) until every boundary vertex's distance is at least the target's
     distance; the returned value is then exact for the infinite lattice. A
     certificate that fails at the cap raises CapacityError rather than
-    returning an unproven value.
+    returning an unproven value, as does a box too large for int32 CSR
+    indices (see _csr_pattern).
 
     Dijkstra stops at the straight-path time, an upper bound on the target's
     distance (the limit is inclusive); vertices beyond it read +inf, which

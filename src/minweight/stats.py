@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaincinv
 
 # 97.5% standard normal quantile used for all 95% Wilson intervals.
 WILSON_Z = 1.959964
@@ -97,6 +98,15 @@ def loglog_fit(points) -> PowerFit:
         r_squared=r2,
         residual_max=float(np.abs(resid).max()),
     )
+
+
+def chi2_quantile(q: float, df: int) -> float:
+    """Quantile q of the chi-square law with df degrees of freedom.
+
+    The formula scipy.stats.chi2.ppf evaluates, bit for bit, without the
+    import cost of scipy.stats.
+    """
+    return float(2 * gammaincinv(df / 2, q))
 
 
 def wilson_interval(successes: int, trials: int) -> ProbEstimate:

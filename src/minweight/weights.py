@@ -75,8 +75,8 @@ class PassageTimeSpec:
 
     kind selects the family; params are (rate,) for exponential, (a, b) for
     uniform with 0 < a < b, (x_m, shape) for pareto. param_range is a closed
-    interval of per-edge parameters: the rate for exponential edges, a scale
-    multiplier for uniform and pareto edges. Leaving it degenerate
+    interval of per-edge multipliers: of the rate for exponential edges, of
+    the scale for uniform and pareto edges. Leaving it degenerate
     (lo == hi) makes the edges i.i.d.
     """
 
@@ -146,7 +146,8 @@ def weights_from_vertex(spec: TreeWeightSpec, ctx: SeedContext, i: int | np.ndar
 def inverse_transform_times(spec: PassageTimeSpec, theta, u):
     """Vectorized inverse transform: uniforms u (and parameters theta) to times."""
     if spec.kind == "exponential":
-        return -np.log1p(-u) / theta
+        (rate,) = spec.params
+        return -np.log1p(-u) / (rate * theta)
     if spec.kind == "uniform":
         a, b = spec.params
         return theta * (a + (b - a) * u)

@@ -191,7 +191,8 @@ def mu2(spec: PassageTimeSpec) -> float:
     """sup over admissible per-edge parameters of E t**2."""
     lo, hi = spec.param_range
     if spec.kind == "exponential":
-        return 2.0 / lo**2
+        (rate,) = spec.params
+        return 2.0 / (rate * lo) ** 2
     if spec.kind == "uniform":
         a, b = spec.params
         return hi**2 * (a * a + a * b + b * b) / 3.0

@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import minweight
 
 from minweight.cli import SMOKE_CONFIGS, emit_report, parse_and_dispatch, report_document
 from minweight.experiments import ExperimentConfig, ExperimentReport, Table, Verdict, run_experiment
@@ -317,6 +322,14 @@ def test_workers_flag_must_be_positive(tmp_path, capsys, workers):
         # keys the driver does not read
         ("tree-scaling", {"k_values": [3]}, "k_values"),
         ("fpp-band", {"suite_gammas": [0.5]}, "suite_gammas"),
+        # NaN and Infinity, which Python's json reads but which are not JSON numbers
+        ("fpp-band", {"distribution": {"kind": "pareto", "x_m": float("nan"), "shape": 3}}, "x_m"),
+        ("fpp-band", {"distribution": {"kind": "exponential", "rate": float("nan")}}, "rate"),
+        ("fpp-band", {"distribution": {"kind": "exponential", "param_range": [1, float("inf")]}}, "param_range"),
+        ("tree-scaling", {"gamma": float("inf")}, "gamma"),
+        ("oracle-suite", {"suite_gammas": [float("-inf")]}, "suite_gammas"),
+        # a Dijkstra box whose arc count overflows the int32 CSR indices
+        ("fpp-band", {"trials": 1, "n_values": [1], "d": 8, "distribution": {"kind": "exponential"}}, "int32"),
     ],
 )
 def test_malformed_config_exits_one_with_one_error_line(tmp_path, capsys, name, override, needle):
@@ -345,3 +358,13 @@ def test_io_failure_exits_one_with_one_error_line(tmp_path, capsys, case):
     assert code == 1
     line = _single_error_line(capsys)  # one line, so no traceback
     assert str(cfg if case != "output_below_file" else out) in line
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats costs most of the start-up time; the chi-square quantile
+    # comes from scipy.special instead
+    src = os.path.dirname(os.path.dirname(minweight.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, minweight.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -64,8 +64,9 @@ def test_smoke_goldens(name):
     assert digest(report) == GOLDEN_DIGESTS[name]
 
 
-# Small runs of the six sweep drivers; the multi-point ones share one pool
-# across their sweep points at workers=2.
+# Small runs of all seven drivers; the multi-point ones share one pool
+# across their sweep points at workers=2, and the oracle suite opens one pool
+# per part.
 SMALL_SWEEPS = {
     "tree-scaling": {},
     "tree-variance": {"trials": 100, "n_values": [32, 64]},
@@ -73,6 +74,7 @@ SMALL_SWEEPS = {
     "fpp-band": {"trials": 5},
     "constraint-decay": {"trials": 20},
     "fpp-variance": {"trials": 10},
+    "oracle-suite": {"suite_tree_instances": 3, "suite_prufer_instances": 2, "suite_lattice_instances": 4},
 }
 
 
@@ -88,6 +90,9 @@ def test_sweep_runs_trial_t_of_point_p_at_index_p_trials_plus_t(workers):
     cfg = ExperimentConfig(experiment="tree-scaling", trials=4, workers=workers)
     got = _sweep(cfg, operator.attrgetter("trial_index"), [(), (), ()])
     assert got == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]]
+    # explicit trials and first override cfg.trials and shift every index
+    got = _sweep(cfg, operator.attrgetter("trial_index"), [(), (), ()], trials=2, first=10_000)
+    assert got == [[10_000, 10_001], [10_002, 10_003], [10_004, 10_005]]
 
 
 def test_config_rejects_unknown_key():
@@ -103,7 +108,7 @@ def test_config_rejects_unknown_key():
 # number, a fractional number for an integer, a bool for a number.
 WRONG_JSON = {
     int: ["3", 2.5, True],
-    float: ["0.5", True],
+    float: ["0.5", True, float("nan"), float("inf"), float("-inf")],
     bool: ["false", 0],
     str: [5, True],
     dict: ["exponential", [1.0]],
@@ -241,6 +246,18 @@ def test_fpp_band_single_n_flags_insufficient_sweep():
     report = run_fpp_band(smoke("fpp-band", n_values=[16], trials=5))
     stab = [v for v in report.verdicts if v.name == "mean_stabilization"][0]
     assert stab.passed and "insufficient" in stab.note
+
+
+def test_fpp_band_samples_the_exponential_rate():
+    # rate 2 halves every passage time, so every time in the report halves
+    # exactly (scaling by a power of two commutes with rounding) and hop
+    # counts stay
+    slow = run_fpp_band(smoke("fpp-band", trials=5))
+    fast = run_fpp_band(smoke("fpp-band", trials=5, distribution={"kind": "exponential", "rate": 2.0}))
+    assert slow.tables != fast.tables
+    for a, b in zip(slow.table("band").rows, fast.table("band").rows):
+        assert b[3:6] == tuple(v / 2 for v in a[3:6])
+        assert b[6] == a[6]
 
 
 def test_fpp_band_requires_distribution():

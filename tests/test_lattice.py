@@ -1,3 +1,4 @@
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,6 +142,18 @@ def test_unconstrained_radius_cap(monkeypatch):
     monkeypatch.setattr(lattice, "RADIUS_CAP_MULTIPLE", 1)
     with pytest.raises(CapacityError):
         unconstrained_time(lat(5), 3)
+
+
+def test_box_beyond_int32_arcs_raises_before_allocating():
+    # d = 8, n = 1: the first box (radius 10) has about 5.8e11 arcs
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="int32"):
+            unconstrained_time(lat(1, d=8), 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_unconstrained_cap_clamps_the_first_box(monkeypatch):

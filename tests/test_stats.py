@@ -5,6 +5,7 @@ import pytest
 
 from minweight.stats import (
     PowerFit,
+    chi2_quantile,
     loglog_fit,
     summarize,
     wilson_interval,
@@ -135,3 +136,11 @@ def test_bernoulli_bound_dominates_empirical_tail():
     bound = bernoulli_upper_bound(m, mu2, eps)
     se = math.sqrt(max(overflow * (1 - overflow), 1e-12) / reps)
     assert overflow <= bound + 3 * se
+
+
+def test_chi2_quantile_equals_scipy_stats():
+    from scipy.stats import chi2
+
+    for df in [*range(1, 3001), 10**5, 10**6]:
+        for q in (0.05, 0.5, 0.95):
+            assert chi2_quantile(q, df) == float(chi2.ppf(q, df)), (q, df)

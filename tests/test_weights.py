@@ -268,6 +268,12 @@ def test_parameter_heterogeneity_is_trial_independent():
     assert rate_a == pytest.approx(rate_b, rel=1e-12)
 
 
+def test_exponential_rate_scales_the_times():
+    one = _sample_times(PassageTimeSpec("exponential", (1.0,), param_range=(1.0, 2.0)), n_samples=1000)
+    two = _sample_times(PassageTimeSpec("exponential", (2.0,), param_range=(1.0, 2.0)), n_samples=1000)
+    assert np.array_equal(two, one / 2)
+
+
 def test_inverse_transform_vector_kinds():
     u = np.array([0.0, 0.5, 0.9])
     expo = inverse_transform_times(PassageTimeSpec("exponential", (2.0,)), 2.0, u)
