@@ -18,11 +18,12 @@ from pathlib import Path
 
 from . import __version__
 from .errors import CapacityError, ConfigurationError
-from .experiments import DRIVERS, ExperimentConfig, ExperimentReport, run_experiment
+from .experiments import DRIVER_FIELDS, DRIVERS, ExperimentConfig, ExperimentReport, run_experiment
 
 ENV_OUTPUT_DIR = "MINWEIGHT_OUTPUT_DIR"
 
-SUBCOMMANDS = (*DRIVERS, "selftest")
+# The experiment each subcommand runs.
+SUBCOMMANDS = {**{name: name for name in DRIVERS}, "selftest": "oracle-suite"}
 
 # Built-in smoke configurations, used when no --config file is given. They
 # are small enough to run in seconds and double as the frozen-golden runs of
@@ -170,11 +171,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"minweight {__version__}")
     sub = parser.add_subparsers(dest="subcommand")
-    for name in SUBCOMMANDS:
-        p = sub.add_parser(name, help=f"run the {name} experiment")
+    for name, experiment in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=f"run the {experiment} experiment")
         p.add_argument("--config", help="JSON config file (defaults to the built-in smoke config)")
         p.add_argument("--seed", type=int, help="override master_seed")
-        p.add_argument("--trials", type=int, help="override trials per point")
+        if "trials" in DRIVER_FIELDS[experiment]:
+            p.add_argument("--trials", type=int, help="override trials per point")
         p.add_argument("--workers", type=int, help="override worker count")
         p.add_argument("--output-dir", help="report directory (default ./reports)")
         p.add_argument("--format", choices=("csv", "json", "both"), default="both")
@@ -182,7 +184,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> ExperimentConfig:
-    name = "oracle-suite" if args.subcommand == "selftest" else args.subcommand
+    name = SUBCOMMANDS[args.subcommand]
     if args.config is not None:
         path = Path(args.config)
         if not path.exists():
@@ -208,7 +210,7 @@ def _load_config(args) -> ExperimentConfig:
     # flag overrides win over config-file values
     if args.seed is not None:
         raw["master_seed"] = args.seed
-    if args.trials is not None:
+    if getattr(args, "trials", None) is not None:
         raw["trials"] = args.trials
     if args.workers is not None:
         raw["workers"] = args.workers

@@ -74,9 +74,11 @@ def test_selftest_default_config(tmp_path):
 
 
 def test_selftest_rejects_the_trials_flag(tmp_path, capsys):
-    # the oracle suite sizes its parts by the suite_*_instances keys, not by trials
-    assert parse_and_dispatch(["selftest", "--trials", "5", "--output-dir", str(tmp_path)]) == 1
-    assert "'trials'" in _single_error_line(capsys)
+    # the oracle suite sizes its parts by the suite_*_instances keys, not by
+    # trials, so its subcommands offer no --trials flag
+    for subcommand in ("selftest", "oracle-suite"):
+        assert parse_and_dispatch([subcommand, "--trials", "5", "--output-dir", str(tmp_path)]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
     assert not (tmp_path / "oracle-suite.json").exists()
 
 
@@ -330,6 +332,13 @@ def test_workers_flag_must_be_positive(tmp_path, capsys, workers):
         ("oracle-suite", {"suite_gammas": [float("-inf")]}, "suite_gammas"),
         # a Dijkstra box whose arc count overflows the int32 CSR indices
         ("fpp-band", {"trials": 1, "n_values": [1], "d": 8, "distribution": {"kind": "exponential"}}, "int32"),
+        # distribution keys the chosen kind does not read
+        ("fpp-band", {"distribution": {"kind": "uniform", "a": 0.5, "b": 1.5, "rate": 7.0}}, "does not read key 'rate'"),
+        ("fpp-band", {"distribution": {"kind": "exponential", "x_m": -4}}, "does not read key 'x_m'"),
+        ("fpp-band", {"distribution": {"kind": ["uniform"], "a": 0.5, "b": 1.5}}, "kind"),
+        # repeated j and gamma values
+        ("yj-moments", {"j_values": [8, 8]}, "j sweep must not repeat"),
+        ("oracle-suite", {"suite_gammas": [0.5, 0.5]}, "suite gammas must not repeat"),
     ],
 )
 def test_malformed_config_exits_one_with_one_error_line(tmp_path, capsys, name, override, needle):

@@ -14,6 +14,7 @@ from minweight.errors import ConfigurationError
 from minweight.experiments import (
     DRIVER_FIELDS,
     ExperimentConfig,
+    Verdict,
     _lattice_trial,
     _random_prefix,
     _sweep,
@@ -172,6 +173,8 @@ def test_config_round_trips_through_its_echo(raw):
 def test_passage_spec_from_config():
     spec = passage_spec_from_config({"kind": "uniform", "a": 0.5, "b": 1.5})
     assert spec.params == (0.5, 1.5)
+    assert passage_spec_from_config({"kind": "exponential"}).params == (1.0,)
+    assert passage_spec_from_config({"shape": 3, "kind": "pareto", "x_m": 2}).params == (2, 3)
     with pytest.raises(ConfigurationError, match="kind"):
         passage_spec_from_config({"kind": "gamma"})
     with pytest.raises(ConfigurationError):
@@ -225,6 +228,12 @@ def test_yj_degenerate_sweep_and_guards():
         run_yj_moments(smoke("yj-moments", j_values=[]))
 
 
+def test_yj_sweep_without_small_j_reports_a_vacuous_exp_moment():
+    report = run_yj_moments(smoke("yj-moments", n=32, j_values=[20, 24], trials=20))
+    vacuous = Verdict("scaled_exp_moment", "AC6", True, 0.0, 10.0, "no j at most n-16 in the sweep; vacuous")
+    assert report.verdicts[1] == vacuous
+
+
 def test_random_prefix_distinct_and_deterministic():
     p1 = _random_prefix(3, 17, 100, 12)
     p2 = _random_prefix(3, 17, 100, 12)
@@ -245,7 +254,16 @@ def test_random_prefix_matches_scalar_fisher_yates(master):
 def test_fpp_band_single_n_flags_insufficient_sweep():
     report = run_fpp_band(smoke("fpp-band", n_values=[16], trials=5))
     stab = [v for v in report.verdicts if v.name == "mean_stabilization"][0]
-    assert stab.passed and "insufficient" in stab.note
+    assert stab == Verdict("mean_stabilization", "AC7", True, 0.0, 0.10, "insufficient sweep: single n value, vacuous")
+
+
+@pytest.mark.parametrize("n_values", [[16], [4, 8, 12, 16]])
+def test_fpp_band_reports_integer_thresholds_as_integers(n_values):
+    cfg = smoke("fpp-band", n_values=n_values, trials=3, hops_ratio_max=3, stabilization_tol=1)
+    verdicts = {v["name"]: v for v in report_document(run_fpp_band(cfg))["verdicts"]}
+    assert type(verdicts["hop_ratio"]["threshold"]) is int and verdicts["hop_ratio"]["threshold"] == 3
+    assert type(verdicts["mean_stabilization"]["threshold"]) is int
+    assert verdicts["mean_stabilization"]["threshold"] == 1
 
 
 def test_fpp_band_samples_the_exponential_rate():
@@ -287,8 +305,8 @@ def test_fpp_variance_constant_hook_reports_degenerate(monkeypatch):
     monkeypatch.setattr(exp_mod, "_lattice_trial", lambda *a: (1.0, 2.0, ((1.5, a[3]),)))
     cfg = smoke("fpp-variance", trials=10, workers=1)
     report = run_fpp_variance(cfg)
-    verdict = report.verdicts[0]
-    assert verdict.passed and "degenerate" in verdict.note
+    degenerate = Verdict("variance_slope", "AC9", True, 0.0, 1.3, "degenerate: nonpositive variance, no fit")
+    assert report.verdicts == (degenerate,)
     assert report.table("fit").rows == ()
 
 
