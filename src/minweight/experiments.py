@@ -329,13 +329,27 @@ def _yj_trial(ctx, spec, n_vertices, j):
 def _lattice_trial(ctx, pspec, d, n, budgets):
     """(T_n, straight-path time, ((T_n(k), hop count) for each budget k)).
 
-    Dijkstra solves T_n first; every budget at or above its hop count reuses
-    it, and one hop-DP pass answers the rest.
+    budgets is an increasing schedule. Under a law with infimum 0 (only the
+    exponential) the straight-path limit prunes almost none of Dijkstra's
+    box, so when the schedule has a budget in (n, ceil(1.5n)] one hop-DP
+    pass to the largest such budget K runs first: it answers every budget up
+    to K, and its last target label becomes Dijkstra's limit. That label is
+    the time of a walk inside Dijkstra's first box, so it bounds T_n.
+    Otherwise Dijkstra runs first, limited by the straight-path time, which
+    already prunes about half the box under the other laws. Every remaining
+    budget at or above Dijkstra's hop count reuses its value, and at most
+    one more DP pass answers the rest.
     """
     lat = LatticeSpec(d=d, spec=pspec, ctx=ctx)
-    free = unconstrained_time(lat, n)
-    results = hop_constrained_certified(lat, n, budgets, free=free)
-    return free.value, straight_path_time(lat, n), tuple((r.value, r.hop_count) for r in results)
+    straight = straight_path_time(lat, n)
+    window = [k for k in budgets if n < k <= (3 * n + 1) // 2]
+    results = ()
+    if pspec.kind == "exponential" and window:
+        results = hop_constrained_certified(lat, n, budgets[: budgets.index(window[-1]) + 1])
+    free = unconstrained_time(lat, n, results[-1].value if results else straight)
+    if len(results) < len(budgets):
+        results += hop_constrained_certified(lat, n, budgets[len(results) :], free=free)
+    return free.value, straight, tuple((r.value, r.hop_count) for r in results)
 
 
 def _tree_oracle_trial(ctx, spec, n_vertices, parts, gammas):

@@ -9,7 +9,11 @@ self-avoiding paths.
 Only Dijkstra runs on a box [-r, r]^d around the origin, and a boundary
 certificate proves it exact: if every boundary vertex's distance is already
 at least the target's, a path leaving the box pays at least that before it
-exits and passage times are nonnegative, so it cannot improve.
+exits and passage times are nonnegative, so it cannot improve. Dijkstra
+stops at an inclusive limit, an upper bound on the target's distance that
+the caller may pass (the straight-path time by default, or a hop-DP label);
+vertices beyond it read +inf, which changes neither the value, the witness
+nor the certificate.
 
 Both solvers keep their cells on a numpy grid spanning [lows[a], lows[a] +
 shape[a]) on each axis a, row-major: the DP's grid is its walk region, and
@@ -256,7 +260,7 @@ def _box_csr(lat: LatticeSpec, radius: int):
 RADIUS_CAP_MULTIPLE = 64
 
 
-def unconstrained_time(lat: LatticeSpec, n: int) -> ConstrainedResult:
+def unconstrained_time(lat: LatticeSpec, n: int, limit: float | None = None) -> ConstrainedResult:
     """Unconstrained minimum passage time on Z^d to (n, 0, ..., 0).
 
     Runs Dijkstra on a box of initial radius ceil(5n/4) + 8, clamped to the
@@ -267,9 +271,12 @@ def unconstrained_time(lat: LatticeSpec, n: int) -> ConstrainedResult:
     returning an unproven value, as does a box too large for int32 CSR
     indices (see _csr_pattern).
 
-    Dijkstra stops at the straight-path time, an upper bound on the target's
-    distance (the limit is inclusive); vertices beyond it read +inf, which
-    changes neither the value, the witness nor the certificate.
+    Dijkstra stops at limit, an inclusive upper bound on T_n that defaults
+    to the straight-path time; vertices beyond it read +inf, which changes
+    neither the value, the witness nor the certificate. Any hop-DP target
+    label is the time of a real walk, so it is a valid limit too. A limit
+    below T_n leaves the target unreached in the certified box and raises
+    ValueError.
 
     Distance ties between distinct optimal paths occur with probability zero
     under the continuous passage-time laws; on such ties the reported witness
@@ -282,7 +289,8 @@ def unconstrained_time(lat: LatticeSpec, n: int) -> ConstrainedResult:
 
     cap = RADIUS_CAP_MULTIPLE * n
     radius = min((5 * n + 3) // 4 + 8, cap)
-    limit = straight_path_time(lat, n)
+    if limit is None:
+        limit = straight_path_time(lat, n)
     while True:
         shape = (2 * radius + 1,) * lat.d
         source = int(np.ravel_multi_index((radius,) * lat.d, shape))
@@ -297,6 +305,8 @@ def unconstrained_time(lat: LatticeSpec, n: int) -> ConstrainedResult:
             msg = f"boundary certificate fails at radius {radius}, the cap {RADIUS_CAP_MULTIPLE}*n"
             raise CapacityError(msg)
         radius = min(2 * radius, cap)
+    if math.isinf(value):
+        raise ValueError(f"Dijkstra limit {limit} is below the passage time to n = {n}")
 
     chain = [target]
     while chain[-1] != source:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import minweight.experiments as exp_mod
+from minweight import lattice
 from minweight.cli import SMOKE_CONFIGS, report_document
 from minweight.errors import ConfigurationError
 from minweight.experiments import (
@@ -366,7 +367,9 @@ LAWS = (
 @pytest.mark.parametrize("d,n,budgets", [(2, 4, (4, 5, 7, 10, 16)), (3, 3, (3, 4, 6, 9))])
 @pytest.mark.parametrize("law", LAWS, ids=[law.kind for law in LAWS])
 def test_lattice_trial_equals_the_solvers(law, d, n, budgets):
-    shortcut = dp = 0
+    # an exponential trial first runs the DP to the largest budget in (n, ceil(1.5n)]
+    bound = max(k for k in budgets if n < k <= (3 * n + 1) // 2)
+    shortcut = dp = second_pass = 0
     for trial in range(6):
         ctx = SeedContext(41, trial)
         lat = LatticeSpec(d=d, spec=law, ctx=ctx)
@@ -376,4 +379,43 @@ def test_lattice_trial_equals_the_solvers(law, d, n, budgets):
         assert _lattice_trial(ctx, law, d, n, budgets) == expected, (trial, free.hop_count)
         shortcut += sum(k >= free.hop_count for k in budgets)
         dp += sum(k < free.hop_count for k in budgets)
+        second_pass += any(bound < k < free.hop_count for k in budgets)
     assert shortcut and dp  # budgets on both sides of the witness's hop count
+    if law.kind == "exponential":
+        assert second_pass  # a budget beyond the bound pass still needs the DP
+
+
+def _dijkstra_limits(monkeypatch, cfg):
+    """(T_n, straight-path time, Dijkstra limits) of every trial of a decay run."""
+    limits, trials = [], []
+    dijkstra = lattice._csgraph_dijkstra
+
+    def recording_dijkstra(graph, **kwargs):
+        limits.append(kwargs["limit"])
+        return dijkstra(graph, **kwargs)
+
+    def recording_unconstrained(lat, n, *args):
+        start = len(limits)
+        free = unconstrained_time(lat, n, *args)
+        trials.append((free.value, straight_path_time(lat, n), limits[start:]))
+        return free
+
+    monkeypatch.setattr(lattice, "_csgraph_dijkstra", recording_dijkstra)
+    monkeypatch.setattr(exp_mod, "unconstrained_time", recording_unconstrained)
+    run_constraint_decay(cfg)
+    assert len(trials) == cfg.trials and all(seen for _, _, seen in trials)
+    return trials
+
+
+def test_exponential_decay_bounds_dijkstra_by_the_dp_label(monkeypatch):
+    cfg = smoke("constraint-decay", n=8, k_values=[8, 10, 12, 16], trials=10, workers=1)
+    trials = _dijkstra_limits(monkeypatch, cfg)
+    assert all(t_n <= limit for t_n, _, seen in trials for limit in seen)
+    assert any(limit < straight for _, straight, seen in trials for limit in seen)
+
+
+def test_uniform_decay_keeps_the_straight_path_limit(monkeypatch):
+    uniform = {"kind": "uniform", "a": 0.5, "b": 1.5}
+    cfg = smoke("constraint-decay", n=8, k_values=[8, 10, 12, 16], trials=10, workers=1, distribution=uniform)
+    trials = _dijkstra_limits(monkeypatch, cfg)
+    assert all(limit == straight for _, straight, seen in trials for limit in seen)

@@ -296,8 +296,10 @@ def test_unconstrained_matches_dijkstra_from_radius_2n(monkeypatch):
 
 
 def test_dijkstra_limit_keeps_value_path_and_certificate(monkeypatch):
-    # unconstrained_time stops Dijkstra at the straight-path time; without
-    # the limit it must see the same boxes, value, hop count and witness
+    # unconstrained_time stops Dijkstra at the straight-path time, or at the
+    # limit its caller passes, here the last target label of a DP pass to
+    # ceil(1.5n); without a limit it must see the same boxes, value, hop
+    # count and witness
     dijkstra = lattice._csgraph_dijkstra
     boxes, limits = [], []
 
@@ -315,22 +317,35 @@ def test_dijkstra_limit_keeps_value_path_and_certificate(monkeypatch):
     cases += [(EXP1, 2, 4, seed) for seed in range(40)]  # seeds whose first box fails
     cases += [(spec, 2, 9, 300 + seed) for spec in (EXP1, UNIFORM, PARETO3) for seed in range(8)]
     cases += [(spec, 3, 4, 400 + seed) for spec in (EXP1, UNIFORM, PARETO3) for seed in range(3)]
-    at_limit = grown = 0
+    at_straight = at_label = grown = 0
     for spec, d, n, seed in cases:
         l = lat(seed, spec=spec, d=d)
-        limits.clear()
+        straight = straight_path_time(l, n)
+        label = hop_constrained_time(l, n, (3 * n + 1) // 2).target_labels[-1]
         outcomes = []
-        for dijkstra_fn in (bounded, unbounded):
+        for dijkstra_fn, limit in ((bounded, None), (bounded, label), (unbounded, None)):
             monkeypatch.setattr(lattice, "_csgraph_dijkstra", dijkstra_fn)
             boxes.clear()
-            res = unconstrained_time(l, n)
+            limits.clear()
+            res = unconstrained_time(l, n, limit)
             outcomes.append((res.value, res.hop_count, res.path, tuple(boxes)))
-        assert outcomes[0] == outcomes[1], (spec, d, n, seed)
-        straight = straight_path_time(l, n)
-        assert set(limits) == {straight}
-        at_limit += res.value == straight
+            if dijkstra_fn is bounded:
+                assert set(limits) == {straight if limit is None else label}
+        assert outcomes[0] == outcomes[1] == outcomes[2], (spec, d, n, seed)
+        assert label >= res.value
+        at_straight += res.value == straight
+        at_label += res.value == label
         grown += len(boxes) > 1
-    assert at_limit >= 20 and grown >= 1  # dist == limit occurs, and so does a failed certificate
+    # dist == limit occurs for both limits, and so does a failed certificate
+    assert at_straight >= 20 and at_label >= 20 and grown >= 1
+
+
+def test_limit_below_the_passage_time_raises():
+    l = lat(5)
+    t_n = unconstrained_time(l, 6).value
+    for limit in (0.5 * t_n, np.nextafter(t_n, 0.0)):
+        with pytest.raises(ValueError, match="limit .* n = 6"):
+            unconstrained_time(l, 6, limit)
 
 
 def test_schedule_matches_per_k_solver(monkeypatch):
