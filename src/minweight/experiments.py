@@ -357,8 +357,7 @@ def _tree_oracle_trial(ctx, spec, n_vertices, parts, gammas):
     inst = CompleteInstance(n_vertices, spec, ctx)
     spanning_bad = sandwich_bad = 0
     if "spanning" in parts:
-        mst = kruskal_mst(inst).total_weight
-        spanning_bad = exact_min_tree(inst, n_vertices - 1).total_weight != mst
+        spanning_bad = kruskal_mst(inst).total_weight != prufer_mst_weight(inst)
     if "sandwich" in parts:
         path = greedy_spanning_path(inst)
         slack = SANDWICH_SLACK * n_vertices
@@ -374,11 +373,11 @@ def _lattice_oracle_trial(ctx, pspec):
     lat = LatticeSpec(d=2, spec=pspec, ctx=ctx)
     bad = 0
     for n in (1, 2, 3):
-        budgets = range(n, n + 5)
-        results = hop_constrained_certified(lat, n, budgets)
-        bad += sum(r.value != enumerate_paths_oracle(lat, n, k) for r, k in zip(results, budgets))
+        results = hop_constrained_certified(lat, n, range(n, n + 5))
+        below, *oracle = enumerate_paths_oracle(lat, n, range(n - 1, n + 5))
+        bad += sum(r.value != v for r, v in zip(results, oracle))
         # infeasibility agreement below the L1 distance
-        bad += enumerate_paths_oracle(lat, n, n - 1) is not None
+        bad += below is not None
         try:
             hop_constrained_time(lat, n, n - 1)
             bad += 1  # should have signalled infeasibility
@@ -730,14 +729,15 @@ def run_fpp_variance(cfg: ExperimentConfig) -> ExperimentReport:
 def run_oracle_suite(cfg: ExperimentConfig) -> ExperimentReport:
     """Cross-validation harness: exact oracles against the production solvers.
 
-    Parts: 'spanning' (subset enumeration vs the spanning tree at
-    tau = n-1), 'sandwich' (counting lower bound <= exact <= greedy upper
-    bound across tau and the gamma grid), 'lattice' (hop DP vs exhaustive
-    path enumeration, plus infeasibility agreement), 'prufer' (spanning tree
-    vs full labelled-tree enumeration at n = 7). Every comparison demands
-    exact equality or a zero violation count. The spanning tree comes from
-    dense Prim (kruskal_mst); the verdict names still say "kruskal" because
-    the golden report digests pin them.
+    Parts: 'spanning' (the spanning tree vs full labelled-tree enumeration
+    at n = 5, 6, 7), 'sandwich' (counting lower bound <= subset-enumeration
+    exact <= greedy upper bound across tau and the gamma grid), 'lattice'
+    (hop DP vs exhaustive path enumeration, one search per n for all its
+    budgets, plus infeasibility agreement), 'prufer' (spanning tree vs full
+    labelled-tree enumeration at n = 7, on its own seeds). Every comparison
+    demands exact equality or a zero violation count. The spanning tree
+    comes from dense Prim (kruskal_mst); the verdict names still say
+    "kruskal" because the golden report digests pin them.
     """
     started = time.time()
     _require(len(cfg.suite) > 0, "suite selection must not be empty")

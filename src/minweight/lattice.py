@@ -316,66 +316,69 @@ def unconstrained_time(lat: LatticeSpec, n: int, limit: float | None = None) -> 
     return ConstrainedResult(value, len(path) - 1, path)
 
 
-def enumerate_paths_oracle(lat: LatticeSpec, n: int, k: int):
-    """Exhaustive minimum over self-avoiding paths of at most k edges on Z^2.
+def enumerate_paths_oracle(lat: LatticeSpec, n: int, budgets) -> tuple:
+    """Exhaustive minimum over self-avoiding paths of at most k edges on Z^2,
+    for each hop budget k: one value per budget, None when k < n.
 
-    Only for tiny instances (d = 2, k <= 9). Returns the minimum passage
-    time, or None when no such path exists. Costs accumulate in path order,
-    so values match hop_constrained_time bit for bit.
+    Only for tiny instances (d = 2, every budget at most 9). One search
+    serves every budget: it keeps best[j], the least cost found so far over
+    paths of at most j edges, which never increases in j. Costs accumulate
+    in path order, so values match hop_constrained_time bit for bit.
 
-    Every vertex v of such a path satisfies |v|_1 + |v - t|_1 <= k for the
-    target t = (n, 0), so the search stays in that set's bounding box,
-    x in [-m, n + m] and y in [-m, m] with m = floor((k - n) / 2), and loses
-    no path.
+    Every vertex v of such a path satisfies |v|_1 + |v - t|_1 <= K for the
+    target t = (n, 0) and the largest budget K, so the search stays in that
+    set's bounding box, x in [-m, n + m] and y in [-m, m] with
+    m = floor((K - n) / 2), and loses no path. A prefix of u edges at L1
+    distance r from t is cut when u + r > K, or when its cost is at least
+    best[u + r]: every completion has at least u + r edges and costs at
+    least as much, since passage times are nonnegative.
     """
+    budgets = tuple(budgets)
     if lat.d != 2:
         raise ValueError("oracle is limited to d = 2")
-    if k > 9:
-        raise ValueError(f"oracle is limited to k <= 9, got {k}")
+    if not budgets:
+        raise ValueError("oracle needs at least one hop budget")
+    kmax = max(budgets)
+    if kmax > 9:
+        raise ValueError(f"oracle is limited to k <= 9, got {kmax}")
     if n < 0:
         raise ValueError(f"target abscissa must be nonnegative, got {n}")
     if n == 0:
-        return 0.0
-    if k < n:
-        return None
+        return (0.0,) * len(budgets)
+    if kmax < n:
+        return (None,) * len(budgets)
 
     target = (n, 0)
-    m = (k - n) // 2
-    # time of every edge inside the box, keyed by (base vertex, axis)
-    edge_time = {}
-    for axis in (0, 1):
-        xs = np.arange(-m, n + m + axis, dtype=np.int64)
-        ys = np.arange(-m, m + 1 - axis, dtype=np.int64)
+    m = (kmax - n) // 2
+    # the neighbours of every vertex inside the box, with the edge time
+    adjacent = {}
+    for axis, (dx, dy) in enumerate(((1, 0), (0, 1))):
+        xs = np.arange(-m, n + m + 1 - dx, dtype=np.int64)
+        ys = np.arange(-m, m + 1 - dy, dtype=np.int64)
         grid = passage_time_grid(lat.spec, lat.ctx, axis, (xs[:, None], ys[None, :])).tolist()
         for x, row in zip(xs.tolist(), grid):
             for y, t in zip(ys.tolist(), row):
-                edge_time[(x, y), axis] = t
+                adjacent.setdefault((x, y), []).append(((x + dx, y + dy), t))
+                adjacent.setdefault((x + dx, y + dy), []).append(((x, y), t))
 
-    best = math.inf
-    moves = ((1, 0, 0), (-1, 0, 0), (0, 1, 1), (0, -1, 1))
+    best = [math.inf] * (kmax + 1)
 
-    def rec(pos, cost, hops_left, visited):
-        nonlocal best
+    def rec(pos, cost, used, visited):
         if pos == target:
-            if cost < best:
-                best = cost
+            for j in range(used, kmax + 1):
+                best[j] = min(best[j], cost)
             return
-        if cost >= best:
+        reach = used + abs(pos[0] - n) + abs(pos[1])
+        if reach > kmax or cost >= best[reach]:
             return
-        dist = abs(pos[0] - target[0]) + abs(pos[1] - target[1])
-        if dist > hops_left:
-            return
-        for dx, dy, axis in moves:
-            npos = (pos[0] + dx, pos[1] + dy)
-            if not (-m <= npos[0] <= n + m and abs(npos[1]) <= m) or npos in visited:
-                continue
-            base = min(pos, npos)
-            visited.add(npos)
-            rec(npos, cost + edge_time[base, axis], hops_left - 1, visited)
-            visited.remove(npos)
+        for npos, t in adjacent[pos]:
+            if npos not in visited:
+                visited.add(npos)
+                rec(npos, cost + t, used + 1, visited)
+                visited.remove(npos)
 
-    rec((0, 0), 0.0, k, {(0, 0)})
-    return None if math.isinf(best) else best
+    rec((0, 0), 0.0, 0, {(0, 0)})
+    return tuple(best[k] if k >= n else None for k in budgets)
 
 
 def straight_path_time(lat: LatticeSpec, n: int) -> float:

@@ -3,11 +3,14 @@
 Vertices are labelled 1..n. The minimum-weight tree with at least tau edges
 is attacked from three sides: a greedy spanning path whose tau-edge prefix is
 a feasible upper bound, a threshold edge count that certifies a lower bound,
-and an exact subset-enumeration oracle for desk-scale n. Every spanning tree
-comes from one batched dense Prim kernel on the cached weight matrix, and a
-Prufer-sequence full enumeration double-checks it at tiny n. The spanning
-routine keeps the name kruskal_mst because the golden report digests and the
-benchmark look it up by that name.
+and an exact subset-enumeration oracle for desk-scale n. Every spanning tree,
+the subset oracle's included, comes from one batched dense Prim kernel on
+the cached weight matrix. The spanning tree has an oracle of its own that
+shares no code with Prim: all n**(n-2) labelled trees, decoded from their
+Prufer sequences at once in numpy and cached as flat edge keys, whose totals
+are gathered from the flattened matrix (n <= 8). The spanning routine keeps
+the name kruskal_mst because the golden report digests and the benchmark
+look it up by that name.
 """
 
 from __future__ import annotations
@@ -24,11 +27,8 @@ from .weights import SeedContext, TreeWeightSpec, weight_matrix, weights_from_ve
 
 
 class CompleteInstance:
-    """One realization of K_n weights, read through its cached weight matrix.
-
-    Build either from (n, spec, ctx) for keyed sampling, or from an explicit
-    symmetric matrix via :meth:`from_matrix` (the frozen-matrix test hook).
-    """
+    """One realization of K_n weights under (spec, ctx), read through its
+    cached weight matrix."""
 
     def __init__(self, n: int, spec: TreeWeightSpec, ctx: SeedContext):
         if n < 2:
@@ -37,23 +37,6 @@ class CompleteInstance:
         self.spec = spec
         self.ctx = ctx
         self._matrix = None
-
-    @classmethod
-    def from_matrix(cls, matrix, spec: TreeWeightSpec | None = None) -> "CompleteInstance":
-        m = np.array(matrix, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
-            raise ValueError("matrix must be square with at least 2 vertices")
-        if not np.array_equal(m, m.T):
-            raise ValueError("matrix must be symmetric")
-        if not np.isfinite(m[~np.eye(m.shape[0], dtype=bool)]).all():
-            raise ValueError("off-diagonal weights must be finite")
-        inst = cls.__new__(cls)
-        inst.n = m.shape[0]
-        inst.spec = spec
-        inst.ctx = None
-        inst._matrix = m.copy()
-        np.fill_diagonal(inst._matrix, np.inf)
-        return inst
 
     def matrix(self) -> np.ndarray:
         """Weight matrix with +inf on the diagonal, built on first use."""
@@ -106,15 +89,13 @@ def _prim(W: np.ndarray):
     return np.divmod(key, m)
 
 
-def _tree_totals(W: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _tree_totals(w: np.ndarray) -> np.ndarray:
     """Total weight of each tree, adding its edges in sorted-key order.
 
-    W is a stack [s, m, m], with s = 1 when all trees share one matrix; lo
-    and hi are 0-based edge keys [t, k], sorted by key along each row.
-    Columns are added one at a time because np.sum adds pairwise, which can
-    change the last bit of a total.
+    w[t, e] is the weight of edge e of tree t, with each row in sorted-key
+    order. Columns are added one at a time because np.sum adds pairwise,
+    which can change the last bit of a total.
     """
-    w = W[np.arange(W.shape[0])[:, None], lo, hi]
     totals = w[:, 0]
     for col in range(1, w.shape[1]):
         totals = totals + w[:, col]
@@ -168,9 +149,9 @@ def kruskal_mst(inst: CompleteInstance) -> TreeResult:
     The name is kept because the golden report digests and the benchmark
     refer to it; with distinct weights the tree is Kruskal's.
     """
-    W = inst.matrix()[None]
-    lo, hi = _prim(W)
-    total = _tree_totals(W, lo, hi)[0]
+    W = inst.matrix()
+    lo, hi = _prim(W[None])
+    total = _tree_totals(W[lo, hi])[0]
     return _tree_result(lo[0], hi[0], total, np.arange(1, inst.n + 1))
 
 
@@ -227,7 +208,7 @@ def exact_min_tree(inst: CompleteInstance, tau: int) -> TreeResult:
     subsets = np.array(list(itertools.combinations(range(n), tau + 1)), dtype=np.intp)
     W = inst.matrix()[subsets[:, :, None], subsets[:, None, :]]
     lo, hi = _prim(W)
-    totals = _tree_totals(W, lo, hi)
+    totals = _tree_totals(W[np.arange(len(W))[:, None], lo, hi])
     best = int(np.argmin(totals))
     return _tree_result(lo[best], hi[best], totals[best], subsets[best] + 1)
 
@@ -249,59 +230,66 @@ def sample_yj(inst: CompleteInstance, prefix) -> float:
             raise ValueError(f"prefix entry {a} outside 1..{inst.n}")
     excluded = set(prefix)
     targets = np.array([a for a in range(1, inst.n + 1) if a not in excluded])
-    # single-row query: use the matrix only if it is already materialized
-    m = inst._matrix
-    if m is not None:
-        return float(m[prefix[-1] - 1, targets - 1].min())
+    # a single-row query: hash the one row, never the whole matrix
     return float(weights_from_vertex(inst.spec, inst.ctx, prefix[-1], targets).min())
 
 
 # -- Prufer-sequence enumeration oracle ----------------------------------------
 
 
-def prufer_to_edges(seq, n: int) -> tuple:
-    """Decode a Prufer sequence into the edge list of its labelled tree."""
-    degree = [1] * (n + 1)
-    for s in seq:
-        degree[s] += 1
-    edges = []
-    for s in seq:
-        for leaf in range(1, n + 1):
-            if degree[leaf] == 1:
-                edges.append((leaf, s) if leaf < s else (s, leaf))
-                degree[leaf] -= 1
-                degree[s] -= 1
-                break
-    u, v = [x for x in range(1, n + 1) if degree[x] == 1]
-    edges.append((u, v))
-    return tuple(edges)
-
-
 @lru_cache(maxsize=4)
-def all_labelled_trees(n: int) -> np.ndarray:
-    """Edge lists of all n**(n-2) labelled trees, edges sorted by key.
+def _labelled_tree_keys(n: int) -> np.ndarray:
+    """0-based flat edge keys lo * n + hi of all n**(n-2) labelled trees.
 
-    Shaped (n**(n-2), n-1, 2) with 1-based vertex labels. Cached: the
-    enumeration is reused across seeds.
+    Row r decodes the r-th Prufer sequence in itertools.product order, and
+    each row is sorted by key. All sequences are decoded at once: each of
+    the n - 2 steps joins the smallest leaf of every row to that row's next
+    sequence entry, and the last edge joins the two vertices left with
+    degree 1. Cached and read-only: the enumeration is reused across seeds.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    if n == 2:
-        return np.array([[[1, 2]]], dtype=np.int64)
     if n > 8:
         raise CapacityError(f"enumerating {n}**{n - 2} trees is out of budget")
-    trees = []
-    for seq in itertools.product(range(1, n + 1), repeat=n - 2):
-        trees.append(sorted(prufer_to_edges(seq, n)))
-    return np.array(trees, dtype=np.int64)
+    rows = n ** (n - 2)
+    seqs = np.indices((n,) * (n - 2)).reshape(n - 2, rows)
+    r = np.arange(rows)
+    degree = np.ones((rows, n), dtype=np.int8)
+    for s in seqs:
+        degree[r, s] += 1
+    lo = np.empty((rows, n - 1), dtype=np.int64)
+    hi = np.empty_like(lo)
+    for step, s in enumerate(seqs):
+        leaf = np.argmax(degree == 1, axis=1)
+        lo[:, step] = np.minimum(leaf, s)
+        hi[:, step] = np.maximum(leaf, s)
+        degree[r, leaf] -= 1
+        degree[r, s] -= 1
+    last = degree == 1
+    lo[:, -1] = np.argmax(last, axis=1)
+    hi[:, -1] = n - 1 - np.argmax(last[:, ::-1], axis=1)
+    keys = np.sort(lo * n + hi, axis=1)
+    keys.flags.writeable = False
+    return keys
+
+
+def all_labelled_trees(n: int) -> np.ndarray:
+    """Edge lists of all n**(n-2) labelled trees, edges sorted by key.
+
+    Shaped (n**(n-2), n-1, 2) with 1-based vertex labels; row r is the tree
+    of the r-th Prufer sequence in itertools.product order. Raises
+    CapacityError above n = 8.
+    """
+    lo, hi = np.divmod(_labelled_tree_keys(n), n)
+    return np.stack((lo, hi), axis=-1) + 1
 
 
 def prufer_mst_weight(inst: CompleteInstance) -> float:
     """Minimum spanning tree weight by full labelled-tree enumeration.
 
-    Each tree's total comes from the same sorted-key sum as kruskal_mst, so
-    the two agree bit for bit on the optimal tree.
+    Gathers each tree's edge weights from the flat weight matrix at its
+    cached keys. Each total comes from the same sorted-key sum as
+    kruskal_mst, so the two agree bit for bit on the optimal tree.
     """
-    trees = all_labelled_trees(inst.n)
-    totals = _tree_totals(inst.matrix()[None], trees[:, :, 0] - 1, trees[:, :, 1] - 1)
-    return float(totals.min())
+    w = inst.matrix().ravel()[_labelled_tree_keys(inst.n)]
+    return float(_tree_totals(w).min())

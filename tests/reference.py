@@ -1,5 +1,5 @@
-"""Scalar reference implementations of the package's sampling kernels,
-and the analytic laws the tests check samples against.
+"""Scalar reference implementations of the package's sampling kernels and
+exact oracles, and the analytic laws the tests check samples against.
 
 The package draws all randomness through array kernels
 (``rng.hash_words_vec``, ``weights.weights_from_vertex`` /
@@ -8,7 +8,9 @@ versions below compute the same quantities one word tuple at a time, in
 plain Python integers; the tests require the kernels to agree with them bit
 for bit. The law helpers (tree-weight cdf and envelope constants,
 passage-time moments, the Bernoulli tail bound) are plain functions of the
-spec.
+spec. The oracles (Prufer decoding one sequence at a time, and the path
+search run once per hop budget) are the references of the package's batched
+ones: ``trees.all_labelled_trees`` and ``lattice.enumerate_paths_oracle``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,14 @@ import numpy as np
 
 from minweight import rng
 from minweight.rng import _INIT, _M1, _M2, _MASK, _U53
-from minweight.weights import PassageTimeSpec, SeedContext, TreeWeightSpec, inverse_transform_times
+from minweight.lattice import LatticeSpec
+from minweight.weights import (
+    PassageTimeSpec,
+    SeedContext,
+    TreeWeightSpec,
+    inverse_transform_times,
+    passage_time_grid,
+)
 
 # -- mixer ----------------------------------------------------------------------
 
@@ -144,6 +153,24 @@ def envelope_check(spec: TreeWeightSpec, grid_points: int = 1000) -> bool:
     return True
 
 
+def prufer_to_edges(seq, n: int) -> tuple:
+    """Decode a Prufer sequence into the edge list of its labelled tree."""
+    degree = [1] * (n + 1)
+    for s in seq:
+        degree[s] += 1
+    edges = []
+    for s in seq:
+        for leaf in range(1, n + 1):
+            if degree[leaf] == 1:
+                edges.append((leaf, s) if leaf < s else (s, leaf))
+                degree[leaf] -= 1
+                degree[s] -= 1
+                break
+    u, v = [x for x in range(1, n + 1) if degree[x] == 1]
+    edges.append((u, v))
+    return tuple(edges)
+
+
 # -- lattice passage times ------------------------------------------------------
 
 
@@ -198,6 +225,59 @@ def mu2(spec: PassageTimeSpec) -> float:
         return hi**2 * (a * a + a * b + b * b) / 3.0
     x_m, shape = spec.params
     return (hi * x_m) ** 2 * shape / (shape - 2.0)
+
+
+def enumerate_paths(lat: LatticeSpec, n: int, k: int):
+    """Exhaustive minimum over self-avoiding paths of at most k edges on Z^2,
+    one search for one budget; None when no such path exists.
+
+    Every vertex v of such a path satisfies |v|_1 + |v - t|_1 <= k for the
+    target t = (n, 0), so the search stays in that set's bounding box,
+    x in [-m, n + m] and y in [-m, m] with m = floor((k - n) / 2). Costs
+    accumulate in path order.
+    """
+    if n == 0:
+        return 0.0
+    if k < n:
+        return None
+
+    target = (n, 0)
+    m = (k - n) // 2
+    # time of every edge inside the box, keyed by (base vertex, axis)
+    edge_time = {}
+    for axis in (0, 1):
+        xs = np.arange(-m, n + m + axis, dtype=np.int64)
+        ys = np.arange(-m, m + 1 - axis, dtype=np.int64)
+        grid = passage_time_grid(lat.spec, lat.ctx, axis, (xs[:, None], ys[None, :])).tolist()
+        for x, row in zip(xs.tolist(), grid):
+            for y, t in zip(ys.tolist(), row):
+                edge_time[(x, y), axis] = t
+
+    best = math.inf
+    moves = ((1, 0, 0), (-1, 0, 0), (0, 1, 1), (0, -1, 1))
+
+    def rec(pos, cost, hops_left, visited):
+        nonlocal best
+        if pos == target:
+            if cost < best:
+                best = cost
+            return
+        if cost >= best:
+            return
+        dist = abs(pos[0] - target[0]) + abs(pos[1] - target[1])
+        if dist > hops_left:
+            return
+        for dx, dy, axis in moves:
+            npos = (pos[0] + dx, pos[1] + dy)
+            if not (-m <= npos[0] <= n + m and abs(npos[1]) <= m) or npos in visited:
+                continue
+            base = min(pos, npos)
+            visited.add(npos)
+            rec(npos, cost + edge_time[base, axis], hops_left - 1, visited)
+            visited.remove(npos)
+
+    rec((0, 0), 0.0, k, {(0, 0)})
+    return None if math.isinf(best) else best
 
 
 # -- tail bounds ----------------------------------------------------------------

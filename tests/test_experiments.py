@@ -4,12 +4,13 @@ import json
 import operator
 import typing
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import minweight.experiments as exp_mod
-from minweight import lattice
+from minweight import lattice, trees
 from minweight.cli import SMOKE_CONFIGS, report_document
 from minweight.errors import ConfigurationError
 from minweight.experiments import (
@@ -330,6 +331,20 @@ def test_oracle_suite_guards_and_subset():
     )
     assert report.passed
     assert [r[0] for r in report.table("suite").rows] == ["kruskal_equals_prufer_enumeration"]
+
+
+def test_spanning_part_catches_a_wrong_spanning_tree(monkeypatch):
+    # Prim replaced by the star at vertex 0: the spanning part must see it,
+    # which it cannot when its oracle runs the same Prim
+    def star(W):
+        s, m, _ = W.shape
+        return np.zeros((s, m - 1), dtype=np.intp), np.broadcast_to(np.arange(1, m), (s, m - 1))
+
+    monkeypatch.setattr(trees, "_prim", star)
+    report = run_oracle_suite(smoke("oracle-suite", suite=["spanning"], suite_tree_instances=20, workers=1))
+    ((name, checks, mismatches),) = report.table("suite").rows
+    assert (name, checks) == ("spanning_exact_equals_kruskal", 60)
+    assert mismatches == 60 and not report.passed
 
 
 def test_verdicts_map_to_criteria():

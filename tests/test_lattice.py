@@ -19,7 +19,7 @@ from minweight.lattice import (
     unconstrained_time,
 )
 from minweight.weights import PassageTimeSpec, SeedContext, passage_time_grid
-from reference import passage_time
+from reference import enumerate_paths, passage_time
 
 EXP1 = PassageTimeSpec("exponential", (1.0,))
 UNIFORM = PassageTimeSpec("uniform", (0.5, 1.5), param_range=(0.5, 2.0))
@@ -59,7 +59,8 @@ def test_origin_target():
 def test_infeasible_budget():
     with pytest.raises(InfeasibleError):
         hop_constrained_time(lat(1), 4, 3)
-    assert enumerate_paths_oracle(lat(1), 4, 3) is None
+    assert enumerate_paths_oracle(lat(1), 4, (3,)) == (None,)
+    assert enumerate_paths_oracle(lat(1), 4, (3, 4))[0] is None
 
 
 def test_tight_budget_forces_straight_path():
@@ -74,10 +75,10 @@ def test_dp_matches_oracle():
     mismatches = 0
     for seed in range(30):
         for n in (1, 2, 3):
-            for k in range(n, n + 5):
-                l = lat(500 + seed)
+            l = lat(500 + seed)
+            budgets = range(n, n + 5)
+            for k, oracle in zip(budgets, enumerate_paths_oracle(l, n, budgets)):
                 dp = hop_constrained_time(l, n, k)
-                oracle = enumerate_paths_oracle(l, n, k)
                 if dp.value != oracle:
                     mismatches += 1
     assert mismatches == 0
@@ -89,9 +90,28 @@ def test_dp_matches_oracle_heterogeneous():
         for seed in range(10):
             l = lat(900 + seed, spec=spec)
             for n in (1, 2):
-                for k in range(n, 10):
+                budgets = range(n, 10)
+                for k, oracle in zip(budgets, enumerate_paths_oracle(l, n, budgets)):
                     dp = hop_constrained_time(l, n, k)
-                    assert dp.value == enumerate_paths_oracle(l, n, k), (spec, seed, n, k)
+                    assert dp.value == oracle, (spec, seed, n, k)
+
+
+@pytest.mark.parametrize("spec", [EXP1, UNIFORM, PARETO3], ids=lambda s: s.kind)
+def test_path_oracle_matches_per_budget_search(spec):
+    # one search for all budgets equals one search per budget, the
+    # infeasible budget n - 1 included; up to k = 9 for the heterogeneous laws
+    heterogeneous = spec.param_range[0] != spec.param_range[1]
+    for seed in range(20):
+        l = lat(1300 + seed, spec=spec)
+        for n in (1, 2, 3):
+            budgets = range(n - 1, (9 if heterogeneous else n + 4) + 1)
+            expected = tuple(enumerate_paths(l, n, k) for k in budgets)
+            assert enumerate_paths_oracle(l, n, budgets) == expected, (seed, n)
+    # budgets in any order, repeated, or far below the L1 distance
+    l = lat(1299, spec=spec)
+    budgets = (6, 1, 3, 6, 0)
+    assert enumerate_paths_oracle(l, 3, budgets) == tuple(enumerate_paths(l, 3, k) for k in budgets)
+    assert enumerate_paths_oracle(l, 0, (0, 4)) == (0.0, 0.0)
 
 
 def test_hop_monotonicity():
@@ -476,7 +496,11 @@ def test_lattice_spec_guard():
 
 def test_oracle_guards():
     l = lat(1)
-    with pytest.raises(ValueError):
-        enumerate_paths_oracle(l, 2, 10)
-    with pytest.raises(ValueError):
-        enumerate_paths_oracle(lat(1, d=3), 2, 5)
+    with pytest.raises(ValueError, match="k <= 9"):
+        enumerate_paths_oracle(l, 2, (3, 10))
+    with pytest.raises(ValueError, match="d = 2"):
+        enumerate_paths_oracle(lat(1, d=3), 2, (5,))
+    with pytest.raises(ValueError, match="nonnegative"):
+        enumerate_paths_oracle(l, -1, (2,))
+    with pytest.raises(ValueError, match="at least one"):
+        enumerate_paths_oracle(l, 2, ())

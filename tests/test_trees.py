@@ -1,4 +1,6 @@
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,12 +18,11 @@ from minweight.trees import (
     light_edge_count,
     min_tree_upper_bound,
     prufer_mst_weight,
-    prufer_to_edges,
     sample_yj,
     threshold_lower_bound,
 )
 from minweight.weights import SeedContext, TreeWeightSpec
-from reference import bernoulli_upper_bound, envelope_d2
+from reference import bernoulli_upper_bound, envelope_d2, prufer_to_edges
 
 # Small instance worked through by hand: the greedy walk is 1 -> 3 -> 4 -> 2.
 FROZEN4 = [
@@ -79,8 +80,24 @@ def kruskal_oracle(inst):
     return set(edges), total
 
 
+def from_matrix(matrix, spec=None):
+    """Instance whose weight matrix is a given symmetric matrix, with +inf
+    set on its diagonal; no seed stands behind it."""
+    m = np.array(matrix, dtype=np.float64)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
+        raise ValueError("matrix must be square with at least 2 vertices")
+    if not np.array_equal(m, m.T):
+        raise ValueError("matrix must be symmetric")
+    if not np.isfinite(m[~np.eye(m.shape[0], dtype=bool)]).all():
+        raise ValueError("off-diagonal weights must be finite")
+    np.fill_diagonal(m, np.inf)
+    inst = CompleteInstance(m.shape[0], spec, None)
+    inst._matrix = m
+    return inst
+
+
 def frozen4():
-    return CompleteInstance.from_matrix(FROZEN4, spec=TreeWeightSpec(alpha=0.5))
+    return from_matrix(FROZEN4, spec=TreeWeightSpec(alpha=0.5))
 
 
 def seeded(n, seed, trial=0, alpha=0.5, m_min=1.0, het=False):
@@ -140,7 +157,7 @@ def test_kruskal_frozen():
 
 def test_kruskal_three_vertices():
     w = [[0.0, 0.7, 0.4], [0.7, 0.0, 0.9], [0.4, 0.9, 0.0]]
-    res = kruskal_mst(CompleteInstance.from_matrix(w))
+    res = kruskal_mst(from_matrix(w))
     assert res.total_weight == pytest.approx(0.7 + 0.4)
 
 
@@ -273,13 +290,19 @@ def test_bounds_sandwich_exact_property(seed, n, alpha, m_min, het, gamma):
     assert kruskal_mst(inst).total_weight == exact
 
 
+def yj_from_matrix(W, prefix):
+    """Least weight from the last prefix vertex to a vertex outside the prefix."""
+    return min(W[prefix[-1] - 1][a - 1] for a in range(1, len(W) + 1) if a not in prefix)
+
+
 def test_sample_yj():
-    inst = frozen4()
-    assert sample_yj(inst, (1, 3)) == 0.3
-    inst3 = seeded(3, 9)
-    assert sample_yj(inst3, (1,)) == min(inst3.matrix()[0, 1], inst3.matrix()[0, 2])
-    big = seeded(50, 4)
-    assert sample_yj(big, tuple(range(1, 30))) <= 1.0
+    # the rule on the frozen matrix: from vertex 3, vertices 2 and 4 remain
+    assert yj_from_matrix(frozen4().matrix(), (1, 3)) == 0.3
+    # sample_yj hashes one row; it equals the rule on the full matrix bit for bit
+    for n, seed, prefix, het in ((3, 9, (1,), False), (7, 2, (4, 1, 6), True), (50, 4, tuple(range(1, 30)), False)):
+        inst = seeded(n, seed, het=het, m_min=0.5 if het else 1.0)
+        assert sample_yj(inst, prefix) == yj_from_matrix(inst.matrix(), prefix)
+    inst = seeded(4, 1)
     with pytest.raises(ValueError):
         sample_yj(inst, (1, 1))
     with pytest.raises(ValueError):
@@ -288,11 +311,11 @@ def test_sample_yj():
 
 def test_from_matrix_validation():
     with pytest.raises(ValueError):
-        CompleteInstance.from_matrix([[0.0, 0.1], [0.2, 0.0]])
+        from_matrix([[0.0, 0.1], [0.2, 0.0]])
     with pytest.raises(ValueError):
-        CompleteInstance.from_matrix([[0.0]])
+        from_matrix([[0.0]])
     with pytest.raises(ValueError, match="finite"):
-        CompleteInstance.from_matrix([[0.0, np.inf, 0.1], [np.inf, 0.0, 0.2], [0.1, 0.2, 0.0]])
+        from_matrix([[0.0, np.inf, 0.1], [np.inf, 0.0, 0.2], [0.1, 0.2, 0.0]])
 
 
 def test_prufer_decode_known_tree():
@@ -310,3 +333,22 @@ def test_kruskal_matches_prufer_enumeration():
     for seed in range(5):
         inst = seeded(7, 300 + seed)
         assert kruskal_mst(inst).total_weight == prufer_mst_weight(inst)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_all_labelled_trees_match_scalar_decode(n):
+    # row r is the r-th Prufer sequence in itertools.product order
+    expected = [sorted(prufer_to_edges(seq, n)) for seq in itertools.product(range(1, n + 1), repeat=n - 2)]
+    got = all_labelled_trees(n)
+    assert got.dtype == np.int64
+    assert got.tolist() == [[list(e) for e in tree] for tree in expected]
+
+
+def test_all_labelled_trees_n8_distinct_and_capped():
+    trees = all_labelled_trees(8)
+    assert trees.shape == (8**6, 7, 2)
+    assert len(np.unique(trees.reshape(len(trees), -1), axis=0)) == 8**6
+    with pytest.raises(CapacityError):
+        all_labelled_trees(9)
+    with pytest.raises(ValueError):
+        all_labelled_trees(1)
