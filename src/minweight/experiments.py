@@ -7,9 +7,11 @@ cross-validation oracle suite. Each driver returns an ExperimentReport whose
 tables and verdicts are pure functions of the configuration. All seven
 drivers run their trials through _sweep, the one place the trial-index rule
 lives: trial t of sweep point p uses trial index first + p * trials + t
-under the master seed. The oracle suite pins its parts at indices
-p * suite_tree_instances + t (trees, n = 5, 6, 7), t (lattice) and
-10_000 + t (Pruefer). Aggregation runs in trial order, so reports are
+under the master seed. _sweep hands out blocks of consecutive trials of one
+point; yj-moments runs each block through one array kernel (sample_yj), the
+other drivers run their per-trial functions one trial at a time. The oracle
+suite pins its parts at indices p * suite_tree_instances + t (trees,
+n = 5, 6, 7), t (lattice) and 10_000 + t (Pruefer). Aggregation runs in trial order, so reports are
 identical no matter how many workers computed them.
 
 Verdict.criterion names the acceptance criterion (AC1..AC11) the verdict
@@ -28,7 +30,6 @@ import itertools
 import math
 import time
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -51,10 +52,11 @@ from .trees import (
     kruskal_mst,
     min_tree_upper_bound,
     prufer_mst_weight,
+    require_tree_array,
     sample_yj,
     threshold_lower_bound,
 )
-from .weights import PassageTimeSpec, SeedContext, TreeWeightSpec
+from .weights import PassageTimeSpec, SeedContext, TreeWeightSpec, TrialBlock
 
 # Relative tolerance for deciding T_n(k) == T_n. Once k covers the
 # unconstrained witness the two agree bit for bit, so it decides only
@@ -269,28 +271,50 @@ def _report(cfg: ExperimentConfig, tables, verdicts, started: float) -> Experime
 
 # -- deterministic sweep runner ------------------------------------------------
 
+# Most array elements (trials x elements per trial) one trial block holds.
+BLOCK_ELEMENTS = 2**15
 
-def _sweep(cfg: ExperimentConfig, fn, points, trials=None, first=0) -> list:
-    """Run trials trials (default cfg.trials) of fn(ctx, *point) for every sweep point.
 
-    Trial t of point p runs under SeedContext(cfg.master_seed,
-    first + p * trials + t). All trials of all points go through one serial
-    pass or one process pool; the result holds one outcome list per point,
-    in trial order.
+def _sweep(cfg: ExperimentConfig, fn, points, trials=None, first=0, width=1) -> list:
+    """Run trials trials (default cfg.trials) of every sweep point through fn.
+
+    fn(block, *point) takes a TrialBlock of consecutive trials of one point
+    and returns their outcomes in trial order; a per-trial function goes
+    through _EachTrial. Trial t of point p runs under
+    SeedContext(cfg.master_seed, first + p * trials + t). A block holds at
+    most BLOCK_ELEMENTS // width trials, width being the array elements one
+    trial takes; a pooled run makes blocks small enough that each worker
+    gets about 8. All blocks go through one serial pass or one process
+    pool; the result holds one outcome list per point, in trial order.
     """
     trials = cfg.trials if trials is None else trials
+    size = max(1, BLOCK_ELEMENTS // width)
+    if cfg.workers > 1:
+        size = min(size, max(1, len(points) * trials // (cfg.workers * 8)))
     tasks = [
-        (SeedContext(cfg.master_seed, first + p * trials + t), *point)
+        (TrialBlock(SeedContext(cfg.master_seed, first + p * trials + t), min(size, trials - t)), *point)
         for p, point in enumerate(points)
-        for t in range(trials)
+        for t in range(0, trials, size)
     ]
     if cfg.workers <= 1 or len(tasks) <= 1:
-        outcomes = [fn(*task) for task in tasks]
+        blocks = [fn(*task) for task in tasks]
     else:
-        chunk = max(1, len(tasks) // (cfg.workers * 8))
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            outcomes = list(pool.map(fn, *zip(*tasks), chunksize=chunk))
+            blocks = list(pool.map(fn, *zip(*tasks)))
+    outcomes = list(itertools.chain.from_iterable(blocks))
     return [outcomes[p * trials : (p + 1) * trials] for p in range(len(points))]
+
+
+class _EachTrial:
+    """Block form of a per-trial function fn(ctx, *point): fn once per trial of the block."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __call__(self, block, *point) -> list:
+        return [self.fn(ctx, *point) for ctx in block.contexts()]
 
 
 # -- trial functions (module level so the process pool can pickle them) -----
@@ -311,19 +335,9 @@ def _tree_variance_trial(ctx, spec, n_vertices):
     return kruskal_mst(CompleteInstance(n_vertices, spec, ctx)).total_weight
 
 
-def _random_prefix(master, gtrial, n_vertices, j):
-    """Uniform ordered j-tuple of distinct vertices via partial Fisher-Yates."""
-    i = np.arange(j, dtype=np.uint64)
-    h = rng.hash_words_vec(rng.STREAM_PREFIX, master, gtrial, i)
-    verts = list(range(1, n_vertices + 1))
-    for a, r in enumerate((i + h % (np.uint64(n_vertices) - i)).tolist()):
-        verts[a], verts[r] = verts[r], verts[a]
-    return tuple(verts[:j])
-
-
-def _yj_trial(ctx, spec, n_vertices, j):
-    inst = CompleteInstance(n_vertices, spec, ctx)
-    return sample_yj(inst, _random_prefix(ctx.master_seed, ctx.trial_index, n_vertices, j))
+def _yj_block(block, spec, n_vertices, j):
+    """Y_j of every trial of block; looks sample_yj up when called, so a wrapped one still pools."""
+    return sample_yj(block, spec, n_vertices, j)
 
 
 def _lattice_trial(ctx, pspec, d, n, budgets):
@@ -412,6 +426,7 @@ def _validate_tree_sweep(cfg: ExperimentConfig):
     _require(len(cfg.alpha_values) > 0, "alpha sweep must not be empty")
     _require_distinct(cfg.alpha_values, "alpha sweep")
     _require(cfg.rho == 1.0, "this driver runs the spanning rule; set rho = 1")
+    require_tree_array(max(cfg.n_values), max(cfg.n_values))
 
 
 def run_tree_scaling(cfg: ExperimentConfig) -> ExperimentReport:
@@ -427,7 +442,7 @@ def run_tree_scaling(cfg: ExperimentConfig) -> ExperimentReport:
     _require(cfg.gamma > 0.0, "gamma must be positive")
     specs = [cfg.tree_spec(alpha) for alpha in cfg.alpha_values]
     points = [(spec, n, n - 1, cfg.gamma) for spec in specs for n in cfg.n_values]
-    outcomes = iter(zip(points, _sweep(cfg, _tree_scaling_trial, points)))
+    outcomes = iter(zip(points, _sweep(cfg, _EachTrial(_tree_scaling_trial), points)))
     summary_rows = []
     fit_rows = []
     verdicts = []
@@ -510,7 +525,7 @@ def run_tree_variance(cfg: ExperimentConfig) -> ExperimentReport:
     spec = cfg.tree_spec(alpha)
     rows = []
     verdicts = []
-    outcomes = _sweep(cfg, _tree_variance_trial, [(spec, n) for n in cfg.n_values])
+    outcomes = _sweep(cfg, _EachTrial(_tree_variance_trial), [(spec, n) for n in cfg.n_values])
     for n, values in zip(cfg.n_values, outcomes):
         s = summarize(values)
         # upper 95% chi-square confidence bound under approximate normality
@@ -546,11 +561,12 @@ def run_yj_moments(cfg: ExperimentConfig) -> ExperimentReport:
     _require(cfg.trials >= 1, "trials must be at least 1")
     alpha = cfg.alpha_values[0]
     spec = cfg.tree_spec(alpha)
+    require_tree_array(1, cfg.n)
     s_param = cfg.exp_moment_s
     rows = []
     scaled_means = []
     exp_checks = []
-    outcomes = _sweep(cfg, _yj_trial, [(spec, cfg.n, j) for j in cfg.j_values])
+    outcomes = _sweep(cfg, _yj_block, [(spec, cfg.n, j) for j in cfg.j_values], width=cfg.n)
     for j, ys in zip(cfg.j_values, outcomes):
         s = summarize(ys)
         scale = (cfg.n - j) ** alpha
@@ -607,7 +623,7 @@ def run_fpp_band(cfg: ExperimentConfig) -> ExperimentReport:
     violations = 0
     tinf_means = []
     hop_ratios = []
-    for (_, _, n, (k,)), out in zip(points, _sweep(cfg, _lattice_trial, points)):
+    for (_, _, n, (k,)), out in zip(points, _sweep(cfg, _EachTrial(_lattice_trial), points)):
         t_inf, t_straight, t_k, n_hops = zip(*((a, b, c, h) for a, b, ((c, h),) in out))
         tk = summarize([v / n for v in t_k])
         tinf = summarize([v / n for v in t_inf])
@@ -664,7 +680,7 @@ def run_constraint_decay(cfg: ExperimentConfig) -> ExperimentReport:
     ks = cfg.k_values
     _require(all(b > a for a, b in zip(ks, ks[1:])), "k schedule must be strictly increasing")
     _require(ks[0] >= cfg.n, "k schedule must start at or above n")
-    (out,) = _sweep(cfg, _lattice_trial, [(pspec, cfg.d, cfg.n, ks)])
+    (out,) = _sweep(cfg, _EachTrial(_lattice_trial), [(pspec, cfg.d, cfg.n, ks)])
     rows = []
     estimates = []
     for idx, k in enumerate(ks):
@@ -704,7 +720,7 @@ def run_fpp_variance(cfg: ExperimentConfig) -> ExperimentReport:
     grid = [(pspec, cfg.d, n, (cfg.k_multiple * n,)) for n in cfg.n_values]
     rows = []
     points = []
-    for (_, _, n, (k,)), out in zip(grid, _sweep(cfg, _lattice_trial, grid)):
+    for (_, _, n, (k,)), out in zip(grid, _sweep(cfg, _EachTrial(_lattice_trial), grid)):
         s = summarize([tk for _, _, ((tk, _),) in out])
         rows.append((pspec.kind, n, k, cfg.trials, s.mean, s.unbiased_variance))
         points.append((n, s.unbiased_variance))
@@ -760,7 +776,7 @@ def run_oracle_suite(cfg: ExperimentConfig) -> ExperimentReport:
     tree_ns = (5, 6, 7)
     if "spanning" in cfg.suite or "sandwich" in cfg.suite:
         points = [(spec, n, cfg.suite, cfg.suite_gammas) for n in tree_ns]
-        out = _sweep(cfg, _tree_oracle_trial, points, trials=cfg.suite_tree_instances)
+        out = _sweep(cfg, _EachTrial(_tree_oracle_trial), points, trials=cfg.suite_tree_instances)
         spanning_bad, sandwich_bad = map(sum, zip(*itertools.chain.from_iterable(out)))
         if "spanning" in cfg.suite:
             add("spanning_exact_equals_kruskal", "AC1", len(tree_ns) * cfg.suite_tree_instances, spanning_bad)
@@ -770,11 +786,12 @@ def run_oracle_suite(cfg: ExperimentConfig) -> ExperimentReport:
 
     if "lattice" in cfg.suite:
         pspec = cfg.passage_spec() if cfg.distribution else PassageTimeSpec("exponential", (1.0,))
-        (out,) = _sweep(cfg, _lattice_oracle_trial, [(pspec,)], trials=cfg.suite_lattice_instances)
+        (out,) = _sweep(cfg, _EachTrial(_lattice_oracle_trial), [(pspec,)], trials=cfg.suite_lattice_instances)
         add("hop_dp_equals_enumeration", "AC3", 18 * cfg.suite_lattice_instances, sum(out))
 
     if "prufer" in cfg.suite:
-        (out,) = _sweep(cfg, _prufer_oracle_trial, [(spec,)], trials=cfg.suite_prufer_instances, first=10_000)
+        trial = _EachTrial(_prufer_oracle_trial)
+        (out,) = _sweep(cfg, trial, [(spec,)], trials=cfg.suite_prufer_instances, first=10_000)
         add("kruskal_equals_prufer_enumeration", "AC2", cfg.suite_prufer_instances, sum(out))
 
     tables = [Table("suite", ("part", "comparisons", "mismatches"), tuple(rows))]

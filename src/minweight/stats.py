@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincinv
 
 # 97.5% standard normal quantile used for all 95% Wilson intervals.
 WILSON_Z = 1.959964
@@ -104,8 +103,11 @@ def chi2_quantile(q: float, df: int) -> float:
     """Quantile q of the chi-square law with df degrees of freedom.
 
     The formula scipy.stats.chi2.ppf evaluates, bit for bit, without the
-    import cost of scipy.stats.
+    import cost of scipy.stats. scipy.special is imported on the first call,
+    because only tree-variance needs it.
     """
+    from scipy.special import gammaincinv
+
     return float(2 * gammaincinv(df / 2, q))
 
 

@@ -10,7 +10,9 @@ shares no code with Prim: all n**(n-2) labelled trees, decoded from their
 Prufer sequences at once in numpy and cached as flat edge keys, whose totals
 are gathered from the flattened matrix (n <= 8). The spanning routine keeps
 the name kruskal_mst because the golden report digests and the benchmark
-look it up by that name.
+look it up by that name. The nearest-unvisited-edge minima Y_j come from a
+block kernel, sample_yj, that hashes one row per trial of a TrialBlock and
+builds no matrix.
 """
 
 from __future__ import annotations
@@ -22,8 +24,23 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import rng
 from .errors import CapacityError
-from .weights import SeedContext, TreeWeightSpec, weight_matrix, weights_from_vertex
+from .weights import SeedContext, TreeWeightSpec, TrialBlock, weight_matrix, weights_from_vertex
+
+# Byte budget of one dense float64 array of the tree family: an n x n
+# weight matrix, or one n-wide row of a yj trial block. The drivers check it
+# before they allocate anything (require_tree_array).
+TREE_ARRAY_BYTES = 2**29
+
+
+def require_tree_array(rows: int, n: int) -> None:
+    """Raise CapacityError when a rows x n float64 array exceeds TREE_ARRAY_BYTES."""
+    size = 8 * rows * n
+    if size > TREE_ARRAY_BYTES:
+        raise CapacityError(
+            f"a {rows} x {n} weight array takes {size} bytes, budget is {TREE_ARRAY_BYTES}"
+        )
 
 
 class CompleteInstance:
@@ -213,25 +230,41 @@ def exact_min_tree(inst: CompleteInstance, tau: int) -> TreeResult:
     return _tree_result(lo[best], hi[best], totals[best], subsets[best] + 1)
 
 
-def sample_yj(inst: CompleteInstance, prefix) -> float:
-    """Minimum edge weight from the last prefix vertex to any vertex outside it.
+def _prefix_block(block: TrialBlock, n: int, j: int) -> np.ndarray:
+    """Vertices 1..n of each trial of block after j partial Fisher-Yates steps.
 
-    The whole prefix is excluded from the candidate set, so with j prefix
-    vertices there are n - j candidates and j must stay at most n - 1.
+    Row t is trial t's permutation, as a uint64 array of shape (count, n):
+    its first j entries are the trial's uniform ordered j-prefix and the rest
+    are the vertices outside it. Swap a of every row takes column a and
+    column a + h % (n - a), where h hashes (STREAM_PREFIX, master seed,
+    trial, a); all count * j words are hashed at once.
     """
-    prefix = tuple(prefix)
-    j = len(prefix)
-    if not 1 <= j <= inst.n - 1:
-        raise ValueError(f"prefix length must lie in 1..{inst.n - 1}, got {j}")
-    if len(set(prefix)) != j:
-        raise ValueError("prefix entries must be distinct")
-    for a in prefix:
-        if not 1 <= a <= inst.n:
-            raise ValueError(f"prefix entry {a} outside 1..{inst.n}")
-    excluded = set(prefix)
-    targets = np.array([a for a in range(1, inst.n + 1) if a not in excluded])
-    # a single-row query: hash the one row, never the whole matrix
-    return float(weights_from_vertex(inst.spec, inst.ctx, prefix[-1], targets).min())
+    steps = np.arange(j, dtype=np.uint64)
+    h = rng.hash_words_vec(rng.STREAM_PREFIX, block.master_seed, block.trials, steps)
+    # flat index of the entry each row swaps into column a, one row per step
+    other = (steps + h % (np.uint64(n) - steps)).astype(np.intp).T + np.arange(block.count) * n
+    verts = np.tile(np.arange(1, n + 1, dtype=np.uint64), (block.count, 1))
+    flat = verts.reshape(-1)
+    for a, there in enumerate(other):
+        moved = flat[there]
+        flat[there] = verts[:, a]
+        verts[:, a] = moved
+    return verts
+
+
+def sample_yj(block: TrialBlock, spec: TreeWeightSpec, n: int, j: int) -> list:
+    """Y_j of each trial of block: the least weight on K_n from the last vertex
+    of the trial's random j-prefix to a vertex outside the prefix.
+
+    With j prefix vertices there are n - j candidates, so j must lie in
+    1..n-1. One weights_from_vertex call hashes every row's last prefix
+    vertex against its n - j outside vertices; no weight matrix is built.
+    Returns one float per trial, in trial order.
+    """
+    if not 1 <= j <= n - 1:
+        raise ValueError(f"prefix length must lie in 1..{n - 1}, got {j}")
+    verts = _prefix_block(block, n, j)
+    return weights_from_vertex(spec, block, verts[:, j - 1 : j], verts[:, j:]).min(axis=1).tolist()
 
 
 # -- Prufer-sequence enumeration oracle ----------------------------------------

@@ -45,6 +45,31 @@ class SeedContext:
 
 
 @dataclass(frozen=True)
+class TrialBlock:
+    """count consecutive trials under one master seed, the first at ctx.
+
+    Row t of a block kernel's arrays belongs to trial ctx.trial_index + t.
+    """
+
+    ctx: SeedContext
+    count: int
+
+    @property
+    def master_seed(self) -> int:
+        return self.ctx.master_seed
+
+    @property
+    def trials(self) -> np.ndarray:
+        """The block's trial indices as a uint64 column, one row per trial."""
+        first = self.ctx.trial_index
+        return np.arange(first, first + self.count, dtype=np.uint64)[:, None]
+
+    def contexts(self) -> list:
+        """The SeedContext of each trial, in order."""
+        return [SeedContext(self.ctx.master_seed, self.ctx.trial_index + t) for t in range(self.count)]
+
+
+@dataclass(frozen=True)
 class TreeWeightSpec:
     """Heavy-weight family for complete-graph edges.
 
@@ -122,16 +147,21 @@ def weight_matrix(spec: TreeWeightSpec, ctx: SeedContext, n: int) -> np.ndarray:
     return w
 
 
-def weights_from_vertex(spec: TreeWeightSpec, ctx: SeedContext, i: int | np.ndarray, targets: np.ndarray) -> np.ndarray:
+def weights_from_vertex(
+    spec: TreeWeightSpec, ctx: SeedContext | TrialBlock, i: int | np.ndarray, targets: np.ndarray
+) -> np.ndarray:
     """Weights of edges from vertex i to each target vertex (1-based).
 
-    i may be an array that broadcasts against targets.
+    i may be an array that broadcasts against targets. Under a TrialBlock,
+    i and targets broadcast to one row per trial of the block, and row t
+    holds weights of trial t.
     """
     iv = np.asarray(i, dtype=np.uint64)
     t = np.asarray(targets, dtype=np.uint64)
     lo = np.minimum(iv, t)
     hi = np.maximum(iv, t)
-    u = rng.unit_vec(rng.hash_words_vec(rng.STREAM_TREE_WEIGHT, ctx.master_seed, ctx.trial_index, lo, hi))
+    trial = ctx.trials if isinstance(ctx, TrialBlock) else ctx.trial_index
+    u = rng.unit_vec(rng.hash_words_vec(rng.STREAM_TREE_WEIGHT, ctx.master_seed, trial, lo, hi))
     if spec.heterogeneous:
         v = rng.unit_vec(rng.hash_words_vec(rng.STREAM_TREE_SCALE, lo, hi))
         scale = spec.m_min + (1.0 - spec.m_min) * v

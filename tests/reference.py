@@ -11,6 +11,9 @@ passage-time moments, the Bernoulli tail bound) are plain functions of the
 spec. The oracles (Prufer decoding one sequence at a time, and the path
 search run once per hop budget) are the references of the package's batched
 ones: ``trees.all_labelled_trees`` and ``lattice.enumerate_paths_oracle``.
+The per-trial Y_j path (one scalar Fisher-Yates prefix, then the row rule on
+the full weight matrix) is the reference of the block kernel
+``trees.sample_yj``.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import numpy as np
 from minweight import rng
 from minweight.rng import _INIT, _M1, _M2, _MASK, _U53
 from minweight.lattice import LatticeSpec
+from minweight.trees import CompleteInstance
 from minweight.weights import (
     PassageTimeSpec,
     SeedContext,
@@ -309,3 +313,14 @@ def random_prefix(master: int, gtrial: int, n_vertices: int, j: int) -> tuple:
         r = i + h % (n_vertices - i)
         verts[i], verts[r] = verts[r], verts[i]
     return tuple(verts[:j])
+
+
+def yj_from_matrix(W, prefix) -> float:
+    """Least weight from the last prefix vertex to a vertex outside the prefix."""
+    return min(W[prefix[-1] - 1][a - 1] for a in range(1, len(W) + 1) if a not in prefix)
+
+
+def yj_trial(ctx: SeedContext, spec: TreeWeightSpec, n_vertices: int, j: int) -> float:
+    """Y_j of one trial: the row rule on the trial's full weight matrix, at its random_prefix."""
+    W = CompleteInstance(n_vertices, spec, ctx).matrix()
+    return float(yj_from_matrix(W, random_prefix(ctx.master_seed, ctx.trial_index, n_vertices, j)))

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -350,6 +351,31 @@ def test_malformed_config_exits_one_with_one_error_line(tmp_path, capsys, name, 
     assert not (tmp_path / f"{name}.json").exists()
 
 
+@pytest.mark.parametrize(
+    "name,override",
+    [
+        # a 1000000 x 1000000 weight matrix (7.28 TiB) after a small first point
+        ("tree-scaling", {"trials": 1, "n_values": [2, 1_000_000]}),
+        ("tree-variance", {"n_values": [100_000]}),
+        # one yj block row of 2**27 vertices
+        ("yj-moments", {"trials": 1, "n": 2**27, "j_values": [1]}),
+    ],
+)
+def test_malformed_config_over_the_tree_array_budget_exits_one_before_allocating(tmp_path, capsys, name, override):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SMOKE_CONFIGS[name], **override}))
+    tracemalloc.start()
+    try:
+        code = parse_and_dispatch([name, "--config", str(cfg), "--output-dir", str(tmp_path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert "budget" in _single_error_line(capsys)
+    assert not (tmp_path / f"{name}.json").exists()
+    assert peak < 2**20  # no trial ran and no weight array was allocated
+
+
 @pytest.mark.parametrize("case", ["config_is_directory", "config_not_utf8", "output_below_file"])
 def test_io_failure_exits_one_with_one_error_line(tmp_path, capsys, case):
     cfg = tmp_path / "cfg.json"
@@ -377,3 +403,13 @@ def test_cli_import_leaves_scipy_stats_out():
     code = "import sys, minweight.cli; print('scipy.stats' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_defers_scipy_special_and_the_process_pool():
+    # only tree-variance reads a chi-square quantile, and only a pooled sweep
+    # starts processes, so neither module is loaded at import
+    src = os.path.dirname(os.path.dirname(minweight.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, minweight.cli; print(sorted({'scipy.special', 'concurrent.futures.process'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -17,8 +17,8 @@ from minweight.experiments import (
     DRIVER_FIELDS,
     ExperimentConfig,
     Verdict,
+    _EachTrial,
     _lattice_trial,
-    _random_prefix,
     _sweep,
     passage_spec_from_config,
     run_constraint_decay,
@@ -31,8 +31,9 @@ from minweight.experiments import (
     run_yj_moments,
 )
 from minweight.lattice import LatticeSpec, hop_constrained_time, straight_path_time, unconstrained_time
-from minweight.weights import PassageTimeSpec, SeedContext
-from reference import random_prefix
+from minweight.trees import _prefix_block, sample_yj
+from minweight.weights import PassageTimeSpec, SeedContext, TreeWeightSpec, TrialBlock
+from reference import random_prefix, yj_trial
 
 # First-run golden digests of the built-in smoke configurations. These pin
 # the entire report content (config echo, every table cell, verdicts): any
@@ -88,14 +89,49 @@ def test_worker_count_does_not_change_report(name):
     assert report_document(base) == report_document(pooled)
 
 
+def _block_trial_indices(block):
+    """A block trial function: the trial indices of its rows."""
+    return block.trials[:, 0].tolist()
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sweep_runs_trial_t_of_point_p_at_index_p_trials_plus_t(workers):
     cfg = ExperimentConfig(experiment="tree-scaling", trials=4, workers=workers)
-    got = _sweep(cfg, operator.attrgetter("trial_index"), [(), (), ()])
-    assert got == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]]
-    # explicit trials and first override cfg.trials and shift every index
-    got = _sweep(cfg, operator.attrgetter("trial_index"), [(), (), ()], trials=2, first=10_000)
-    assert got == [[10_000, 10_001], [10_002, 10_003], [10_004, 10_005]]
+    # a per-trial function through the adapter, then a block function whose
+    # width of a third of BLOCK_ELEMENTS splits 4 trials into blocks of 3 and 1
+    per_trial = _EachTrial(operator.attrgetter("trial_index"))
+    for fn, kw in ((per_trial, {}), (_block_trial_indices, {"width": exp_mod.BLOCK_ELEMENTS // 3})):
+        got = _sweep(cfg, fn, [(), (), ()], **kw)
+        assert got == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]]
+        # explicit trials and first override cfg.trials and shift every index
+        got = _sweep(cfg, fn, [(), (), ()], trials=2, first=10_000, **kw)
+        assert got == [[10_000, 10_001], [10_002, 10_003], [10_004, 10_005]]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("het", [False, True])
+def test_yj_blocks_through_sweep_match_per_trial_reference(monkeypatch, workers, het):
+    spec = TreeWeightSpec(alpha=0.5, m_min=0.5 if het else 1.0, heterogeneous=het)
+    n, trials = 24, 40
+    points = [(spec, n, j) for j in (1, 12, n - 1)]
+    cfg = ExperimentConfig(experiment="yj-moments", master_seed=5, trials=trials, workers=workers)
+    expected = [
+        [yj_trial(SeedContext(5, p * trials + t), spec, n, j) for t in range(trials)]
+        for p, (_, _, j) in enumerate(points)
+    ]
+    # 13 blocks of 3 trials and one of 1 per point, at both worker counts;
+    # then one-trial blocks, because one row is wider than the cap
+    for cap in (3 * n, n - 1):
+        monkeypatch.setattr(exp_mod, "BLOCK_ELEMENTS", cap)
+        assert _sweep(cfg, sample_yj, points, width=n) == expected
+
+
+def test_pooled_yj_run_takes_a_wrapped_sample_yj(monkeypatch):
+    # instrumentation swaps experiments.sample_yj for a wrapper, which cannot be pickled
+    original = exp_mod.sample_yj
+    monkeypatch.setattr(exp_mod, "sample_yj", lambda *args: original(*args))
+    cfg = smoke("yj-moments", trials=20, workers=2)
+    assert report_document(run_experiment(cfg)) == report_document(run_experiment(dataclasses.replace(cfg, workers=1)))
 
 
 def test_config_rejects_unknown_key():
@@ -237,20 +273,25 @@ def test_yj_sweep_without_small_j_reports_a_vacuous_exp_moment():
 
 
 def test_random_prefix_distinct_and_deterministic():
-    p1 = _random_prefix(3, 17, 100, 12)
-    p2 = _random_prefix(3, 17, 100, 12)
-    assert p1 == p2
-    assert len(set(p1)) == 12
-    assert all(1 <= v <= 100 for v in p1)
-    assert _random_prefix(3, 18, 100, 12) != p1
+    rows = _prefix_block(TrialBlock(SeedContext(3, 17), 2), 100, 12)
+    assert np.array_equal(rows, _prefix_block(TrialBlock(SeedContext(3, 17), 2), 100, 12))
+    # every row is a permutation of 1..n whose first 12 entries are its prefix
+    assert (np.sort(rows, axis=1) == np.arange(1, 101)).all()
+    assert rows[0, :12].tolist() != rows[1, :12].tolist()
+    # row 1 of the block is trial 18 on its own
+    assert np.array_equal(rows[1:], _prefix_block(TrialBlock(SeedContext(3, 18), 1), 100, 12))
 
 
 @pytest.mark.parametrize("master", [0, 2, 2**63 + 5])
 def test_random_prefix_matches_scalar_fisher_yates(master):
     for n_vertices, j in ((512, 1), (512, 448), (7, 6), (2, 1), (100, 99)):
+        rows = _prefix_block(TrialBlock(SeedContext(master, 0), 18), n_vertices, j)
         for gtrial in (0, 1, 17, 428):
             expected = random_prefix(master, gtrial, n_vertices, j)
-            assert _random_prefix(master, gtrial, n_vertices, j) == expected
+            if gtrial < len(rows):
+                assert tuple(rows[gtrial, :j].tolist()) == expected
+            alone = _prefix_block(TrialBlock(SeedContext(master, gtrial), 1), n_vertices, j)
+            assert tuple(alone[0, :j].tolist()) == expected
 
 
 def test_fpp_band_single_n_flags_insufficient_sweep():

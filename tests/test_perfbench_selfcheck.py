@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -15,3 +16,18 @@ def test_perfbench_selfcheck_passes():
         timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_traced_benchmark_run_of_every_workload_fails_nothing():
+    # a traced round of each workload at workers 1 and 2: checks the pinned
+    # workload digests, the pooled runs and the span file selfcheck.py leaves out
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "all", "--trace", "1", "--seconds", "0"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    last = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert last["failed"] == 0 and last["attempted"] > 0, proc.stdout

@@ -1,5 +1,6 @@
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -21,8 +22,8 @@ from minweight.trees import (
     sample_yj,
     threshold_lower_bound,
 )
-from minweight.weights import SeedContext, TreeWeightSpec
-from reference import bernoulli_upper_bound, envelope_d2, prufer_to_edges
+from minweight.weights import SeedContext, TreeWeightSpec, TrialBlock
+from reference import bernoulli_upper_bound, envelope_d2, prufer_to_edges, yj_from_matrix, yj_trial
 
 # Small instance worked through by hand: the greedy walk is 1 -> 3 -> 4 -> 2.
 FROZEN4 = [
@@ -290,23 +291,37 @@ def test_bounds_sandwich_exact_property(seed, n, alpha, m_min, het, gamma):
     assert kruskal_mst(inst).total_weight == exact
 
 
-def yj_from_matrix(W, prefix):
-    """Least weight from the last prefix vertex to a vertex outside the prefix."""
-    return min(W[prefix[-1] - 1][a - 1] for a in range(1, len(W) + 1) if a not in prefix)
-
-
 def test_sample_yj():
     # the rule on the frozen matrix: from vertex 3, vertices 2 and 4 remain
     assert yj_from_matrix(frozen4().matrix(), (1, 3)) == 0.3
-    # sample_yj hashes one row; it equals the rule on the full matrix bit for bit
-    for n, seed, prefix, het in ((3, 9, (1,), False), (7, 2, (4, 1, 6), True), (50, 4, tuple(range(1, 30)), False)):
-        inst = seeded(n, seed, het=het, m_min=0.5 if het else 1.0)
-        assert sample_yj(inst, prefix) == yj_from_matrix(inst.matrix(), prefix)
-    inst = seeded(4, 1)
-    with pytest.raises(ValueError):
-        sample_yj(inst, (1, 1))
-    with pytest.raises(ValueError):
-        sample_yj(inst, (1, 2, 3, 4))
+    spec = TreeWeightSpec(alpha=0.5)
+    for j in (0, 4):
+        with pytest.raises(ValueError, match="prefix length"):
+            sample_yj(TrialBlock(SeedContext(1), 2), spec, 4, j)
+
+
+@pytest.mark.parametrize("het", [False, True])
+@pytest.mark.parametrize("n", [2, 17, 64])
+def test_sample_yj_block_matches_per_trial_reference(n, het):
+    # the block kernel hashes one row per trial; each equals the rule on that
+    # trial's full matrix at its scalar Fisher-Yates prefix, bit for bit
+    spec = TreeWeightSpec(alpha=0.3, m_min=0.25 if het else 1.0, heterogeneous=het)
+    for j in sorted({1, n // 2 or 1, n - 1}):
+        # one-trial blocks and a longer block over the same trials agree
+        block = TrialBlock(SeedContext(2**63 + 7, 40), 6)
+        expected = [yj_trial(ctx, spec, n, j) for ctx in block.contexts()]
+        assert sample_yj(block, spec, n, j) == expected
+        assert [sample_yj(TrialBlock(ctx, 1), spec, n, j)[0] for ctx in block.contexts()] == expected
+
+
+def test_tree_array_budget():
+    side = math.isqrt(trees_mod.TREE_ARRAY_BYTES // 8)
+    trees_mod.require_tree_array(side, side)
+    trees_mod.require_tree_array(1, trees_mod.TREE_ARRAY_BYTES // 8)
+    with pytest.raises(CapacityError, match="budget"):
+        trees_mod.require_tree_array(side + 1, side + 1)
+    with pytest.raises(CapacityError, match="budget"):
+        trees_mod.require_tree_array(1, trees_mod.TREE_ARRAY_BYTES // 8 + 1)
 
 
 def test_from_matrix_validation():
