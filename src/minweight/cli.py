@@ -11,6 +11,7 @@ runs produce identical files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -18,7 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import CapacityError, ConfigurationError
-from .experiments import DRIVER_FIELDS, DRIVERS, ExperimentConfig, ExperimentReport, run_experiment
+from .experiments import DRIVER_FIELDS, DRIVERS, ExperimentConfig, ExperimentReport, Table, Verdict, run_experiment
 
 ENV_OUTPUT_DIR = "MINWEIGHT_OUTPUT_DIR"
 
@@ -87,11 +88,12 @@ SMOKE_CONFIGS = {
 
 
 def _format_cell(value) -> str:
+    """One CSV cell; a comma inside a string becomes ";" so that it cannot split the row."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         return format(value, ".17g")
-    return str(value)
+    return str(value).replace(",", ";")
 
 
 def report_document(report: ExperimentReport) -> dict:
@@ -110,17 +112,7 @@ def report_document(report: ExperimentReport) -> dict:
             t.name: {"columns": list(t.columns), "rows": [list(r) for r in t.rows]}
             for t in report.tables
         },
-        "verdicts": [
-            {
-                "name": v.name,
-                "criterion": v.criterion,
-                "passed": v.passed,
-                "measured": v.measured,
-                "threshold": v.threshold,
-                "note": v.note,
-            }
-            for v in report.verdicts
-        ],
+        "verdicts": [dataclasses.asdict(v) for v in report.verdicts],
     }
 
 
@@ -137,30 +129,15 @@ def emit_report(report: ExperimentReport, fmt: str, directory) -> list:
         path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         paths.append(path)
     if fmt in ("csv", "both"):
-        for table in report.tables:
+        columns = tuple(f.name for f in dataclasses.fields(Verdict))
+        verdicts = Table("verdicts", columns, tuple(dataclasses.astuple(v) for v in report.verdicts))
+        for table in (*report.tables, verdicts):
             path = directory / f"{report.experiment}_{table.name}.csv"
             lines = [",".join(table.columns)]
             for row in table.rows:
                 lines.append(",".join(_format_cell(c) for c in row))
             path.write_text("\n".join(lines) + "\n")
             paths.append(path)
-        path = directory / f"{report.experiment}_verdicts.csv"
-        lines = ["name,criterion,passed,measured,threshold,note"]
-        for v in report.verdicts:
-            lines.append(
-                ",".join(
-                    (
-                        v.name,
-                        v.criterion,
-                        _format_cell(v.passed),
-                        _format_cell(v.measured),
-                        _format_cell(v.threshold),
-                        v.note.replace(",", ";"),
-                    )
-                )
-            )
-        path.write_text("\n".join(lines) + "\n")
-        paths.append(path)
     return sorted(paths)
 
 

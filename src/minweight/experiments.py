@@ -11,8 +11,10 @@ under the master seed. _sweep hands out blocks of consecutive trials of one
 point; yj-moments runs each block through one array kernel (sample_yj), the
 other drivers run their per-trial functions one trial at a time. The oracle
 suite pins its parts at indices p * suite_tree_instances + t (trees,
-n = 5, 6, 7), t (lattice) and 10_000 + t (Pruefer). Aggregation runs in trial order, so reports are
-identical no matter how many workers computed them.
+n = 5, 6, 7), t (lattice) and 10_000 + t (Pruefer, AC2, which runs the
+tree-oracle trial at n = 7 with only its spanning comparison). Aggregation
+runs in trial order, so reports are identical no matter how many workers
+computed them.
 
 Verdict.criterion names the acceptance criterion (AC1..AC11) the verdict
 implements. A verdict passes when measured <= threshold (_at_most); a
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import __version__, rng
+from . import __version__, rng, weights
 from .errors import ConfigurationError, InfeasibleError
 from .lattice import (
     LatticeSpec,
@@ -52,11 +54,10 @@ from .trees import (
     kruskal_mst,
     min_tree_upper_bound,
     prufer_mst_weight,
-    require_tree_array,
     sample_yj,
     threshold_lower_bound,
 )
-from .weights import PassageTimeSpec, SeedContext, TreeWeightSpec, TrialBlock
+from .weights import PassageTimeSpec, SeedContext, TreeWeightSpec, TrialBlock, require_array
 
 # Relative tolerance for deciding T_n(k) == T_n. Once k covers the
 # unconstrained witness the two agree bit for bit, so it decides only
@@ -271,9 +272,6 @@ def _report(cfg: ExperimentConfig, tables, verdicts, started: float) -> Experime
 
 # -- deterministic sweep runner ------------------------------------------------
 
-# Most array elements (trials x elements per trial) one trial block holds.
-BLOCK_ELEMENTS = 2**15
-
 
 def _sweep(cfg: ExperimentConfig, fn, points, trials=None, first=0, width=1) -> list:
     """Run trials trials (default cfg.trials) of every sweep point through fn.
@@ -282,19 +280,20 @@ def _sweep(cfg: ExperimentConfig, fn, points, trials=None, first=0, width=1) -> 
     and returns their outcomes in trial order; a per-trial function goes
     through _EachTrial. Trial t of point p runs under
     SeedContext(cfg.master_seed, first + p * trials + t). A block holds at
-    most BLOCK_ELEMENTS // width trials, width being the array elements one
-    trial takes; a pooled run makes blocks small enough that each worker
-    gets about 8. All blocks go through one serial pass or one process
-    pool; the result holds one outcome list per point, in trial order.
+    most weights.BLOCK_ELEMENTS // width trials, width being the array
+    elements one trial takes; a pooled run makes blocks small enough that
+    each worker gets about 8. All blocks go through one serial pass or one
+    process pool; the result holds one outcome list per point, in trial
+    order.
     """
     trials = cfg.trials if trials is None else trials
-    size = max(1, BLOCK_ELEMENTS // width)
+    size = weights.BLOCK_ELEMENTS // width
     if cfg.workers > 1:
-        size = min(size, max(1, len(points) * trials // (cfg.workers * 8)))
+        size = min(size, len(points) * trials // (cfg.workers * 8))
     tasks = [
-        (TrialBlock(SeedContext(cfg.master_seed, first + p * trials + t), min(size, trials - t)), *point)
+        (block, *point)
         for p, point in enumerate(points)
-        for t in range(0, trials, size)
+        for block in TrialBlock(SeedContext(cfg.master_seed, first + p * trials), trials).blocks(size)
     ]
     if cfg.workers <= 1 or len(tasks) <= 1:
         blocks = [fn(*task) for task in tasks]
@@ -400,12 +399,6 @@ def _lattice_oracle_trial(ctx, pspec):
     return bad
 
 
-def _prufer_oracle_trial(ctx, spec):
-    """Whether the spanning tree of one K_7 instance misses the Pruefer enumeration minimum."""
-    inst = CompleteInstance(7, spec, ctx)
-    return kruskal_mst(inst).total_weight != prufer_mst_weight(inst)
-
-
 # -- drivers -----------------------------------------------------------------
 
 
@@ -426,7 +419,8 @@ def _validate_tree_sweep(cfg: ExperimentConfig):
     _require(len(cfg.alpha_values) > 0, "alpha sweep must not be empty")
     _require_distinct(cfg.alpha_values, "alpha sweep")
     _require(cfg.rho == 1.0, "this driver runs the spanning rule; set rho = 1")
-    require_tree_array(max(cfg.n_values), max(cfg.n_values))
+    n = max(cfg.n_values)
+    require_array(f"a {n} x {n} weight matrix", n * n)
 
 
 def run_tree_scaling(cfg: ExperimentConfig) -> ExperimentReport:
@@ -561,7 +555,7 @@ def run_yj_moments(cfg: ExperimentConfig) -> ExperimentReport:
     _require(cfg.trials >= 1, "trials must be at least 1")
     alpha = cfg.alpha_values[0]
     spec = cfg.tree_spec(alpha)
-    require_tree_array(1, cfg.n)
+    require_array(f"a yj block row of {cfg.n} vertices", cfg.n)
     s_param = cfg.exp_moment_s
     rows = []
     scaled_means = []
@@ -750,7 +744,8 @@ def run_oracle_suite(cfg: ExperimentConfig) -> ExperimentReport:
     exact <= greedy upper bound across tau and the gamma grid), 'lattice'
     (hop DP vs exhaustive path enumeration, one search per n for all its
     budgets, plus infeasibility agreement), 'prufer' (spanning tree vs full
-    labelled-tree enumeration at n = 7, on its own seeds). Every comparison
+    labelled-tree enumeration at n = 7, on its own seeds, through the
+    spanning comparison of the tree-oracle trial). Every comparison
     demands exact equality or a zero violation count. The spanning tree
     comes from dense Prim (kruskal_mst); the verdict names still say
     "kruskal" because the golden report digests pin them.
@@ -790,9 +785,10 @@ def run_oracle_suite(cfg: ExperimentConfig) -> ExperimentReport:
         add("hop_dp_equals_enumeration", "AC3", 18 * cfg.suite_lattice_instances, sum(out))
 
     if "prufer" in cfg.suite:
-        trial = _EachTrial(_prufer_oracle_trial)
-        (out,) = _sweep(cfg, trial, [(spec,)], trials=cfg.suite_prufer_instances, first=10_000)
-        add("kruskal_equals_prufer_enumeration", "AC2", cfg.suite_prufer_instances, sum(out))
+        point = (spec, 7, ("spanning",), ())
+        trial = _EachTrial(_tree_oracle_trial)
+        (out,) = _sweep(cfg, trial, [point], trials=cfg.suite_prufer_instances, first=10_000)
+        add("kruskal_equals_prufer_enumeration", "AC2", cfg.suite_prufer_instances, sum(s for s, _ in out))
 
     tables = [Table("suite", ("part", "comparisons", "mismatches"), tuple(rows))]
     return _report(cfg, tables, verdicts, started)

@@ -15,9 +15,13 @@ the caller may pass (the straight-path time by default, or a hop-DP label);
 vertices beyond it read +inf, which changes neither the value, the witness
 nor the certificate.
 
-Both solvers keep their cells on a numpy grid spanning [lows[a], lows[a] +
-shape[a]) on each axis a, row-major: the DP's grid is its walk region, and
-Dijkstra's is the box, with lows = (-r,) * d and shape = (2r + 1,) * d.
+Every caller takes its edge times from one grid convention, _axis_times: a
+numpy grid spanning [lows[a], lows[a] + shape[a]) on each axis a,
+row-major. The DP's grid is its walk region; Dijkstra's is the box, with
+lows = (-r,) * d and shape = (2r + 1,) * d; the straight path's is the
+segment from the origin to the target; the path oracle's is the bounding
+box of its search. The DP's label grid and Dijkstra's arc times are checked
+against the array budget of weights.require_array before they are built.
 """
 
 from __future__ import annotations
@@ -30,9 +34,10 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
+from . import weights
 from .errors import CapacityError, InfeasibleError
 from .stats import ProbEstimate, wilson_interval
-from .weights import PassageTimeSpec, SeedContext, _passage_times, passage_time_grid
+from .weights import PassageTimeSpec, SeedContext, TrialBlock, passage_time_grid, require_array
 
 
 @dataclass(frozen=True)
@@ -155,6 +160,9 @@ def hop_constrained_time(lat: LatticeSpec, n: int, k: int) -> ConstrainedResult:
         raise InfeasibleError(f"hop budget {k} below L1 distance {n}: no path exists")
     if n == 0:
         return _trivial_result(lat)
+    # the walk region's bounding box, [-m, n + m] x [-m, m]^(d - 1)
+    m = (k - n) // 2
+    require_array(f"the hop-DP label grid for n = {n}, k = {k}", (n + 2 * m + 1) * (2 * m + 1) ** (lat.d - 1))
 
     lows, shape, hops = _walk_windows(lat.d, n, k)
     times = [_axis_times(lat, lows, shape, a) for a in range(lat.d)]
@@ -219,12 +227,14 @@ def _csr_pattern(radius: int, d: int) -> tuple:
     which is the layout csr_matrix builds from those COO triplets.
 
     Raises CapacityError, before allocating, when the box has 2**31 arcs or
-    more: the int32 indptr and indices would wrap.
+    more (the int32 indptr and indices would wrap), or when its float64 arc
+    times exceed the array budget.
     """
     arcs = 2 * d * 2 * radius * (2 * radius + 1) ** (d - 1)
     if arcs >= 2**31:
         msg = f"Dijkstra box of radius {radius} in d = {d} has {arcs} arcs, beyond int32 CSR indices"
         raise CapacityError(msg)
+    require_array(f"the arc-time array of the Dijkstra box of radius {radius} in d = {d}", arcs)
     cells = (2 * radius + 1) ** d
     idx = np.arange(cells, dtype=np.int32).reshape((2 * radius + 1,) * d)
     rows, cols = [], []
@@ -353,11 +363,9 @@ def enumerate_paths_oracle(lat: LatticeSpec, n: int, budgets) -> tuple:
     # the neighbours of every vertex inside the box, with the edge time
     adjacent = {}
     for axis, (dx, dy) in enumerate(((1, 0), (0, 1))):
-        xs = np.arange(-m, n + m + 1 - dx, dtype=np.int64)
-        ys = np.arange(-m, m + 1 - dy, dtype=np.int64)
-        grid = passage_time_grid(lat.spec, lat.ctx, axis, (xs[:, None], ys[None, :])).tolist()
-        for x, row in zip(xs.tolist(), grid):
-            for y, t in zip(ys.tolist(), row):
+        grid = _axis_times(lat, (-m, -m), (n + 2 * m + 1, 2 * m + 1), axis).tolist()
+        for x, row in enumerate(grid, -m):
+            for y, t in enumerate(row, -m):
                 adjacent.setdefault((x, y), []).append(((x + dx, y + dy), t))
                 adjacent.setdefault((x + dx, y + dy), []).append(((x, y), t))
 
@@ -385,22 +393,19 @@ def straight_path_time(lat: LatticeSpec, n: int) -> float:
     """Passage time of the straight first-axis path through (1,0,..) .. (n,0,..)."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    bases = [np.arange(0, n, dtype=np.int64)] + [np.zeros(n, dtype=np.int64)] * (lat.d - 1)
-    times = passage_time_grid(lat.spec, lat.ctx, 0, tuple(bases))
+    times = _axis_times(lat, (0,) * lat.d, (n + 1,) + (1,) * (lat.d - 1), 0)
     total = 0.0
-    for t in times.tolist():
+    for t in times.ravel().tolist():
         total += t
     return total
-
-
-# linear_path_tail_probe draws at most TAIL_PROBE_CHUNK trials per kernel call
-TAIL_PROBE_CHUNK = 1 << 16
 
 
 def linear_path_tail_probe(lat: LatticeSpec, m: int, beta: float, trials: int) -> ProbEstimate:
     """Monte Carlo estimate of P(sum of the first m straight-edge times <= beta*m).
 
     Trial i uses trial index ctx.trial_index + i under the same master seed.
+    Trials run in blocks of at most weights.BLOCK_ELEMENTS // m, one
+    passage_time_grid call each.
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
@@ -409,13 +414,10 @@ def linear_path_tail_probe(lat: LatticeSpec, m: int, beta: float, trials: int) -
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
 
-    bases = (np.arange(0, m, dtype=np.int64)[None, :],) + (0,) * (lat.d - 1)
+    bases = (np.arange(0, m, dtype=np.int64),) + (0,) * (lat.d - 1)
     cutoff = beta * m
     successes = 0
-    start = lat.ctx.trial_index
-    for t0 in range(start, start + trials, TAIL_PROBE_CHUNK):
-        t1 = min(t0 + TAIL_PROBE_CHUNK, start + trials)
-        tvec = np.arange(t0, t1, dtype=np.uint64)[:, None]
-        times = _passage_times(lat.spec, lat.ctx.master_seed, tvec, 0, bases)
+    for block in TrialBlock(lat.ctx, trials).blocks(weights.BLOCK_ELEMENTS // m):
+        times = passage_time_grid(lat.spec, block, 0, bases)
         successes += int(np.count_nonzero(times.sum(axis=1) <= cutoff))
     return wilson_interval(successes, trials)

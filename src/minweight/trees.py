@@ -28,20 +28,6 @@ from . import rng
 from .errors import CapacityError
 from .weights import SeedContext, TreeWeightSpec, TrialBlock, weight_matrix, weights_from_vertex
 
-# Byte budget of one dense float64 array of the tree family: an n x n
-# weight matrix, or one n-wide row of a yj trial block. The drivers check it
-# before they allocate anything (require_tree_array).
-TREE_ARRAY_BYTES = 2**29
-
-
-def require_tree_array(rows: int, n: int) -> None:
-    """Raise CapacityError when a rows x n float64 array exceeds TREE_ARRAY_BYTES."""
-    size = 8 * rows * n
-    if size > TREE_ARRAY_BYTES:
-        raise CapacityError(
-            f"a {rows} x {n} weight array takes {size} bytes, budget is {TREE_ARRAY_BYTES}"
-        )
-
 
 class CompleteInstance:
     """One realization of K_n weights under (spec, ctx), read through its

@@ -13,11 +13,15 @@ Two families are provided:
   the master seed or the trial index.
 
 All sampling is keyed through :mod:`minweight.rng`; see there for the
-determinism contract. Each family has one array kernel: weights_from_vertex
-for tree weights (weight_matrix is its all-pairs call) and _passage_times for
-passage times (passage_time_grid binds it to one SeedContext). The scalar
-per-edge versions that the tests use as oracles, and the analytic law
-helpers (cdf, envelope constants, moments), are in ``tests/reference.py``.
+determinism contract. Each family has one array kernel, weights_from_vertex
+for tree weights (weight_matrix is its all-pairs call) and passage_time_grid
+for passage times. Both take a SeedContext or a TrialBlock and hash
+ctx.master_seed and ctx.trials, an int for one trial and a (count, 1) column
+for a block. TrialBlock.blocks is the one rule that cuts trials into blocks
+of at most BLOCK_ELEMENTS array elements, and require_array is the one byte
+budget of both families. The scalar per-edge versions that the tests use as
+oracles, and the analytic law helpers (cdf, envelope constants, moments),
+are in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -27,7 +31,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .errors import ConfigurationError
+from .errors import CapacityError, ConfigurationError
+
+# Byte budget of one float64 array of either family: a tree weight matrix or
+# yj block row, the Dijkstra box's arc times, the hop-DP label grid. Callers
+# check it before they allocate (require_array).
+ARRAY_BYTES = 2**29
+
+
+def require_array(what: str, elements: int) -> None:
+    """Raise CapacityError when what, a float64 array of elements entries, exceeds ARRAY_BYTES."""
+    size = 8 * elements
+    if size > ARRAY_BYTES:
+        raise CapacityError(f"{what} takes {size} bytes, budget is {ARRAY_BYTES}")
 
 
 @dataclass(frozen=True)
@@ -42,6 +58,15 @@ class SeedContext:
             raise ValueError(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed}")
         if self.trial_index < 0:
             raise ValueError(f"trial_index must be nonnegative, got {self.trial_index}")
+
+    @property
+    def trials(self) -> int:
+        """The trial index, under the name the kernels read from a TrialBlock too."""
+        return self.trial_index
+
+
+# Most array elements (trials x elements per trial) one trial block holds.
+BLOCK_ELEMENTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -64,9 +89,18 @@ class TrialBlock:
         first = self.ctx.trial_index
         return np.arange(first, first + self.count, dtype=np.uint64)[:, None]
 
+    def blocks(self, size: int) -> list:
+        """This block cut into consecutive blocks of at most max(size, 1) trials, in order."""
+        size = max(1, size)
+        first = self.ctx.trial_index
+        return [
+            TrialBlock(SeedContext(self.master_seed, first + t), min(size, self.count - t))
+            for t in range(0, self.count, size)
+        ]
+
     def contexts(self) -> list:
         """The SeedContext of each trial, in order."""
-        return [SeedContext(self.ctx.master_seed, self.ctx.trial_index + t) for t in range(self.count)]
+        return [block.ctx for block in self.blocks(1)]
 
 
 @dataclass(frozen=True)
@@ -160,8 +194,7 @@ def weights_from_vertex(
     t = np.asarray(targets, dtype=np.uint64)
     lo = np.minimum(iv, t)
     hi = np.maximum(iv, t)
-    trial = ctx.trials if isinstance(ctx, TrialBlock) else ctx.trial_index
-    u = rng.unit_vec(rng.hash_words_vec(rng.STREAM_TREE_WEIGHT, ctx.master_seed, trial, lo, hi))
+    u = rng.unit_vec(rng.hash_words_vec(rng.STREAM_TREE_WEIGHT, ctx.master_seed, ctx.trials, lo, hi))
     if spec.heterogeneous:
         v = rng.unit_vec(rng.hash_words_vec(rng.STREAM_TREE_SCALE, lo, hi))
         scale = spec.m_min + (1.0 - spec.m_min) * v
@@ -185,14 +218,19 @@ def inverse_transform_times(spec: PassageTimeSpec, theta, u):
     return theta * x_m * (1.0 - u) ** (-1.0 / shape)
 
 
-def _passage_times(spec: PassageTimeSpec, master_seed: int, trial: int | np.ndarray, axis: int, base_coords: tuple) -> np.ndarray:
-    """Passage times of the +axis edges at the given base vertices.
+def passage_time_grid(
+    spec: PassageTimeSpec, ctx: SeedContext | TrialBlock, axis: int, base_coords: tuple
+) -> np.ndarray:
+    """Vectorized passage times for a grid of base vertices on one axis.
 
-    trial is a trial index or a uint64 array of them that broadcasts against
-    the coordinate arrays, so one call can sample many trials at once.
+    base_coords is a tuple of d broadcastable integer arrays (one per
+    coordinate); entry x is the time of the edge from x to x + e_axis.
+    Under a TrialBlock, the coordinates broadcast against its (count, 1)
+    trial column, so row t holds times of trial t. Bit-identical to looping
+    the scalar reference passage_time of ``tests/reference.py``.
     """
     coords = [rng.encode_signed(c) for c in base_coords]
-    u = rng.unit_vec(rng.hash_words_vec(rng.STREAM_LATTICE_TIME, master_seed, trial, axis, *coords))
+    u = rng.unit_vec(rng.hash_words_vec(rng.STREAM_LATTICE_TIME, ctx.master_seed, ctx.trials, axis, *coords))
 
     lo, hi = spec.param_range
     if lo == hi:
@@ -201,14 +239,3 @@ def _passage_times(spec: PassageTimeSpec, master_seed: int, trial: int | np.ndar
         theta = lo + (hi - lo) * rng.unit_vec(rng.hash_words_vec(rng.STREAM_LATTICE_PARAM, axis, *coords))
 
     return inverse_transform_times(spec, theta, u)
-
-
-def passage_time_grid(spec: PassageTimeSpec, ctx: SeedContext, axis: int, base_coords: tuple) -> np.ndarray:
-    """Vectorized passage times for a grid of base vertices on one axis.
-
-    base_coords is a tuple of d broadcastable integer arrays (one per
-    coordinate); entry x is the time of the edge from x to x + e_axis.
-    Bit-identical to looping the scalar reference passage_time of
-    ``tests/reference.py``.
-    """
-    return _passage_times(spec, ctx.master_seed, ctx.trial_index, axis, base_coords)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -139,6 +140,26 @@ def test_byte_identical_reruns_and_worker_counts(tmp_path):
     for name in ("fpp-band_band.csv", "fpp-band_verdicts.csv", "fpp-band.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
         assert (a / name).read_bytes() == (c / name).read_bytes()
+
+
+# sha256 of every CSV file two smoke configs write. The JSON goldens of
+# test_experiments.py do not cover the CSV writer: yj-moments has a verdict
+# note with a comma, which a CSV cell writes as ";", and fpp-variance a
+# string column.
+GOLDEN_CSV_DIGESTS = {
+    "yj-moments_moments.csv": "cfb1186e3eb38d13280a74f5737bbfc51c2e2778f7fc75bede21f5847cd3871f",
+    "yj-moments_verdicts.csv": "77ef943f8cba88d00dd1da328d0030534eac7a766003a64e27a8a67a46c0899a",
+    "fpp-variance_variance.csv": "c1ceedb487aa3f6191e82177737345650a13515577a05c591511744236fe1294",
+    "fpp-variance_fit.csv": "66b23a9d47acfba9bb487121e7494410f581a235d6e8a6ba428c22751cb49578",
+    "fpp-variance_verdicts.csv": "3deedc7a7c255ba31b1de98bb27e482d48d577bdf79e5624df436590717b2458",
+}
+
+
+def test_smoke_csv_goldens(tmp_path):
+    for name in ("yj-moments", "fpp-variance"):
+        assert parse_and_dispatch([name, "--output-dir", str(tmp_path), "--format", "csv"]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert written == GOLDEN_CSV_DIGESTS
 
 
 def test_env_var_output_dir(tmp_path, monkeypatch):
@@ -359,6 +380,10 @@ def test_malformed_config_exits_one_with_one_error_line(tmp_path, capsys, name, 
         ("tree-variance", {"n_values": [100_000]}),
         # one yj block row of 2**27 vertices
         ("yj-moments", {"trials": 1, "n": 2**27, "j_values": [1]}),
+        # the lattice family shares the budget: a 5.0 GB Dijkstra arc-time array
+        # whose int32 indices still fit, and an 864 MB hop-DP label grid
+        ("fpp-band", {"n_values": [5000]}),
+        ("constraint-decay", {"n": 12000, "k_values": [12000, 18000]}),
     ],
 )
 def test_malformed_config_over_the_tree_array_budget_exits_one_before_allocating(tmp_path, capsys, name, override):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import minweight.experiments as exp_mod
-from minweight import lattice, trees
+from minweight import lattice, trees, weights
 from minweight.cli import SMOKE_CONFIGS, report_document
 from minweight.errors import ConfigurationError
 from minweight.experiments import (
@@ -100,7 +100,7 @@ def test_sweep_runs_trial_t_of_point_p_at_index_p_trials_plus_t(workers):
     # a per-trial function through the adapter, then a block function whose
     # width of a third of BLOCK_ELEMENTS splits 4 trials into blocks of 3 and 1
     per_trial = _EachTrial(operator.attrgetter("trial_index"))
-    for fn, kw in ((per_trial, {}), (_block_trial_indices, {"width": exp_mod.BLOCK_ELEMENTS // 3})):
+    for fn, kw in ((per_trial, {}), (_block_trial_indices, {"width": weights.BLOCK_ELEMENTS // 3})):
         got = _sweep(cfg, fn, [(), (), ()], **kw)
         assert got == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]]
         # explicit trials and first override cfg.trials and shift every index
@@ -122,7 +122,7 @@ def test_yj_blocks_through_sweep_match_per_trial_reference(monkeypatch, workers,
     # 13 blocks of 3 trials and one of 1 per point, at both worker counts;
     # then one-trial blocks, because one row is wider than the cap
     for cap in (3 * n, n - 1):
-        monkeypatch.setattr(exp_mod, "BLOCK_ELEMENTS", cap)
+        monkeypatch.setattr(weights, "BLOCK_ELEMENTS", cap)
         assert _sweep(cfg, sample_yj, points, width=n) == expected
 
 
@@ -386,6 +386,11 @@ def test_spanning_part_catches_a_wrong_spanning_tree(monkeypatch):
     ((name, checks, mismatches),) = report.table("suite").rows
     assert (name, checks) == ("spanning_exact_equals_kruskal", 60)
     assert mismatches == 60 and not report.passed
+    # the prufer part (AC2) runs the same trial at n = 7 on its own seeds
+    report = run_oracle_suite(smoke("oracle-suite", suite=["prufer"], suite_prufer_instances=10, workers=1))
+    ((name, checks, mismatches),) = report.table("suite").rows
+    assert (name, checks) == ("kruskal_equals_prufer_enumeration", 10)
+    assert mismatches == 10 and not report.passed
 
 
 def test_verdicts_map_to_criteria():

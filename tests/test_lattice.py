@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from minweight import lattice
+from minweight import lattice, weights
 from minweight.errors import CapacityError, InfeasibleError
 from minweight.lattice import (
     LatticeSpec,
@@ -473,10 +473,10 @@ def test_tail_probe_matches_gamma_cdf():
 
 
 def test_tail_probe_counts_match_per_trial_grids(monkeypatch):
-    # per-edge scales, a nonzero first trial and a last chunk of 7 trials
-    monkeypatch.setattr(lattice, "TAIL_PROBE_CHUNK", 16)
+    # per-edge scales, a nonzero first trial, blocks of 16 trials and a last block of 7
     spec = PassageTimeSpec("pareto", (1.0, 3.0), param_range=(0.5, 2.0))
     m, trials, first = 5, 103, 11
+    monkeypatch.setattr(weights, "BLOCK_ELEMENTS", 16 * m)
     for d in (2, 3):
         sums = []
         for trial in range(first, first + trials):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import minweight.trees as trees_mod
+from minweight import weights
 from minweight.errors import CapacityError
 from minweight.experiments import SANDWICH_SLACK
 from minweight.trees import (
@@ -315,13 +316,13 @@ def test_sample_yj_block_matches_per_trial_reference(n, het):
 
 
 def test_tree_array_budget():
-    side = math.isqrt(trees_mod.TREE_ARRAY_BYTES // 8)
-    trees_mod.require_tree_array(side, side)
-    trees_mod.require_tree_array(1, trees_mod.TREE_ARRAY_BYTES // 8)
-    with pytest.raises(CapacityError, match="budget"):
-        trees_mod.require_tree_array(side + 1, side + 1)
-    with pytest.raises(CapacityError, match="budget"):
-        trees_mod.require_tree_array(1, trees_mod.TREE_ARRAY_BYTES // 8 + 1)
+    side = math.isqrt(weights.ARRAY_BYTES // 8)
+    weights.require_array("a matrix", side * side)
+    weights.require_array("a row", weights.ARRAY_BYTES // 8)
+    with pytest.raises(CapacityError, match="a matrix takes .* budget"):
+        weights.require_array("a matrix", (side + 1) * (side + 1))
+    with pytest.raises(CapacityError, match="a row takes .* budget"):
+        weights.require_array("a row", weights.ARRAY_BYTES // 8 + 1)
 
 
 def test_from_matrix_validation():

@@ -9,6 +9,7 @@ from minweight.weights import (
     PassageTimeSpec,
     SeedContext,
     TreeWeightSpec,
+    TrialBlock,
     inverse_transform_times,
     passage_time_grid,
     weight_matrix,
@@ -220,6 +221,27 @@ def test_grid_matches_scalar():
     for a, x in enumerate(xs):
         for b, y in enumerate(ys):
             assert grid[a, b] == passage_time(spec, ctx, 0, (int(x), int(y)))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        PassageTimeSpec("exponential", (2.0,), param_range=(0.5, 2.0)),
+        PassageTimeSpec("uniform", (0.5, 1.5), param_range=(0.5, 2.0)),
+        PassageTimeSpec("pareto", (1.0, 3.0), param_range=(0.5, 2.0)),
+    ],
+)
+def test_grid_under_a_trial_block_matches_per_trial_grids(spec, d):
+    # row t of a block call is trial first + t, bit for bit, on every axis
+    gen = np.random.default_rng(d)
+    coords = tuple(gen.integers(-40, 40, size=12) for _ in range(d))
+    block = TrialBlock(SeedContext(2**63 + 9, 17), 5)
+    for axis in range(d):
+        rows = passage_time_grid(spec, block, axis, coords)
+        assert rows.shape == (5, 12)
+        expected = np.stack([passage_time_grid(spec, ctx, axis, coords) for ctx in block.contexts()])
+        assert rows.tobytes() == expected.tobytes()
 
 
 def _sample_times(spec, n_samples=200_000, seed=31):
