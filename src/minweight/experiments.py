@@ -8,13 +8,16 @@ tables and verdicts are pure functions of the configuration. All seven
 drivers run their trials through _sweep, the one place the trial-index rule
 lives: trial t of sweep point p uses trial index first + p * trials + t
 under the master seed. _sweep hands out blocks of consecutive trials of one
-point; yj-moments runs each block through one array kernel (sample_yj), the
-other drivers run their per-trial functions one trial at a time. The oracle
-suite pins its parts at indices p * suite_tree_instances + t (trees,
-n = 5, 6, 7), t (lattice) and 10_000 + t (Pruefer, AC2, which runs the
-tree-oracle trial at n = 7 with only its spanning comparison). Aggregation
-runs in trial order, so reports are identical no matter how many workers
-computed them.
+point. yj-moments runs each block through one array kernel (sample_yj). The
+lattice drivers run the block function _lattice_trial, whose first hop-DP
+pass serves the whole block, and the oracle suite's lattice part runs
+_lattice_oracle_trial, whose DP passes and path-oracle grids serve the whole
+block. The tree drivers run their per-trial functions one trial at a time.
+The oracle suite pins its parts at indices p * suite_tree_instances + t
+(trees, n = 5, 6, 7), t (lattice) and 10_000 + t (Pruefer, AC2, which runs
+the tree-oracle trial at n = 7 with only its spanning comparison).
+Aggregation runs in trial order, so reports are identical no matter how many
+workers computed them.
 
 Verdict.criterion names the acceptance criterion (AC1..AC11) the verdict
 implements. A verdict passes when measured <= threshold (_at_most); a
@@ -43,6 +46,8 @@ from .lattice import (
     enumerate_paths_oracle,
     hop_constrained_certified,
     hop_constrained_time,
+    label_grid_cells,
+    require_trial_arrays,
     straight_path_time,
     unconstrained_time,
 )
@@ -58,11 +63,6 @@ from .trees import (
     threshold_lower_bound,
 )
 from .weights import PassageTimeSpec, SeedContext, TreeWeightSpec, TrialBlock, require_array
-
-# Relative tolerance for deciding T_n(k) == T_n. Once k covers the
-# unconstrained witness the two agree bit for bit, so it decides only
-# near-ties; it stays because the pinned reports were made with it.
-EQUALITY_RTOL = 1e-9
 
 # Absolute slack for the per-trial sandwich chain, scaled by n (accumulation
 # tolerance of the canonical edge sums).
@@ -339,30 +339,63 @@ def _yj_block(block, spec, n_vertices, j):
     return sample_yj(block, spec, n_vertices, j)
 
 
-def _lattice_trial(ctx, pspec, d, n, budgets):
-    """(T_n, straight-path time, ((T_n(k), hop count) for each budget k)).
+def _first_pass(pspec, n, budgets) -> tuple:
+    """The budgets that a lattice block's first hop-DP pass answers, () when none runs.
 
-    budgets is an increasing schedule. Under a law with infimum 0 (only the
-    exponential) the straight-path limit prunes almost none of Dijkstra's
-    box, so when the schedule has a budget in (n, ceil(1.5n)] one hop-DP
-    pass to the largest such budget K runs first: it answers every budget up
-    to K, and its last target label becomes Dijkstra's limit. That label is
-    the time of a walk inside Dijkstra's first box, so it bounds T_n.
-    Otherwise Dijkstra runs first, limited by the straight-path time, which
-    already prunes about half the box under the other laws. Every remaining
-    budget at or above Dijkstra's hop count reuses its value, and at most
-    one more DP pass answers the rest.
+    Under a law with infimum 0 (only the exponential) the straight-path
+    limit prunes almost none of Dijkstra's box, so when the increasing
+    schedule budgets has a budget in (n, ceil(1.5n)], one block pass runs to
+    the largest such budget K and answers every budget up to K.
     """
-    lat = LatticeSpec(d=d, spec=pspec, ctx=ctx)
-    straight = straight_path_time(lat, n)
     window = [k for k in budgets if n < k <= (3 * n + 1) // 2]
-    results = ()
-    if pspec.kind == "exponential" and window:
-        results = hop_constrained_certified(lat, n, budgets[: budgets.index(window[-1]) + 1])
-    free = unconstrained_time(lat, n, results[-1].value if results else straight)
-    if len(results) < len(budgets):
-        results += hop_constrained_certified(lat, n, budgets[len(results) :], free=free)
-    return free.value, straight, tuple((r.value, r.hop_count) for r in results)
+    if pspec.kind != "exponential" or not window:
+        return ()
+    return budgets[: budgets.index(window[-1]) + 1]
+
+
+def _lattice_trial(block, pspec, d, n, budgets):
+    """Per trial of block: (T_n, straight-path time, ((T_n(k), hop count) for each budget k)).
+
+    budgets is an increasing schedule. The first hop-DP pass of _first_pass
+    runs once for the whole block, and each trial's last target label of it
+    becomes that trial's Dijkstra limit: the label is the time of a walk
+    inside Dijkstra's first box, so it bounds T_n. Without that pass
+    Dijkstra runs limited by the straight-path time, which already prunes
+    about half the box under the other laws. Dijkstra runs per trial. Every
+    remaining budget at or above Dijkstra's hop count reuses its value, and
+    at most one more DP pass, per trial and only for a trial that still
+    needs it, answers the rest.
+    """
+    lattices = LatticeSpec(d, pspec, block)
+    head = _first_pass(pspec, n, budgets)
+    firsts = hop_constrained_certified(lattices, n, head) if head else ((),) * block.count
+    out = []
+    for ctx, straight, results in zip(block.contexts(), straight_path_time(lattices, n), firsts):
+        lat = LatticeSpec(d=d, spec=pspec, ctx=ctx)
+        free = unconstrained_time(lat, n, results[-1].value if results else straight)
+        if len(results) < len(budgets):
+            results += hop_constrained_certified(lat, n, budgets[len(results) :], free=free)
+        out.append((free.value, straight, tuple((r.value, r.hop_count) for r in results)))
+    return out
+
+
+def _lattice_sweep(cfg: ExperimentConfig, points) -> list:
+    """_sweep of _lattice_trial over points (pspec, d, n, budgets).
+
+    A block holds as many trials as fit the label grids of the first DP
+    pass into weights.BLOCK_ELEMENTS: width is the largest first-pass grid's
+    cells over the points, 1 when no point runs that pass. Before any trial
+    runs, each point's first arrays at that block size are checked against
+    the array budget (require_trial_arrays), so an oversized config exits
+    before a trial or a process pool starts.
+    """
+    heads = [_first_pass(pspec, n, budgets) for pspec, _, n, budgets in points]
+    cells = [label_grid_cells(d, n, head[-1]) for (_, d, n, _), head in zip(points, heads) if head]
+    width = max(cells, default=1)
+    count = min(cfg.trials, max(1, weights.BLOCK_ELEMENTS // width))
+    for (_, d, n, _), head in zip(points, heads):
+        require_trial_arrays(d, n, head[-1] if head else None, count)
+    return _sweep(cfg, _lattice_trial, points, width=width)
 
 
 def _tree_oracle_trial(ctx, spec, n_vertices, parts, gammas):
@@ -381,19 +414,20 @@ def _tree_oracle_trial(ctx, spec, n_vertices, parts, gammas):
     return spanning_bad, sandwich_bad
 
 
-def _lattice_oracle_trial(ctx, pspec):
-    """Hop-DP mismatches against path enumeration on one d = 2 lattice (18 checks)."""
-    lat = LatticeSpec(d=2, spec=pspec, ctx=ctx)
-    bad = 0
+def _lattice_oracle_trial(block, pspec):
+    """Hop-DP mismatches against path enumeration on each d = 2 lattice of block (18 checks each)."""
+    lat = LatticeSpec(d=2, spec=pspec, ctx=block)
+    bad = [0] * block.count
     for n in (1, 2, 3):
-        results = hop_constrained_certified(lat, n, range(n, n + 5))
-        below, *oracle = enumerate_paths_oracle(lat, n, range(n - 1, n + 5))
-        bad += sum(r.value != v for r, v in zip(results, oracle))
-        # infeasibility agreement below the L1 distance
-        bad += below is not None
+        passes = hop_constrained_certified(lat, n, range(n, n + 5))
+        oracles = enumerate_paths_oracle(lat, n, range(n - 1, n + 5))
+        for t, (results, (below, *oracle)) in enumerate(zip(passes, oracles)):
+            bad[t] += sum(r.value != v for r, v in zip(results, oracle))
+            # infeasibility agreement below the L1 distance
+            bad[t] += below is not None
         try:
             hop_constrained_time(lat, n, n - 1)
-            bad += 1  # should have signalled infeasibility
+            bad = [b + 1 for b in bad]  # should have signalled infeasibility
         except InfeasibleError:
             pass
     return bad
@@ -617,7 +651,7 @@ def run_fpp_band(cfg: ExperimentConfig) -> ExperimentReport:
     violations = 0
     tinf_means = []
     hop_ratios = []
-    for (_, _, n, (k,)), out in zip(points, _sweep(cfg, _EachTrial(_lattice_trial), points)):
+    for (_, _, n, (k,)), out in zip(points, _lattice_sweep(cfg, points)):
         t_inf, t_straight, t_k, n_hops = zip(*((a, b, c, h) for a, b, ((c, h),) in out))
         tk = summarize([v / n for v in t_k])
         tinf = summarize([v / n for v in t_inf])
@@ -674,11 +708,11 @@ def run_constraint_decay(cfg: ExperimentConfig) -> ExperimentReport:
     ks = cfg.k_values
     _require(all(b > a for a, b in zip(ks, ks[1:])), "k schedule must be strictly increasing")
     _require(ks[0] >= cfg.n, "k schedule must start at or above n")
-    (out,) = _sweep(cfg, _EachTrial(_lattice_trial), [(pspec, cfg.d, cfg.n, ks)])
+    (out,) = _lattice_sweep(cfg, [(pspec, cfg.d, cfg.n, ks)])
     rows = []
     estimates = []
     for idx, k in enumerate(ks):
-        mism = sum(1 for tinf, _, per_k in out if per_k[idx][0] - tinf > EQUALITY_RTOL * tinf)
+        mism = sum(1 for tinf, _, per_k in out if per_k[idx][0] != tinf)
         est = wilson_interval(mism, cfg.trials)
         estimates.append(est)
         rows.append((cfg.n, k, cfg.trials, mism, est.point, est.wilson_low, est.wilson_high, k * est.point))
@@ -714,7 +748,7 @@ def run_fpp_variance(cfg: ExperimentConfig) -> ExperimentReport:
     grid = [(pspec, cfg.d, n, (cfg.k_multiple * n,)) for n in cfg.n_values]
     rows = []
     points = []
-    for (_, _, n, (k,)), out in zip(grid, _sweep(cfg, _EachTrial(_lattice_trial), grid)):
+    for (_, _, n, (k,)), out in zip(grid, _lattice_sweep(cfg, grid)):
         s = summarize([tk for _, _, ((tk, _),) in out])
         rows.append((pspec.kind, n, k, cfg.trials, s.mean, s.unbiased_variance))
         points.append((n, s.unbiased_variance))
@@ -781,7 +815,9 @@ def run_oracle_suite(cfg: ExperimentConfig) -> ExperimentReport:
 
     if "lattice" in cfg.suite:
         pspec = cfg.passage_spec() if cfg.distribution else PassageTimeSpec("exponential", (1.0,))
-        (out,) = _sweep(cfg, _EachTrial(_lattice_oracle_trial), [(pspec,)], trials=cfg.suite_lattice_instances)
+        # the largest grid of the trial: the n = 3 DP label grid, also the path oracle's box
+        width = label_grid_cells(2, 3, 7)
+        (out,) = _sweep(cfg, _lattice_oracle_trial, [(pspec,)], trials=cfg.suite_lattice_instances, width=width)
         add("hop_dp_equals_enumeration", "AC3", 18 * cfg.suite_lattice_instances, sum(out))
 
     if "prufer" in cfg.suite:

@@ -21,7 +21,14 @@ row-major. The DP's grid is its walk region; Dijkstra's is the box, with
 lows = (-r,) * d and shape = (2r + 1,) * d; the straight path's is the
 segment from the origin to the target; the path oracle's is the bounding
 box of its search. The DP's label grid and Dijkstra's arc times are checked
-against the array budget of weights.require_array before they are built.
+against the array budget of weights.require_array before they are built;
+require_trial_arrays runs the same checks from a config alone.
+
+LatticeSpec.ctx is a SeedContext (one lattice) or a TrialBlock (one lattice
+per trial). Under a block, _axis_times grids get a leading trial axis, and
+the hop DP, the straight path and the path oracle answer every trial of the
+block at once, each trial bit for bit as on its own; their results hold one
+entry per trial. Dijkstra runs on one lattice at a time.
 """
 
 from __future__ import annotations
@@ -42,7 +49,8 @@ from .weights import PassageTimeSpec, SeedContext, TrialBlock, passage_time_grid
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Dimension, passage-time law, and randomness root for one lattice model."""
+    """Dimension, passage-time law, and randomness root of one lattice, or of
+    one lattice per trial when ctx is a TrialBlock."""
 
     d: int
     spec: PassageTimeSpec
@@ -73,7 +81,8 @@ class ConstrainedResult:
 
 def _axis_times(lat: LatticeSpec, lows: tuple, shape: tuple, axis: int) -> np.ndarray:
     """Passage times of the +axis edges of the grid spanning
-    [lows[i], lows[i] + shape[i]) on each axis i, indexed by base vertex."""
+    [lows[i], lows[i] + shape[i]) on each axis i, indexed by base vertex,
+    after a leading trial axis under a TrialBlock."""
     coords = []
     for i, (lo, size) in enumerate(zip(lows, shape)):
         c = np.arange(lo, lo + size - (i == axis), dtype=np.int64)
@@ -98,7 +107,9 @@ def _walk_windows(d: int, n: int, k: int) -> tuple:
     [lows[a], lows[a] + shape[a]) on each axis a. hops[h - 1] holds the
     window of hop h in grid slices and, per axis a, the slices (lo, hi) of
     the base and head vertices of its +a edges; lo also indexes that axis's
-    edge-time array, keyed by base vertex on the same grid.
+    edge-time array, keyed by base vertex on the same grid. Every index
+    starts with Ellipsis, so it selects the same cells of one trial's grid
+    and of a block's grids, whose leading axis is the trial.
     """
     m = (k - n) // 2
     target = (n,) + (0,) * (d - 1)
@@ -114,17 +125,39 @@ def _walk_windows(d: int, n: int, k: int) -> tuple:
         window = tuple(slice(lo - g, hi - g + 1) for (lo, hi), g in zip(hop, lows))
         ends = tuple(
             (
-                window[:a] + (slice(lo - lows[a], hi - lows[a]),) + window[a + 1 :],
-                window[:a] + (slice(lo - lows[a] + 1, hi - lows[a] + 1),) + window[a + 1 :],
+                (...,) + window[:a] + (slice(lo - lows[a], hi - lows[a]),) + window[a + 1 :],
+                (...,) + window[:a] + (slice(lo - lows[a] + 1, hi - lows[a] + 1),) + window[a + 1 :],
             )
             for a, (lo, hi) in enumerate(hop)
         )
-        hops.append((window, ends))
+        hops.append(((...,) + window, ends))
     return lows, shape, tuple(hops)
 
 
 def _trivial_result(lat: LatticeSpec) -> ConstrainedResult:
     return ConstrainedResult(value=0.0, hop_count=0, path=((0,) * lat.d,))
+
+
+def _batch(lat: LatticeSpec) -> tuple:
+    """The leading axes of the lattice's grids: () for one trial, (count,) for a TrialBlock."""
+    return (lat.ctx.count,) if isinstance(lat.ctx, TrialBlock) else ()
+
+
+def label_grid_cells(d: int, n: int, k: int) -> int:
+    """Cells of one trial's hop-DP label grid for target n and budget k >= n.
+
+    The grid is the walk region's bounding box, [-m, n + m] x [-m, m]^(d - 1)
+    with m = floor((k - n) / 2).
+    """
+    m = (k - n) // 2
+    return (n + 2 * m + 1) * (2 * m + 1) ** (d - 1)
+
+
+def _require_label_grids(d: int, n: int, k: int, count: int = 0) -> None:
+    """Check the float64 label grid of a hop-DP pass, or of count trials of a
+    block pass, against the array budget."""
+    what = f"the hop-DP label grid for n = {n}, k = {k}" + (f" over {count} trials" if count else "")
+    require_array(what, max(count, 1) * label_grid_cells(d, n, k))
 
 
 def _read_budget(labels, k: int) -> tuple:
@@ -137,7 +170,7 @@ def _read_budget(labels, k: int) -> tuple:
     return value, labels.index(value) + 1
 
 
-def hop_constrained_time(lat: LatticeSpec, n: int, k: int) -> ConstrainedResult:
+def hop_constrained_time(lat: LatticeSpec, n: int, k: int):
     """Minimum passage time on Z^d from the origin to (n, 0, ..., 0) over
     paths of at most k edges.
 
@@ -152,29 +185,35 @@ def hop_constrained_time(lat: LatticeSpec, n: int, k: int) -> ConstrainedResult:
     The result also carries the target label after every hop, so one pass
     answers every smaller budget as well (see hop_constrained_certified).
 
+    When lat.ctx is a TrialBlock, the label and edge-time grids get a leading
+    trial axis and one relaxation loop serves every trial of the block: the
+    result is then a tuple of one ConstrainedResult per trial, each equal,
+    bit for bit, to that trial's own pass. The label grids of the whole
+    block are checked against the array budget before they are built.
+
     Raises InfeasibleError when k < n (the L1 distance).
     """
     if n < 0:
         raise ValueError(f"target abscissa must be nonnegative, got {n}")
     if k < n:
         raise InfeasibleError(f"hop budget {k} below L1 distance {n}: no path exists")
+    batch = _batch(lat)
     if n == 0:
-        return _trivial_result(lat)
-    # the walk region's bounding box, [-m, n + m] x [-m, m]^(d - 1)
-    m = (k - n) // 2
-    require_array(f"the hop-DP label grid for n = {n}, k = {k}", (n + 2 * m + 1) * (2 * m + 1) ** (lat.d - 1))
+        trivial = _trivial_result(lat)
+        return (trivial,) * batch[0] if batch else trivial
+    _require_label_grids(lat.d, n, k, *batch)
 
     lows, shape, hops = _walk_windows(lat.d, n, k)
     times = [_axis_times(lat, lows, shape, a) for a in range(lat.d)]
     origin = tuple(-g for g in lows)
-    target = (n - lows[0],) + origin[1:]
+    target = (slice(None),) * len(batch) + (n - lows[0],) + origin[1:]
 
-    cur = np.full(shape, np.inf)
-    cur[origin] = 0.0
+    cur = np.full(batch + shape, np.inf)
+    cur[(...,) + origin] = 0.0
     new = cur.copy()
-    labels = []
+    labels = np.empty((k,) + batch)
 
-    for window, ends in hops:
+    for h, (window, ends) in enumerate(hops):
         # cells enter the windows only before any label reaches them and never
         # re-enter, so what the buffers hold outside the window is never read
         new[window] = cur[window]
@@ -182,11 +221,14 @@ def hop_constrained_time(lat: LatticeSpec, n: int, k: int) -> ConstrainedResult:
             t = times[a][lo]
             # +axis moves leave the base vertex, -axis moves arrive at it
             for src, dst in ((lo, hi), (hi, lo)):
-                np.minimum(new[dst], cur[src] + t, out=new[dst])
+                head = new[dst]
+                np.minimum(head, cur[src] + t, out=head)
         cur, new = new, cur
-        labels.append(float(cur[target]))
+        labels[h] = cur[target]
 
-    return ConstrainedResult(*_read_budget(labels, k), target_labels=tuple(labels))
+    rows = labels.T.tolist() if batch else [labels.tolist()]
+    results = tuple(ConstrainedResult(*_read_budget(row, k), target_labels=tuple(row)) for row in rows)
+    return results if batch else results[0]
 
 
 def hop_constrained_certified(lat: LatticeSpec, n: int, budgets, free: ConstrainedResult | None = None):
@@ -194,26 +236,47 @@ def hop_constrained_certified(lat: LatticeSpec, n: int, budgets, free: Constrain
 
     One hop_constrained_time pass to the largest budget that needs it serves
     every budget. The name is kept because perfbench/tracer.py and
-    perfbench/selfcheck.py look it up, as they do kruskal_mst.
+    perfbench/selfcheck.py look it up, as they do kruskal_mst. Under a
+    TrialBlock that pass is one block pass, and the result holds one such
+    tuple per trial.
 
-    free, the unconstrained result of the same lattice, answers every
-    k >= free.hop_count without a DP: its witness fits the budget, so
-    T_n(k) = T_n.
+    free, the unconstrained result of the same single-trial lattice, answers
+    every k >= free.hop_count without a DP: its witness fits the budget, so
+    T_n(k) = T_n. Each trial has its own, so a block is passed none.
     """
     if min(budgets) < n:
         raise InfeasibleError(f"hop budget {min(budgets)} below L1 distance {n}: no path exists")
+    batch = _batch(lat)
     if n == 0:
         free = _trivial_result(lat)
     shortcut = math.inf if free is None else free.hop_count
     solve = [b for b in budgets if b < shortcut]
     if solve:
-        labels = hop_constrained_time(lat, n, max(solve)).target_labels
-    return tuple(
-        ConstrainedResult(free.value, free.hop_count)
-        if b >= shortcut
-        else ConstrainedResult(*_read_budget(labels, b))
-        for b in budgets
+        passes = hop_constrained_time(lat, n, max(solve))
+        labels = [r.target_labels for r in passes] if batch else [passes.target_labels]
+    else:
+        labels = [()] * (batch[0] if batch else 1)
+    results = tuple(
+        tuple(
+            ConstrainedResult(free.value, free.hop_count)
+            if b >= shortcut
+            else ConstrainedResult(*_read_budget(row, b))
+            for b in budgets
+        )
+        for row in labels
     )
+    return results if batch else results[0]
+
+
+def _require_box(radius: int, d: int) -> None:
+    """Raise CapacityError when the box [-radius, radius]^d has 2**31 arcs or
+    more (the int32 CSR indptr and indices would wrap), or when its float64
+    arc times exceed the array budget."""
+    arcs = 2 * d * 2 * radius * (2 * radius + 1) ** (d - 1)
+    if arcs >= 2**31:
+        msg = f"Dijkstra box of radius {radius} in d = {d} has {arcs} arcs, beyond int32 CSR indices"
+        raise CapacityError(msg)
+    require_array(f"the arc-time array of the Dijkstra box of radius {radius} in d = {d}", arcs)
 
 
 @functools.lru_cache(maxsize=1)
@@ -226,15 +289,9 @@ def _csr_pattern(radius: int, d: int) -> tuple:
     arcs and then the -axis arcs. The order sorts them by row, then column,
     which is the layout csr_matrix builds from those COO triplets.
 
-    Raises CapacityError, before allocating, when the box has 2**31 arcs or
-    more (the int32 indptr and indices would wrap), or when its float64 arc
-    times exceed the array budget.
+    Raises CapacityError, before allocating, as _require_box does.
     """
-    arcs = 2 * d * 2 * radius * (2 * radius + 1) ** (d - 1)
-    if arcs >= 2**31:
-        msg = f"Dijkstra box of radius {radius} in d = {d} has {arcs} arcs, beyond int32 CSR indices"
-        raise CapacityError(msg)
-    require_array(f"the arc-time array of the Dijkstra box of radius {radius} in d = {d}", arcs)
+    _require_box(radius, d)
     cells = (2 * radius + 1) ** d
     idx = np.arange(cells, dtype=np.int32).reshape((2 * radius + 1,) * d)
     rows, cols = [], []
@@ -270,6 +327,21 @@ def _box_csr(lat: LatticeSpec, radius: int):
 RADIUS_CAP_MULTIPLE = 64
 
 
+def _first_radius(n: int) -> int:
+    """Radius of Dijkstra's first box for target n: ceil(5n/4) + 8, clamped to the cap."""
+    return min((5 * n + 3) // 4 + 8, RADIUS_CAP_MULTIPLE * n)
+
+
+def require_trial_arrays(d: int, n: int, k: int | None = None, count: int = 0) -> None:
+    """Check, before any trial runs, the first arrays a lattice trial for
+    target n builds, as the solvers check them: the label grids of a block
+    hop-DP pass to budget k over count trials, when such a pass runs first,
+    and the arc times of Dijkstra's first box. Raises CapacityError."""
+    if k is not None:
+        _require_label_grids(d, n, k, count)
+    _require_box(_first_radius(n), d)
+
+
 def unconstrained_time(lat: LatticeSpec, n: int, limit: float | None = None) -> ConstrainedResult:
     """Unconstrained minimum passage time on Z^d to (n, 0, ..., 0).
 
@@ -298,7 +370,7 @@ def unconstrained_time(lat: LatticeSpec, n: int, limit: float | None = None) -> 
         return _trivial_result(lat)
 
     cap = RADIUS_CAP_MULTIPLE * n
-    radius = min((5 * n + 3) // 4 + 8, cap)
+    radius = _first_radius(n)
     if limit is None:
         limit = straight_path_time(lat, n)
     while True:
@@ -342,6 +414,10 @@ def enumerate_paths_oracle(lat: LatticeSpec, n: int, budgets) -> tuple:
     distance r from t is cut when u + r > K, or when its cost is at least
     best[u + r]: every completion has at least u + r edges and costs at
     least as much, since passage times are nonnegative.
+
+    When lat.ctx is a TrialBlock, one grid hash per axis serves the whole
+    block, the search runs once per trial, and the result holds one tuple of
+    values per trial.
     """
     budgets = tuple(budgets)
     if lat.d != 2:
@@ -353,17 +429,26 @@ def enumerate_paths_oracle(lat: LatticeSpec, n: int, budgets) -> tuple:
         raise ValueError(f"oracle is limited to k <= 9, got {kmax}")
     if n < 0:
         raise ValueError(f"target abscissa must be nonnegative, got {n}")
-    if n == 0:
-        return (0.0,) * len(budgets)
-    if kmax < n:
-        return (None,) * len(budgets)
+    batch = _batch(lat)
+    if n == 0 or kmax < n:
+        values = ((0.0 if n == 0 else None),) * len(budgets)
+        return (values,) * batch[0] if batch else values
 
-    target = (n, 0)
     m = (kmax - n) // 2
+    grids = [_axis_times(lat, (-m, -m), (n + 2 * m + 1, 2 * m + 1), axis).tolist() for axis in (0, 1)]
+    if not batch:
+        return _path_search(grids, n, m, budgets)
+    return tuple(_path_search(trial, n, m, budgets) for trial in zip(*grids))
+
+
+def _path_search(grids, n: int, m: int, budgets: tuple) -> tuple:
+    """enumerate_paths_oracle's search on one lattice, given its two edge-time
+    grids (nested lists over the box x in [-m, n + m], y in [-m, m])."""
+    kmax = max(budgets)
+    target = (n, 0)
     # the neighbours of every vertex inside the box, with the edge time
     adjacent = {}
-    for axis, (dx, dy) in enumerate(((1, 0), (0, 1))):
-        grid = _axis_times(lat, (-m, -m), (n + 2 * m + 1, 2 * m + 1), axis).tolist()
+    for (dx, dy), grid in zip(((1, 0), (0, 1)), grids):
         for x, row in enumerate(grid, -m):
             for y, t in enumerate(row, -m):
                 adjacent.setdefault((x, y), []).append(((x + dx, y + dy), t))
@@ -389,15 +474,19 @@ def enumerate_paths_oracle(lat: LatticeSpec, n: int, budgets) -> tuple:
     return tuple(best[k] if k >= n else None for k in budgets)
 
 
-def straight_path_time(lat: LatticeSpec, n: int) -> float:
-    """Passage time of the straight first-axis path through (1,0,..) .. (n,0,..)."""
+def straight_path_time(lat: LatticeSpec, n: int):
+    """Passage time of the straight first-axis path through (1,0,..) .. (n,0,..),
+    summed left to right; under a TrialBlock, a tuple of one time per trial."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     times = _axis_times(lat, (0,) * lat.d, (n + 1,) + (1,) * (lat.d - 1), 0)
-    total = 0.0
-    for t in times.ravel().tolist():
-        total += t
-    return total
+    totals = []
+    for row in times.reshape(-1, n).tolist():
+        total = 0.0
+        for t in row:
+            total += t
+        totals.append(total)
+    return tuple(totals) if _batch(lat) else totals[0]
 
 
 def linear_path_tail_probe(lat: LatticeSpec, m: int, beta: float, trials: int) -> ProbEstimate:

@@ -16,10 +16,13 @@ All sampling is keyed through :mod:`minweight.rng`; see there for the
 determinism contract. Each family has one array kernel, weights_from_vertex
 for tree weights (weight_matrix is its all-pairs call) and passage_time_grid
 for passage times. Both take a SeedContext or a TrialBlock and hash
-ctx.master_seed and ctx.trials, an int for one trial and a (count, 1) column
-for a block. TrialBlock.blocks is the one rule that cuts trials into blocks
-of at most BLOCK_ELEMENTS array elements, and require_array is the one byte
-budget of both families. The scalar per-edge versions that the tests use as
+ctx.master_seed and ctx.trials, an int for one trial and a column of trial
+indices for a block: weights_from_vertex broadcasts its vertices against the
+(count, 1) column, and passage_time_grid puts the column ahead of its
+coordinates' broadcast shape, (count,) + (1,) * ndim, so its grids get a
+leading trial axis that the hop DP keeps. TrialBlock.blocks is the one rule
+that cuts trials into blocks of at most BLOCK_ELEMENTS array elements, and
+require_array is the one byte budget of both families. The scalar per-edge versions that the tests use as
 oracles, and the analytic law helpers (cdf, envelope constants, moments),
 are in ``tests/reference.py``.
 """
@@ -225,12 +228,18 @@ def passage_time_grid(
 
     base_coords is a tuple of d broadcastable integer arrays (one per
     coordinate); entry x is the time of the edge from x to x + e_axis.
-    Under a TrialBlock, the coordinates broadcast against its (count, 1)
-    trial column, so row t holds times of trial t. Bit-identical to looping
-    the scalar reference passage_time of ``tests/reference.py``.
+    Under a TrialBlock, the block's trial column goes ahead of the
+    coordinates' broadcast shape, as shape (count,) + (1,) * ndim, so the
+    result has a leading trial axis and entry [t, ...] holds trial t's time.
+    Only the hash state grows to the full shape; no coordinate is broadcast
+    on its own. Bit-identical to looping the scalar reference passage_time
+    of ``tests/reference.py``.
     """
     coords = [rng.encode_signed(c) for c in base_coords]
-    u = rng.unit_vec(rng.hash_words_vec(rng.STREAM_LATTICE_TIME, ctx.master_seed, ctx.trials, axis, *coords))
+    trials = ctx.trials
+    if isinstance(ctx, TrialBlock):
+        trials = trials.reshape((-1,) + (1,) * max(c.ndim for c in coords))
+    u = rng.unit_vec(rng.hash_words_vec(rng.STREAM_LATTICE_TIME, ctx.master_seed, trials, axis, *coords))
 
     lo, hi = spec.param_range
     if lo == hi:

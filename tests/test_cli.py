@@ -381,24 +381,32 @@ def test_malformed_config_exits_one_with_one_error_line(tmp_path, capsys, name, 
         # one yj block row of 2**27 vertices
         ("yj-moments", {"trials": 1, "n": 2**27, "j_values": [1]}),
         # the lattice family shares the budget: a 5.0 GB Dijkstra arc-time array
-        # whose int32 indices still fit, and an 864 MB hop-DP label grid
+        # whose int32 indices still fit, and an 864 MB hop-DP label grid, both
+        # checked before the sweep starts
         ("fpp-band", {"n_values": [5000]}),
         ("constraint-decay", {"n": 12000, "k_values": [12000, 18000]}),
     ],
 )
-def test_malformed_config_over_the_tree_array_budget_exits_one_before_allocating(tmp_path, capsys, name, override):
+def test_malformed_config_over_the_tree_array_budget_exits_one_before_allocating(
+    tmp_path, capsys, monkeypatch, name, override
+):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**SMOKE_CONFIGS[name], **override}))
-    tracemalloc.start()
-    try:
-        code = parse_and_dispatch([name, "--config", str(cfg), "--output-dir", str(tmp_path)])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert code == 1
-    assert "budget" in _single_error_line(capsys)
-    assert not (tmp_path / f"{name}.json").exists()
-    assert peak < 2**20  # no trial ran and no weight array was allocated
+    # the check runs before the sweep, so a pooled run starts no process pool
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda *a, **k: pytest.fail("pool started"))
+    for workers in ([], ["--workers", "2"]):
+        tracemalloc.start()
+        try:
+            code = parse_and_dispatch([name, "--config", str(cfg), "--output-dir", str(tmp_path), *workers])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert "budget" in _single_error_line(capsys)
+        assert not (tmp_path / f"{name}.json").exists()
+        assert peak < 2**20  # no trial ran and no weight array was allocated
 
 
 @pytest.mark.parametrize("case", ["config_is_directory", "config_not_utf8", "output_below_file"])

@@ -82,6 +82,13 @@ SMALL_SWEEPS = {
 }
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+def test_smoke_reports_do_not_depend_on_the_block_size(monkeypatch, name):
+    # at 64 elements the yj, lattice-DP and lattice-oracle blocks hold one trial each
+    monkeypatch.setattr(weights, "BLOCK_ELEMENTS", 64)
+    assert digest(run_experiment(smoke(name))) == GOLDEN_DIGESTS[name]
+
+
 @pytest.mark.parametrize("name", sorted(SMALL_SWEEPS))
 def test_worker_count_does_not_change_report(name):
     base = run_experiment(smoke(name, **SMALL_SWEEPS[name]))
@@ -344,8 +351,11 @@ def test_decay_saturated_budget_has_zero_mismatch():
 
 
 def test_fpp_variance_constant_hook_reports_degenerate(monkeypatch):
-    # trial args: ctx, pspec, d, n, budgets
-    monkeypatch.setattr(exp_mod, "_lattice_trial", lambda *a: (1.0, 2.0, ((1.5, a[3]),)))
+    # a block function: the same outcome for every trial of the block
+    def constant(block, pspec, d, n, budgets):
+        return [(1.0, 2.0, ((1.5, n),))] * block.count
+
+    monkeypatch.setattr(exp_mod, "_lattice_trial", constant)
     cfg = smoke("fpp-variance", trials=10, workers=1)
     report = run_fpp_variance(cfg)
     degenerate = Verdict("variance_slope", "AC9", True, 0.0, 1.3, "degenerate: nonpositive variance, no fit")
@@ -428,19 +438,22 @@ LAWS = (
 @pytest.mark.parametrize("d,n,budgets", [(2, 4, (4, 5, 7, 10, 16)), (3, 3, (3, 4, 6, 9))])
 @pytest.mark.parametrize("law", LAWS, ids=[law.kind for law in LAWS])
 def test_lattice_trial_equals_the_solvers(law, d, n, budgets):
-    # an exponential trial first runs the DP to the largest budget in (n, ceil(1.5n)]
+    # an exponential block first runs the DP to the largest budget in (n, ceil(1.5n)]
     bound = max(k for k in budgets if n < k <= (3 * n + 1) // 2)
     shortcut = dp = second_pass = 0
-    for trial in range(6):
-        ctx = SeedContext(41, trial)
+    block = TrialBlock(SeedContext(41, 0), 6)
+    expected = []
+    for ctx in block.contexts():
         lat = LatticeSpec(d=d, spec=law, ctx=ctx)
         free = unconstrained_time(lat, n)
         per_k = tuple((r.value, r.hop_count) for r in (hop_constrained_time(lat, n, k) for k in budgets))
-        expected = (free.value, straight_path_time(lat, n), per_k)
-        assert _lattice_trial(ctx, law, d, n, budgets) == expected, (trial, free.hop_count)
+        expected.append((free.value, straight_path_time(lat, n), per_k))
         shortcut += sum(k >= free.hop_count for k in budgets)
         dp += sum(k < free.hop_count for k in budgets)
         second_pass += any(bound < k < free.hop_count for k in budgets)
+    # one block of 6, then blocks of 4 and 2: the same outcomes in trial order
+    assert _lattice_trial(block, law, d, n, budgets) == expected
+    assert [out for part in block.blocks(4) for out in _lattice_trial(part, law, d, n, budgets)] == expected
     assert shortcut and dp  # budgets on both sides of the witness's hop count
     if law.kind == "exponential":
         assert second_pass  # a budget beyond the bound pass still needs the DP

@@ -10,6 +10,7 @@ from scipy.sparse.csgraph import dijkstra
 from minweight import lattice, weights
 from minweight.errors import CapacityError, InfeasibleError
 from minweight.lattice import (
+    ConstrainedResult,
     LatticeSpec,
     enumerate_paths_oracle,
     hop_constrained_certified,
@@ -18,7 +19,7 @@ from minweight.lattice import (
     straight_path_time,
     unconstrained_time,
 )
-from minweight.weights import PassageTimeSpec, SeedContext, passage_time_grid
+from minweight.weights import PassageTimeSpec, SeedContext, TrialBlock, passage_time_grid
 from reference import enumerate_paths, passage_time
 
 EXP1 = PassageTimeSpec("exponential", (1.0,))
@@ -112,6 +113,52 @@ def test_path_oracle_matches_per_budget_search(spec):
     budgets = (6, 1, 3, 6, 0)
     assert enumerate_paths_oracle(l, 3, budgets) == tuple(enumerate_paths(l, 3, k) for k in budgets)
     assert enumerate_paths_oracle(l, 0, (0, 4)) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("spec", [EXP1, UNIFORM, PARETO3], ids=lambda s: s.kind)
+@pytest.mark.parametrize("d", [2, 3])
+def test_block_pass_equals_single_trial_passes(spec, d):
+    # block sizes 1, 3 and 7 from trial 11, 7 trials cut 3 + 3 + 1 (an uneven
+    # last block), budgets above n and the tight budget k = n
+    trials = TrialBlock(SeedContext(2**63 + 9, 11), 7)
+    for n, k in ((4, 4), (3, 8), (5, 9)):
+        expected = [hop_constrained_time(LatticeSpec(d, spec, ctx), n, k) for ctx in trials.contexts()]
+        for size in (1, 3, 7):
+            got = [r for block in trials.blocks(size) for r in hop_constrained_time(LatticeSpec(d, spec, block), n, k)]
+            assert [r.target_labels for r in got] == [r.target_labels for r in expected], (n, k, size)
+            assert [(r.value, r.hop_count, r.path) for r in got] == [(r.value, r.hop_count, None) for r in expected]
+        schedule = range(n, k + 1)
+        block = LatticeSpec(d, spec, trials)
+        singles = [hop_constrained_certified(LatticeSpec(d, spec, ctx), n, schedule) for ctx in trials.contexts()]
+        assert hop_constrained_certified(block, n, schedule) == tuple(singles)
+
+
+def test_block_pass_infeasible_and_trivial_targets():
+    block = LatticeSpec(2, EXP1, TrialBlock(SeedContext(1), 3))
+    with pytest.raises(InfeasibleError):
+        hop_constrained_time(block, 4, 3)
+    with pytest.raises(InfeasibleError):
+        hop_constrained_certified(block, 4, (3, 5))
+    assert [r.value for r in hop_constrained_time(block, 0, 2)] == [0.0] * 3
+    assert hop_constrained_certified(block, 0, (0, 2)) == ((ConstrainedResult(0.0, 0),) * 2,) * 3
+
+
+def test_block_label_grids_are_checked_against_the_budget(monkeypatch):
+    # one trial's grid fits, the block's grids do not
+    cells = lattice.label_grid_cells(2, 6, 10)
+    monkeypatch.setattr(weights, "ARRAY_BYTES", 8 * cells)
+    hop_constrained_time(lat(1), 6, 10)
+    with pytest.raises(CapacityError, match="over 2 trials"):
+        hop_constrained_time(LatticeSpec(2, EXP1, TrialBlock(SeedContext(1), 2)), 6, 10)
+
+
+@pytest.mark.parametrize("spec", [EXP1, UNIFORM, PARETO3], ids=lambda s: s.kind)
+def test_path_oracle_over_a_block_equals_per_trial_searches(spec):
+    trials = TrialBlock(SeedContext(77, 3), 5)
+    block = LatticeSpec(2, spec, trials)
+    for n, budgets in ((0, (0, 3)), (3, (1, 2)), (1, range(0, 6)), (3, range(2, 8))):
+        expected = tuple(enumerate_paths_oracle(LatticeSpec(2, spec, ctx), n, budgets) for ctx in trials.contexts())
+        assert enumerate_paths_oracle(block, n, budgets) == expected, n
 
 
 def test_hop_monotonicity():
@@ -442,6 +489,11 @@ def test_straight_path():
     assert partial == total
     with pytest.raises(ValueError):
         straight_path_time(l, 0)
+    # one time per trial of a block, each summed as that trial's own
+    trials = TrialBlock(SeedContext(2, 5), 4)
+    for d in (2, 3):
+        expected = tuple(straight_path_time(LatticeSpec(d, UNIFORM, ctx), 6) for ctx in trials.contexts())
+        assert straight_path_time(LatticeSpec(d, UNIFORM, trials), 6) == expected
 
 
 def test_straight_path_law_of_large_numbers():

@@ -242,6 +242,15 @@ def test_grid_under_a_trial_block_matches_per_trial_grids(spec, d):
         assert rows.shape == (5, 12)
         expected = np.stack([passage_time_grid(spec, ctx, axis, coords) for ctx in block.contexts()])
         assert rows.tobytes() == expected.tobytes()
+    # d-dimensional coordinate grids, as the hop DP passes them: the trial
+    # axis goes ahead of their broadcast shape
+    grid = tuple(np.arange(-2, 2 + i).reshape([-1 if j == i else 1 for j in range(d)]) for i in range(d))
+    shape = tuple(range(4, 4 + d))
+    for axis in range(d):
+        rows = passage_time_grid(spec, block, axis, grid)
+        assert rows.shape == (5,) + shape
+        expected = np.stack([passage_time_grid(spec, ctx, axis, grid) for ctx in block.contexts()])
+        assert rows.tobytes() == expected.tobytes()
 
 
 def _sample_times(spec, n_samples=200_000, seed=31):
