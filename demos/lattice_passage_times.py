@@ -25,16 +25,17 @@ lat = LatticeSpec(
 n = 8
 
 # The straight path along the first axis is always feasible once k >= n, so
-# it caps every constrained value.
-straight = straight_path_time(lat, n)
-free = unconstrained_time(lat, n)
+# it caps every constrained value. Each routine answers one entry per trial
+# of the context, here one.
+(straight,) = straight_path_time(lat, n)
+(free,) = unconstrained_time(lat, n)
 print(f"straight path time:      {straight:.4f}  ({n} hops)")
 print(f"unconstrained optimum:   {free.value:.4f}  ({free.hop_count} hops)")
 print(f"optimal path: {free.path}\n")
 
 print(f"{'k':>4} {'T_n(k)':>9} {'hops':>5} {'= T_n?':>7}")
 for k in (n, n + 2, n + 4, n + 8, n + 16, n + 32):
-    res = hop_constrained_time(lat, n, k)
+    (res,) = hop_constrained_time(lat, n, k)
     equal = abs(res.value - free.value) <= 1e-9 * free.value
     print(f"{k:>4} {res.value:>9.4f} {res.hop_count:>5} {str(equal):>7}")
 

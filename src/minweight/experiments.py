@@ -8,11 +8,13 @@ tables and verdicts are pure functions of the configuration. All seven
 drivers run their trials through _sweep, the one place the trial-index rule
 lives: trial t of sweep point p uses trial index first + p * trials + t
 under the master seed. _sweep hands out blocks of consecutive trials of one
-point. yj-moments runs each block through one array kernel (sample_yj). The
-lattice drivers run the block function _lattice_trial, whose first hop-DP
-pass serves the whole block, and the oracle suite's lattice part runs
-_lattice_oracle_trial, whose DP passes and path-oracle grids serve the whole
-block. The tree drivers run their per-trial functions one trial at a time.
+point, each a SeedContext of count trials. yj-moments runs each block
+through one array kernel (sample_yj). The lattice drivers run the block
+function _lattice_trial, whose straight paths, first hop-DP pass and
+Dijkstra call serve the whole block, and the oracle suite's lattice part
+runs _lattice_oracle_trial, whose DP passes and path-oracle grids serve the
+whole block. The tree drivers run their per-trial functions one trial at a
+time, each on a context of one.
 The oracle suite pins its parts at indices p * suite_tree_instances + t
 (trees, n = 5, 6, 7), t (lattice) and 10_000 + t (Pruefer, AC2, which runs
 the tree-oracle trial at n = 7 with only its spanning comparison).
@@ -62,7 +64,7 @@ from .trees import (
     sample_yj,
     threshold_lower_bound,
 )
-from .weights import PassageTimeSpec, SeedContext, TreeWeightSpec, TrialBlock, require_array
+from .weights import PassageTimeSpec, SeedContext, TreeWeightSpec, require_array
 
 # Absolute slack for the per-trial sandwich chain, scaled by n (accumulation
 # tolerance of the canonical edge sums).
@@ -276,10 +278,10 @@ def _report(cfg: ExperimentConfig, tables, verdicts, started: float) -> Experime
 def _sweep(cfg: ExperimentConfig, fn, points, trials=None, first=0, width=1) -> list:
     """Run trials trials (default cfg.trials) of every sweep point through fn.
 
-    fn(block, *point) takes a TrialBlock of consecutive trials of one point
+    fn(block, *point) takes a SeedContext of consecutive trials of one point
     and returns their outcomes in trial order; a per-trial function goes
-    through _EachTrial. Trial t of point p runs under
-    SeedContext(cfg.master_seed, first + p * trials + t). A block holds at
+    through _EachTrial. Trial t of point p runs under master seed
+    cfg.master_seed and trial index first + p * trials + t. A block holds at
     most weights.BLOCK_ELEMENTS // width trials, width being the array
     elements one trial takes; a pooled run makes blocks small enough that
     each worker gets about 8. All blocks go through one serial pass or one
@@ -293,7 +295,7 @@ def _sweep(cfg: ExperimentConfig, fn, points, trials=None, first=0, width=1) -> 
     tasks = [
         (block, *point)
         for p, point in enumerate(points)
-        for block in TrialBlock(SeedContext(cfg.master_seed, first + p * trials), trials).blocks(size)
+        for block in SeedContext(cfg.master_seed, first + p * trials, trials).blocks(size)
     ]
     if cfg.workers <= 1 or len(tasks) <= 1:
         blocks = [fn(*task) for task in tasks]
@@ -307,13 +309,14 @@ def _sweep(cfg: ExperimentConfig, fn, points, trials=None, first=0, width=1) -> 
 
 
 class _EachTrial:
-    """Block form of a per-trial function fn(ctx, *point): fn once per trial of the block."""
+    """Block form of a per-trial function fn(ctx, *point): fn once per trial
+    of the block, on a context of one."""
 
     def __init__(self, fn):
         self.fn = fn
 
     def __call__(self, block, *point) -> list:
-        return [self.fn(ctx, *point) for ctx in block.contexts()]
+        return [self.fn(ctx, *point) for ctx in block.blocks(1)]
 
 
 # -- trial functions (module level so the process pool can pickle them) -----
@@ -356,25 +359,28 @@ def _first_pass(pspec, n, budgets) -> tuple:
 def _lattice_trial(block, pspec, d, n, budgets):
     """Per trial of block: (T_n, straight-path time, ((T_n(k), hop count) for each budget k)).
 
-    budgets is an increasing schedule. The first hop-DP pass of _first_pass
-    runs once for the whole block, and each trial's last target label of it
-    becomes that trial's Dijkstra limit: the label is the time of a walk
-    inside Dijkstra's first box, so it bounds T_n. Without that pass
-    Dijkstra runs limited by the straight-path time, which already prunes
-    about half the box under the other laws. Dijkstra runs per trial. Every
-    remaining budget at or above Dijkstra's hop count reuses its value, and
-    at most one more DP pass, per trial and only for a trial that still
-    needs it, answers the rest.
+    budgets is an increasing schedule. The straight paths, the first hop-DP
+    pass of _first_pass and Dijkstra each run once for the whole block. Each
+    trial's last target label of that pass becomes its Dijkstra limit: the
+    label is the time of a walk inside Dijkstra's first box, so it bounds
+    T_n. Without that pass Dijkstra runs limited by the straight-path time,
+    which already prunes about half the box under the other laws. Every
+    remaining budget at or above a trial's Dijkstra hop count reuses its
+    value, and at most one more DP pass, per trial on a context of one and
+    only for a trial that still needs it, answers the rest: a pass over the
+    whole block to the larger budget could exceed the array budget.
     """
     lattices = LatticeSpec(d, pspec, block)
     head = _first_pass(pspec, n, budgets)
+    straights = straight_path_time(lattices, n)
     firsts = hop_constrained_certified(lattices, n, head) if head else ((),) * block.count
+    frees = unconstrained_time(lattices, n, [r[-1].value if r else s for r, s in zip(firsts, straights)])
     out = []
-    for ctx, straight, results in zip(block.contexts(), straight_path_time(lattices, n), firsts):
-        lat = LatticeSpec(d=d, spec=pspec, ctx=ctx)
-        free = unconstrained_time(lat, n, results[-1].value if results else straight)
+    for ctx, straight, free, results in zip(block.blocks(1), straights, frees, firsts):
         if len(results) < len(budgets):
-            results += hop_constrained_certified(lat, n, budgets[len(results) :], free=free)
+            lat = LatticeSpec(d, pspec, ctx)
+            (rest,) = hop_constrained_certified(lat, n, budgets[len(results) :], free=(free,))
+            results += rest
         out.append((free.value, straight, tuple((r.value, r.hop_count) for r in results)))
     return out
 

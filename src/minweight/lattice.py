@@ -24,11 +24,12 @@ box of its search. The DP's label grid and Dijkstra's arc times are checked
 against the array budget of weights.require_array before they are built;
 require_trial_arrays runs the same checks from a config alone.
 
-LatticeSpec.ctx is a SeedContext (one lattice) or a TrialBlock (one lattice
-per trial). Under a block, _axis_times grids get a leading trial axis, and
-the hop DP, the straight path and the path oracle answer every trial of the
-block at once, each trial bit for bit as on its own; their results hold one
-entry per trial. Dijkstra runs on one lattice at a time.
+LatticeSpec.ctx is a SeedContext of count trials, one lattice per trial.
+_axis_times grids have a leading trial axis, and every routine returns a
+tuple with one entry per trial, in trial order, a context of one included.
+The hop DP, the straight path and the path oracle answer every trial at
+once, each trial bit for bit as on its own; Dijkstra runs on one lattice at
+a time.
 """
 
 from __future__ import annotations
@@ -44,13 +45,12 @@ from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 from . import weights
 from .errors import CapacityError, InfeasibleError
 from .stats import ProbEstimate, wilson_interval
-from .weights import PassageTimeSpec, SeedContext, TrialBlock, passage_time_grid, require_array
+from .weights import PassageTimeSpec, SeedContext, passage_time_grid, require_array
 
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Dimension, passage-time law, and randomness root of one lattice, or of
-    one lattice per trial when ctx is a TrialBlock."""
+    """Dimension, passage-time law, and randomness root of one lattice per trial of ctx."""
 
     d: int
     spec: PassageTimeSpec
@@ -81,8 +81,8 @@ class ConstrainedResult:
 
 def _axis_times(lat: LatticeSpec, lows: tuple, shape: tuple, axis: int) -> np.ndarray:
     """Passage times of the +axis edges of the grid spanning
-    [lows[i], lows[i] + shape[i]) on each axis i, indexed by base vertex,
-    after a leading trial axis under a TrialBlock."""
+    [lows[i], lows[i] + shape[i]) on each axis i, indexed by trial and
+    then by base vertex."""
     coords = []
     for i, (lo, size) in enumerate(zip(lows, shape)):
         c = np.arange(lo, lo + size - (i == axis), dtype=np.int64)
@@ -108,8 +108,7 @@ def _walk_windows(d: int, n: int, k: int) -> tuple:
     window of hop h in grid slices and, per axis a, the slices (lo, hi) of
     the base and head vertices of its +a edges; lo also indexes that axis's
     edge-time array, keyed by base vertex on the same grid. Every index
-    starts with Ellipsis, so it selects the same cells of one trial's grid
-    and of a block's grids, whose leading axis is the trial.
+    starts with Ellipsis, which spans the grids' leading trial axis.
     """
     m = (k - n) // 2
     target = (n,) + (0,) * (d - 1)
@@ -138,11 +137,6 @@ def _trivial_result(lat: LatticeSpec) -> ConstrainedResult:
     return ConstrainedResult(value=0.0, hop_count=0, path=((0,) * lat.d,))
 
 
-def _batch(lat: LatticeSpec) -> tuple:
-    """The leading axes of the lattice's grids: () for one trial, (count,) for a TrialBlock."""
-    return (lat.ctx.count,) if isinstance(lat.ctx, TrialBlock) else ()
-
-
 def label_grid_cells(d: int, n: int, k: int) -> int:
     """Cells of one trial's hop-DP label grid for target n and budget k >= n.
 
@@ -153,11 +147,10 @@ def label_grid_cells(d: int, n: int, k: int) -> int:
     return (n + 2 * m + 1) * (2 * m + 1) ** (d - 1)
 
 
-def _require_label_grids(d: int, n: int, k: int, count: int = 0) -> None:
-    """Check the float64 label grid of a hop-DP pass, or of count trials of a
-    block pass, against the array budget."""
-    what = f"the hop-DP label grid for n = {n}, k = {k}" + (f" over {count} trials" if count else "")
-    require_array(what, max(count, 1) * label_grid_cells(d, n, k))
+def _require_label_grids(d: int, n: int, k: int, count: int) -> None:
+    """Check the float64 label grids of a hop-DP pass over count trials against the array budget."""
+    what = f"the hop-DP label grid for n = {n}, k = {k}" + (f" over {count} trials" if count > 1 else "")
+    require_array(what, count * label_grid_cells(d, n, k))
 
 
 def _read_budget(labels, k: int) -> tuple:
@@ -170,7 +163,7 @@ def _read_budget(labels, k: int) -> tuple:
     return value, labels.index(value) + 1
 
 
-def hop_constrained_time(lat: LatticeSpec, n: int, k: int):
+def hop_constrained_time(lat: LatticeSpec, n: int, k: int) -> tuple:
     """Minimum passage time on Z^d from the origin to (n, 0, ..., 0) over
     paths of at most k edges.
 
@@ -182,14 +175,14 @@ def hop_constrained_time(lat: LatticeSpec, n: int, k: int):
     the infinite lattice's, bit for bit. The hop count is that of
     _read_budget.
 
-    The result also carries the target label after every hop, so one pass
+    Each result also carries the target label after every hop, so one pass
     answers every smaller budget as well (see hop_constrained_certified).
 
-    When lat.ctx is a TrialBlock, the label and edge-time grids get a leading
-    trial axis and one relaxation loop serves every trial of the block: the
-    result is then a tuple of one ConstrainedResult per trial, each equal,
-    bit for bit, to that trial's own pass. The label grids of the whole
-    block are checked against the array budget before they are built.
+    The label and edge-time grids have a leading trial axis, and one
+    relaxation loop serves every trial of lat.ctx: the result holds one
+    ConstrainedResult per trial, each equal, bit for bit, to that trial's
+    own pass. The label grids of all trials are checked against the array
+    budget before they are built.
 
     Raises InfeasibleError when k < n (the L1 distance).
     """
@@ -197,21 +190,20 @@ def hop_constrained_time(lat: LatticeSpec, n: int, k: int):
         raise ValueError(f"target abscissa must be nonnegative, got {n}")
     if k < n:
         raise InfeasibleError(f"hop budget {k} below L1 distance {n}: no path exists")
-    batch = _batch(lat)
+    count = lat.ctx.count
     if n == 0:
-        trivial = _trivial_result(lat)
-        return (trivial,) * batch[0] if batch else trivial
-    _require_label_grids(lat.d, n, k, *batch)
+        return (_trivial_result(lat),) * count
+    _require_label_grids(lat.d, n, k, count)
 
     lows, shape, hops = _walk_windows(lat.d, n, k)
     times = [_axis_times(lat, lows, shape, a) for a in range(lat.d)]
     origin = tuple(-g for g in lows)
-    target = (slice(None),) * len(batch) + (n - lows[0],) + origin[1:]
+    target = (slice(None), n - lows[0]) + origin[1:]
 
-    cur = np.full(batch + shape, np.inf)
+    cur = np.full((count,) + shape, np.inf)
     cur[(...,) + origin] = 0.0
     new = cur.copy()
-    labels = np.empty((k,) + batch)
+    labels = np.empty((k, count))
 
     for h, (window, ends) in enumerate(hops):
         # cells enter the windows only before any label reaches them and never
@@ -226,46 +218,40 @@ def hop_constrained_time(lat: LatticeSpec, n: int, k: int):
         cur, new = new, cur
         labels[h] = cur[target]
 
-    rows = labels.T.tolist() if batch else [labels.tolist()]
-    results = tuple(ConstrainedResult(*_read_budget(row, k), target_labels=tuple(row)) for row in rows)
-    return results if batch else results[0]
+    rows = labels.T.tolist()
+    return tuple(ConstrainedResult(*_read_budget(row, k), target_labels=tuple(row)) for row in rows)
 
 
-def hop_constrained_certified(lat: LatticeSpec, n: int, budgets, free: ConstrainedResult | None = None):
-    """T_n(k) for each hop budget k of a schedule: a tuple of path-less ConstrainedResult.
+def hop_constrained_certified(lat: LatticeSpec, n: int, budgets, free: tuple | None = None) -> tuple:
+    """T_n(k) for each hop budget k of a schedule, per trial of lat.ctx: one
+    tuple of path-less ConstrainedResult per trial.
 
     One hop_constrained_time pass to the largest budget that needs it serves
-    every budget. The name is kept because perfbench/tracer.py and
-    perfbench/selfcheck.py look it up, as they do kruskal_mst. Under a
-    TrialBlock that pass is one block pass, and the result holds one such
-    tuple per trial.
+    every budget of every trial. The name is kept because
+    perfbench/tracer.py and perfbench/selfcheck.py look it up, as they do
+    kruskal_mst.
 
-    free, the unconstrained result of the same single-trial lattice, answers
-    every k >= free.hop_count without a DP: its witness fits the budget, so
-    T_n(k) = T_n. Each trial has its own, so a block is passed none.
+    free, one unconstrained result per trial, as unconstrained_time returns
+    them, answers each trial's budgets k >= its hop_count without a DP: the
+    witness fits the budget, so T_n(k) = T_n.
     """
     if min(budgets) < n:
         raise InfeasibleError(f"hop budget {min(budgets)} below L1 distance {n}: no path exists")
-    batch = _batch(lat)
+    count = lat.ctx.count
     if n == 0:
-        free = _trivial_result(lat)
-    shortcut = math.inf if free is None else free.hop_count
-    solve = [b for b in budgets if b < shortcut]
-    if solve:
-        passes = hop_constrained_time(lat, n, max(solve))
-        labels = [r.target_labels for r in passes] if batch else [passes.target_labels]
-    else:
-        labels = [()] * (batch[0] if batch else 1)
-    results = tuple(
+        free = (_trivial_result(lat),) * count
+    free = (None,) * count if free is None else free
+    solve = [b for b in budgets if any(f is None or b < f.hop_count for f in free)]
+    labels = [r.target_labels for r in hop_constrained_time(lat, n, max(solve))] if solve else [()] * count
+    return tuple(
         tuple(
-            ConstrainedResult(free.value, free.hop_count)
-            if b >= shortcut
+            ConstrainedResult(f.value, f.hop_count)
+            if f is not None and b >= f.hop_count
             else ConstrainedResult(*_read_budget(row, b))
             for b in budgets
         )
-        for row in labels
+        for row, f in zip(labels, free, strict=True)
     )
-    return results if batch else results[0]
 
 
 def _require_box(radius: int, d: int) -> None:
@@ -332,9 +318,9 @@ def _first_radius(n: int) -> int:
     return min((5 * n + 3) // 4 + 8, RADIUS_CAP_MULTIPLE * n)
 
 
-def require_trial_arrays(d: int, n: int, k: int | None = None, count: int = 0) -> None:
+def require_trial_arrays(d: int, n: int, k: int | None = None, count: int = 1) -> None:
     """Check, before any trial runs, the first arrays a lattice trial for
-    target n builds, as the solvers check them: the label grids of a block
+    target n builds, as the solvers check them: the label grids of a
     hop-DP pass to budget k over count trials, when such a pass runs first,
     and the arc times of Dijkstra's first box. Raises CapacityError."""
     if k is not None:
@@ -342,23 +328,24 @@ def require_trial_arrays(d: int, n: int, k: int | None = None, count: int = 0) -
     _require_box(_first_radius(n), d)
 
 
-def unconstrained_time(lat: LatticeSpec, n: int, limit: float | None = None) -> ConstrainedResult:
-    """Unconstrained minimum passage time on Z^d to (n, 0, ..., 0).
+def unconstrained_time(lat: LatticeSpec, n: int, limits=None) -> tuple:
+    """Unconstrained minimum passage time on Z^d to (n, 0, ..., 0): one
+    ConstrainedResult per trial of lat.ctx, each with its witness path.
 
-    Runs Dijkstra on a box of initial radius ceil(5n/4) + 8, clamped to the
-    cap RADIUS_CAP_MULTIPLE * n, and doubles the radius (again clamped to
-    the cap) until every boundary vertex's distance is at least the target's
-    distance; the returned value is then exact for the infinite lattice. A
-    certificate that fails at the cap raises CapacityError rather than
-    returning an unproven value, as does a box too large for int32 CSR
-    indices (see _csr_pattern).
+    Dijkstra runs on one trial's lattice at a time, on a box of initial
+    radius ceil(5n/4) + 8, clamped to the cap RADIUS_CAP_MULTIPLE * n, and
+    doubles the radius (again clamped to the cap) until every boundary
+    vertex's distance is at least the target's distance; the value is then
+    exact for the infinite lattice. A certificate that fails at the cap
+    raises CapacityError rather than returning an unproven value, as does a
+    box too large for int32 CSR indices (see _csr_pattern).
 
-    Dijkstra stops at limit, an inclusive upper bound on T_n that defaults
-    to the straight-path time; vertices beyond it read +inf, which changes
-    neither the value, the witness nor the certificate. Any hop-DP target
-    label is the time of a real walk, so it is a valid limit too. A limit
-    below T_n leaves the target unreached in the certified box and raises
-    ValueError.
+    limits holds one limit per trial, an inclusive upper bound on its T_n
+    that defaults to its straight-path time. Dijkstra stops there; vertices
+    beyond it read +inf, which changes neither the value, the witness nor
+    the certificate. Any hop-DP target label is the time of a real walk, so
+    it is a valid limit too. A limit below T_n leaves the target unreached
+    in the certified box and raises ValueError.
 
     Distance ties between distinct optimal paths occur with probability zero
     under the continuous passage-time laws; on such ties the reported witness
@@ -367,12 +354,17 @@ def unconstrained_time(lat: LatticeSpec, n: int, limit: float | None = None) -> 
     if n < 0:
         raise ValueError(f"target abscissa must be nonnegative, got {n}")
     if n == 0:
-        return _trivial_result(lat)
+        return (_trivial_result(lat),) * lat.ctx.count
+    if limits is None:
+        limits = straight_path_time(lat, n)
+    trials = [LatticeSpec(lat.d, lat.spec, ctx) for ctx in lat.ctx.blocks(1)]
+    return tuple(_certified_dijkstra(one, n, limit) for one, limit in zip(trials, limits, strict=True))
 
+
+def _certified_dijkstra(lat: LatticeSpec, n: int, limit: float) -> ConstrainedResult:
+    """unconstrained_time on a context of one, for n >= 1."""
     cap = RADIUS_CAP_MULTIPLE * n
     radius = _first_radius(n)
-    if limit is None:
-        limit = straight_path_time(lat, n)
     while True:
         shape = (2 * radius + 1,) * lat.d
         source = int(np.ravel_multi_index((radius,) * lat.d, shape))
@@ -400,7 +392,8 @@ def unconstrained_time(lat: LatticeSpec, n: int, limit: float | None = None) -> 
 
 def enumerate_paths_oracle(lat: LatticeSpec, n: int, budgets) -> tuple:
     """Exhaustive minimum over self-avoiding paths of at most k edges on Z^2,
-    for each hop budget k: one value per budget, None when k < n.
+    for each hop budget k: per trial of lat.ctx, one tuple with one value
+    per budget, None when k < n.
 
     Only for tiny instances (d = 2, every budget at most 9). One search
     serves every budget: it keeps best[j], the least cost found so far over
@@ -415,9 +408,8 @@ def enumerate_paths_oracle(lat: LatticeSpec, n: int, budgets) -> tuple:
     best[u + r]: every completion has at least u + r edges and costs at
     least as much, since passage times are nonnegative.
 
-    When lat.ctx is a TrialBlock, one grid hash per axis serves the whole
-    block, the search runs once per trial, and the result holds one tuple of
-    values per trial.
+    One grid hash per axis serves every trial, and the search runs once per
+    trial.
     """
     budgets = tuple(budgets)
     if lat.d != 2:
@@ -429,15 +421,11 @@ def enumerate_paths_oracle(lat: LatticeSpec, n: int, budgets) -> tuple:
         raise ValueError(f"oracle is limited to k <= 9, got {kmax}")
     if n < 0:
         raise ValueError(f"target abscissa must be nonnegative, got {n}")
-    batch = _batch(lat)
     if n == 0 or kmax < n:
-        values = ((0.0 if n == 0 else None),) * len(budgets)
-        return (values,) * batch[0] if batch else values
+        return (((0.0 if n == 0 else None),) * len(budgets),) * lat.ctx.count
 
     m = (kmax - n) // 2
     grids = [_axis_times(lat, (-m, -m), (n + 2 * m + 1, 2 * m + 1), axis).tolist() for axis in (0, 1)]
-    if not batch:
-        return _path_search(grids, n, m, budgets)
     return tuple(_path_search(trial, n, m, budgets) for trial in zip(*grids))
 
 
@@ -474,39 +462,31 @@ def _path_search(grids, n: int, m: int, budgets: tuple) -> tuple:
     return tuple(best[k] if k >= n else None for k in budgets)
 
 
-def straight_path_time(lat: LatticeSpec, n: int):
+def straight_path_time(lat: LatticeSpec, n: int) -> tuple:
     """Passage time of the straight first-axis path through (1,0,..) .. (n,0,..),
-    summed left to right; under a TrialBlock, a tuple of one time per trial."""
+    summed left to right: one time per trial of lat.ctx."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     times = _axis_times(lat, (0,) * lat.d, (n + 1,) + (1,) * (lat.d - 1), 0)
-    totals = []
-    for row in times.reshape(-1, n).tolist():
-        total = 0.0
-        for t in row:
-            total += t
-        totals.append(total)
-    return tuple(totals) if _batch(lat) else totals[0]
+    # cumsum adds in order, where sum would add pairwise
+    return tuple(np.cumsum(times.reshape(-1, n), axis=1)[:, -1].tolist())
 
 
-def linear_path_tail_probe(lat: LatticeSpec, m: int, beta: float, trials: int) -> ProbEstimate:
-    """Monte Carlo estimate of P(sum of the first m straight-edge times <= beta*m).
+def linear_path_tail_probe(lat: LatticeSpec, m: int, beta: float) -> ProbEstimate:
+    """Monte Carlo estimate of P(sum of the first m straight-edge times <= beta*m)
+    over the trials of lat.ctx.
 
-    Trial i uses trial index ctx.trial_index + i under the same master seed.
     Trials run in blocks of at most weights.BLOCK_ELEMENTS // m, one
-    passage_time_grid call each.
+    straight_path_time call each.
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
     if beta < 0.0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
 
-    bases = (np.arange(0, m, dtype=np.int64),) + (0,) * (lat.d - 1)
     cutoff = beta * m
     successes = 0
-    for block in TrialBlock(lat.ctx, trials).blocks(weights.BLOCK_ELEMENTS // m):
-        times = passage_time_grid(lat.spec, block, 0, bases)
-        successes += int(np.count_nonzero(times.sum(axis=1) <= cutoff))
-    return wilson_interval(successes, trials)
+    for block in lat.ctx.blocks(weights.BLOCK_ELEMENTS // m):
+        sums = straight_path_time(LatticeSpec(lat.d, lat.spec, block), m)
+        successes += int(np.count_nonzero(np.array(sums) <= cutoff))
+    return wilson_interval(successes, lat.ctx.count)

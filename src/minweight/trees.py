@@ -10,9 +10,10 @@ shares no code with Prim: all n**(n-2) labelled trees, decoded from their
 Prufer sequences at once in numpy and cached as flat edge keys, whose totals
 are gathered from the flattened matrix (n <= 8). The spanning routine keeps
 the name kruskal_mst because the golden report digests and the benchmark
-look it up by that name. The nearest-unvisited-edge minima Y_j come from a
-block kernel, sample_yj, that hashes one row per trial of a TrialBlock and
-builds no matrix.
+look it up by that name. A CompleteInstance is one trial, so its
+SeedContext has count 1. The nearest-unvisited-edge minima Y_j come from a
+block kernel, sample_yj, that hashes one row per trial of a SeedContext of
+any count and builds no matrix.
 """
 
 from __future__ import annotations
@@ -26,16 +27,18 @@ import numpy as np
 
 from . import rng
 from .errors import CapacityError
-from .weights import SeedContext, TreeWeightSpec, TrialBlock, weight_matrix, weights_from_vertex
+from .weights import SeedContext, TreeWeightSpec, weight_matrix, weights_from_vertex
 
 
 class CompleteInstance:
     """One realization of K_n weights under (spec, ctx), read through its
-    cached weight matrix."""
+    cached weight matrix; ctx must hold one trial."""
 
     def __init__(self, n: int, spec: TreeWeightSpec, ctx: SeedContext):
         if n < 2:
             raise ValueError(f"need at least 2 vertices, got {n}")
+        if ctx.count != 1:
+            raise ValueError(f"an instance is one trial, got a context of {ctx.count}")
         self.n = n
         self.spec = spec
         self.ctx = ctx
@@ -162,8 +165,6 @@ def light_edge_count(inst: CompleteInstance, gamma: float) -> int:
     """Number of edges of weight strictly below (gamma/n)**alpha (full scan)."""
     if gamma <= 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    if inst.spec is None:
-        raise ValueError("light_edge_count needs a weight spec for alpha")
     threshold = (gamma / inst.n) ** inst.spec.alpha
     # the matrix is symmetric with +inf on the diagonal: each edge counts twice
     return int(np.count_nonzero(inst.matrix() < threshold)) // 2
@@ -216,7 +217,7 @@ def exact_min_tree(inst: CompleteInstance, tau: int) -> TreeResult:
     return _tree_result(lo[best], hi[best], totals[best], subsets[best] + 1)
 
 
-def _prefix_block(block: TrialBlock, n: int, j: int) -> np.ndarray:
+def _prefix_block(block: SeedContext, n: int, j: int) -> np.ndarray:
     """Vertices 1..n of each trial of block after j partial Fisher-Yates steps.
 
     Row t is trial t's permutation, as a uint64 array of shape (count, n):
@@ -238,7 +239,7 @@ def _prefix_block(block: TrialBlock, n: int, j: int) -> np.ndarray:
     return verts
 
 
-def sample_yj(block: TrialBlock, spec: TreeWeightSpec, n: int, j: int) -> list:
+def sample_yj(block: SeedContext, spec: TreeWeightSpec, n: int, j: int) -> list:
     """Y_j of each trial of block: the least weight on K_n from the last vertex
     of the trial's random j-prefix to a vertex outside the prefix.
 
@@ -290,17 +291,6 @@ def _labelled_tree_keys(n: int) -> np.ndarray:
     keys = np.sort(lo * n + hi, axis=1)
     keys.flags.writeable = False
     return keys
-
-
-def all_labelled_trees(n: int) -> np.ndarray:
-    """Edge lists of all n**(n-2) labelled trees, edges sorted by key.
-
-    Shaped (n**(n-2), n-1, 2) with 1-based vertex labels; row r is the tree
-    of the r-th Prufer sequence in itertools.product order. Raises
-    CapacityError above n = 8.
-    """
-    lo, hi = np.divmod(_labelled_tree_keys(n), n)
-    return np.stack((lo, hi), axis=-1) + 1
 
 
 def prufer_mst_weight(inst: CompleteInstance) -> float:

@@ -15,16 +15,17 @@ Two families are provided:
 All sampling is keyed through :mod:`minweight.rng`; see there for the
 determinism contract. Each family has one array kernel, weights_from_vertex
 for tree weights (weight_matrix is its all-pairs call) and passage_time_grid
-for passage times. Both take a SeedContext or a TrialBlock and hash
-ctx.master_seed and ctx.trials, an int for one trial and a column of trial
-indices for a block: weights_from_vertex broadcasts its vertices against the
-(count, 1) column, and passage_time_grid puts the column ahead of its
-coordinates' broadcast shape, (count,) + (1,) * ndim, so its grids get a
-leading trial axis that the hop DP keeps. TrialBlock.blocks is the one rule
-that cuts trials into blocks of at most BLOCK_ELEMENTS array elements, and
-require_array is the one byte budget of both families. The scalar per-edge versions that the tests use as
-oracles, and the analytic law helpers (cdf, envelope constants, moments),
-are in ``tests/reference.py``.
+for passage times. Both take a SeedContext, count consecutive trials under
+one master seed, and hash ctx.master_seed and ctx.trials, the (count, 1)
+column of trial indices. weights_from_vertex lines the column up with the
+first axis of its vertices, so a context of one keeps their broadcast
+shape; passage_time_grid puts it ahead of its coordinates' broadcast shape,
+(count,) + (1,) * ndim, so its grids get a leading trial axis that the
+lattice routines keep. SeedContext.blocks is the one rule that cuts trials
+into blocks of at most BLOCK_ELEMENTS array elements, and require_array is
+the one byte budget of both families. The scalar per-edge versions that the
+tests use as oracles, and the analytic law helpers (cdf, envelope
+constants, moments), are in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -49,61 +50,45 @@ def require_array(what: str, elements: int) -> None:
         raise CapacityError(f"{what} takes {size} bytes, budget is {ARRAY_BYTES}")
 
 
+# Most array elements (trials x elements per trial) one trial block holds.
+BLOCK_ELEMENTS = 2**15
+
+
 @dataclass(frozen=True)
 class SeedContext:
-    """Root of all randomness for one Monte Carlo trial."""
+    """Root of all randomness for count consecutive Monte Carlo trials under
+    one master seed, the first at trial_index.
+
+    Row t of a kernel's arrays belongs to trial trial_index + t; a context
+    of one is one trial.
+    """
 
     master_seed: int
     trial_index: int = 0
+    count: int = 1
 
     def __post_init__(self):
         if not 0 <= self.master_seed < 2**64:
             raise ValueError(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed}")
         if self.trial_index < 0:
             raise ValueError(f"trial_index must be nonnegative, got {self.trial_index}")
-
-    @property
-    def trials(self) -> int:
-        """The trial index, under the name the kernels read from a TrialBlock too."""
-        return self.trial_index
-
-
-# Most array elements (trials x elements per trial) one trial block holds.
-BLOCK_ELEMENTS = 2**15
-
-
-@dataclass(frozen=True)
-class TrialBlock:
-    """count consecutive trials under one master seed, the first at ctx.
-
-    Row t of a block kernel's arrays belongs to trial ctx.trial_index + t.
-    """
-
-    ctx: SeedContext
-    count: int
-
-    @property
-    def master_seed(self) -> int:
-        return self.ctx.master_seed
+        if self.count < 1:
+            raise ValueError(f"count must be at least 1, got {self.count}")
 
     @property
     def trials(self) -> np.ndarray:
-        """The block's trial indices as a uint64 column, one row per trial."""
-        first = self.ctx.trial_index
+        """The trial indices as a uint64 column, one row per trial."""
+        first = self.trial_index
         return np.arange(first, first + self.count, dtype=np.uint64)[:, None]
 
     def blocks(self, size: int) -> list:
-        """This block cut into consecutive blocks of at most max(size, 1) trials, in order."""
+        """These trials cut into consecutive contexts of at most max(size, 1) trials, in order."""
         size = max(1, size)
-        first = self.ctx.trial_index
+        first = self.trial_index
         return [
-            TrialBlock(SeedContext(self.master_seed, first + t), min(size, self.count - t))
+            SeedContext(self.master_seed, first + t, min(size, self.count - t))
             for t in range(0, self.count, size)
         ]
-
-    def contexts(self) -> list:
-        """The SeedContext of each trial, in order."""
-        return [block.ctx for block in self.blocks(1)]
 
 
 @dataclass(frozen=True)
@@ -185,19 +170,20 @@ def weight_matrix(spec: TreeWeightSpec, ctx: SeedContext, n: int) -> np.ndarray:
 
 
 def weights_from_vertex(
-    spec: TreeWeightSpec, ctx: SeedContext | TrialBlock, i: int | np.ndarray, targets: np.ndarray
+    spec: TreeWeightSpec, ctx: SeedContext, i: int | np.ndarray, targets: np.ndarray
 ) -> np.ndarray:
     """Weights of edges from vertex i to each target vertex (1-based).
 
-    i may be an array that broadcasts against targets. Under a TrialBlock,
-    i and targets broadcast to one row per trial of the block, and row t
-    holds weights of trial t.
+    i may be an array that broadcasts against targets. The first axis of
+    their broadcast is the trial axis: row t holds weights of trial t of
+    ctx, and under a context of one every row is its one trial.
     """
     iv = np.asarray(i, dtype=np.uint64)
     t = np.asarray(targets, dtype=np.uint64)
     lo = np.minimum(iv, t)
     hi = np.maximum(iv, t)
-    u = rng.unit_vec(rng.hash_words_vec(rng.STREAM_TREE_WEIGHT, ctx.master_seed, ctx.trials, lo, hi))
+    trials = ctx.trials.reshape((-1,) + (1,) * (lo.ndim - 1))
+    u = rng.unit_vec(rng.hash_words_vec(rng.STREAM_TREE_WEIGHT, ctx.master_seed, trials, lo, hi))
     if spec.heterogeneous:
         v = rng.unit_vec(rng.hash_words_vec(rng.STREAM_TREE_SCALE, lo, hi))
         scale = spec.m_min + (1.0 - spec.m_min) * v
@@ -221,24 +207,19 @@ def inverse_transform_times(spec: PassageTimeSpec, theta, u):
     return theta * x_m * (1.0 - u) ** (-1.0 / shape)
 
 
-def passage_time_grid(
-    spec: PassageTimeSpec, ctx: SeedContext | TrialBlock, axis: int, base_coords: tuple
-) -> np.ndarray:
+def passage_time_grid(spec: PassageTimeSpec, ctx: SeedContext, axis: int, base_coords: tuple) -> np.ndarray:
     """Vectorized passage times for a grid of base vertices on one axis.
 
     base_coords is a tuple of d broadcastable integer arrays (one per
     coordinate); entry x is the time of the edge from x to x + e_axis.
-    Under a TrialBlock, the block's trial column goes ahead of the
-    coordinates' broadcast shape, as shape (count,) + (1,) * ndim, so the
-    result has a leading trial axis and entry [t, ...] holds trial t's time.
-    Only the hash state grows to the full shape; no coordinate is broadcast
-    on its own. Bit-identical to looping the scalar reference passage_time
-    of ``tests/reference.py``.
+    The trial column of ctx goes ahead of the coordinates' broadcast shape,
+    as shape (count,) + (1,) * ndim, so the result has a leading trial axis
+    and entry [t, ...] holds trial t's time. Only the hash state grows to
+    the full shape; no coordinate is broadcast on its own. Bit-identical to
+    looping the scalar reference passage_time of ``tests/reference.py``.
     """
     coords = [rng.encode_signed(c) for c in base_coords]
-    trials = ctx.trials
-    if isinstance(ctx, TrialBlock):
-        trials = trials.reshape((-1,) + (1,) * max(c.ndim for c in coords))
+    trials = ctx.trials.reshape((-1,) + (1,) * max(c.ndim for c in coords))
     u = rng.unit_vec(rng.hash_words_vec(rng.STREAM_LATTICE_TIME, ctx.master_seed, trials, axis, *coords))
 
     lo, hi = spec.param_range

@@ -10,7 +10,8 @@ for bit. The law helpers (tree-weight cdf and envelope constants,
 passage-time moments, the Bernoulli tail bound) are plain functions of the
 spec. The oracles (Prufer decoding one sequence at a time, and the path
 search run once per hop budget) are the references of the package's batched
-ones: ``trees.all_labelled_trees`` and ``lattice.enumerate_paths_oracle``.
+ones: the cached Prufer edge keys of ``trees`` (read as edge lists through
+all_labelled_trees) and ``lattice.enumerate_paths_oracle``.
 The per-trial Y_j path (one scalar Fisher-Yates prefix, then the row rule on
 the full weight matrix) is the reference of the block kernel
 ``trees.sample_yj``.
@@ -25,7 +26,7 @@ import numpy as np
 from minweight import rng
 from minweight.rng import _INIT, _M1, _M2, _MASK, _U53
 from minweight.lattice import LatticeSpec
-from minweight.trees import CompleteInstance
+from minweight.trees import CompleteInstance, _labelled_tree_keys
 from minweight.weights import (
     PassageTimeSpec,
     SeedContext,
@@ -175,6 +176,18 @@ def prufer_to_edges(seq, n: int) -> tuple:
     return tuple(edges)
 
 
+def all_labelled_trees(n: int) -> np.ndarray:
+    """Edge lists of all n**(n-2) labelled trees, edges sorted by key, read
+    from the package's cached Prufer edge keys.
+
+    Shaped (n**(n-2), n-1, 2) with 1-based vertex labels; row r is the tree
+    of the r-th Prufer sequence in itertools.product order. Raises
+    CapacityError above n = 8.
+    """
+    lo, hi = np.divmod(_labelled_tree_keys(n), n)
+    return np.stack((lo, hi), axis=-1) + 1
+
+
 # -- lattice passage times ------------------------------------------------------
 
 
@@ -252,7 +265,7 @@ def enumerate_paths(lat: LatticeSpec, n: int, k: int):
     for axis in (0, 1):
         xs = np.arange(-m, n + m + axis, dtype=np.int64)
         ys = np.arange(-m, m + 1 - axis, dtype=np.int64)
-        grid = passage_time_grid(lat.spec, lat.ctx, axis, (xs[:, None], ys[None, :])).tolist()
+        (grid,) = passage_time_grid(lat.spec, lat.ctx, axis, (xs[:, None], ys[None, :])).tolist()
         for x, row in zip(xs.tolist(), grid):
             for y, t in zip(ys.tolist(), row):
                 edge_time[(x, y), axis] = t

@@ -216,8 +216,8 @@ def test_ac10_path_tail_probe():
     from scipy.special import gammainc
 
     t0 = time.time()
-    lat = LatticeSpec(d=2, spec=PassageTimeSpec("exponential", (1.0,)), ctx=SeedContext(10, 0))
-    est = linear_path_tail_probe(lat, m=10, beta=0.1, trials=1_000_000)
+    lat = LatticeSpec(d=2, spec=PassageTimeSpec("exponential", (1.0,)), ctx=SeedContext(10, 0, 1_000_000))
+    est = linear_path_tail_probe(lat, m=10, beta=0.1)
     elapsed = time.time() - t0
     analytic = float(gammainc(10, 1.0))
     bound = math.exp(-2 * 10)  # e^{-dm} at d = 2, m = 10

@@ -32,7 +32,7 @@ from minweight.experiments import (
 )
 from minweight.lattice import LatticeSpec, hop_constrained_time, straight_path_time, unconstrained_time
 from minweight.trees import _prefix_block, sample_yj
-from minweight.weights import PassageTimeSpec, SeedContext, TreeWeightSpec, TrialBlock
+from minweight.weights import PassageTimeSpec, SeedContext, TreeWeightSpec
 from reference import random_prefix, yj_trial
 
 # First-run golden digests of the built-in smoke configurations. These pin
@@ -280,24 +280,24 @@ def test_yj_sweep_without_small_j_reports_a_vacuous_exp_moment():
 
 
 def test_random_prefix_distinct_and_deterministic():
-    rows = _prefix_block(TrialBlock(SeedContext(3, 17), 2), 100, 12)
-    assert np.array_equal(rows, _prefix_block(TrialBlock(SeedContext(3, 17), 2), 100, 12))
+    rows = _prefix_block(SeedContext(3, 17, 2), 100, 12)
+    assert np.array_equal(rows, _prefix_block(SeedContext(3, 17, 2), 100, 12))
     # every row is a permutation of 1..n whose first 12 entries are its prefix
     assert (np.sort(rows, axis=1) == np.arange(1, 101)).all()
     assert rows[0, :12].tolist() != rows[1, :12].tolist()
     # row 1 of the block is trial 18 on its own
-    assert np.array_equal(rows[1:], _prefix_block(TrialBlock(SeedContext(3, 18), 1), 100, 12))
+    assert np.array_equal(rows[1:], _prefix_block(SeedContext(3, 18), 100, 12))
 
 
 @pytest.mark.parametrize("master", [0, 2, 2**63 + 5])
 def test_random_prefix_matches_scalar_fisher_yates(master):
     for n_vertices, j in ((512, 1), (512, 448), (7, 6), (2, 1), (100, 99)):
-        rows = _prefix_block(TrialBlock(SeedContext(master, 0), 18), n_vertices, j)
+        rows = _prefix_block(SeedContext(master, 0, 18), n_vertices, j)
         for gtrial in (0, 1, 17, 428):
             expected = random_prefix(master, gtrial, n_vertices, j)
             if gtrial < len(rows):
                 assert tuple(rows[gtrial, :j].tolist()) == expected
-            alone = _prefix_block(TrialBlock(SeedContext(master, gtrial), 1), n_vertices, j)
+            alone = _prefix_block(SeedContext(master, gtrial), n_vertices, j)
             assert tuple(alone[0, :j].tolist()) == expected
 
 
@@ -441,13 +441,13 @@ def test_lattice_trial_equals_the_solvers(law, d, n, budgets):
     # an exponential block first runs the DP to the largest budget in (n, ceil(1.5n)]
     bound = max(k for k in budgets if n < k <= (3 * n + 1) // 2)
     shortcut = dp = second_pass = 0
-    block = TrialBlock(SeedContext(41, 0), 6)
+    block = SeedContext(41, 0, 6)
     expected = []
-    for ctx in block.contexts():
+    for ctx in block.blocks(1):
         lat = LatticeSpec(d=d, spec=law, ctx=ctx)
-        free = unconstrained_time(lat, n)
-        per_k = tuple((r.value, r.hop_count) for r in (hop_constrained_time(lat, n, k) for k in budgets))
-        expected.append((free.value, straight_path_time(lat, n), per_k))
+        (free,) = unconstrained_time(lat, n)
+        per_k = tuple((r.value, r.hop_count) for k in budgets for r in hop_constrained_time(lat, n, k))
+        expected.append((free.value, *straight_path_time(lat, n), per_k))
         shortcut += sum(k >= free.hop_count for k in budgets)
         dp += sum(k < free.hop_count for k in budgets)
         second_pass += any(bound < k < free.hop_count for k in budgets)
@@ -461,19 +461,25 @@ def test_lattice_trial_equals_the_solvers(law, d, n, budgets):
 
 def _dijkstra_limits(monkeypatch, cfg):
     """(T_n, straight-path time, Dijkstra limits) of every trial of a decay run."""
-    limits, trials = [], []
-    dijkstra = lattice._csgraph_dijkstra
+    limits, trials = {}, []
+    box_csr, dijkstra = lattice._box_csr, lattice._csgraph_dijkstra
+    boxes = []  # the trial of each box, in build order
+
+    def recording_box_csr(lat, radius):
+        boxes.append(lat.ctx.trial_index)
+        return box_csr(lat, radius)
 
     def recording_dijkstra(graph, **kwargs):
-        limits.append(kwargs["limit"])
+        limits.setdefault(boxes[-1], []).append(kwargs["limit"])
         return dijkstra(graph, **kwargs)
 
     def recording_unconstrained(lat, n, *args):
-        start = len(limits)
-        free = unconstrained_time(lat, n, *args)
-        trials.append((free.value, straight_path_time(lat, n), limits[start:]))
-        return free
+        frees = unconstrained_time(lat, n, *args)
+        for ctx, free, straight in zip(lat.ctx.blocks(1), frees, straight_path_time(lat, n)):
+            trials.append((free.value, straight, limits.get(ctx.trial_index, [])))
+        return frees
 
+    monkeypatch.setattr(lattice, "_box_csr", recording_box_csr)
     monkeypatch.setattr(lattice, "_csgraph_dijkstra", recording_dijkstra)
     monkeypatch.setattr(exp_mod, "unconstrained_time", recording_unconstrained)
     run_constraint_decay(cfg)

@@ -19,7 +19,7 @@ from minweight.lattice import (
     straight_path_time,
     unconstrained_time,
 )
-from minweight.weights import PassageTimeSpec, SeedContext, TrialBlock, passage_time_grid
+from minweight.weights import PassageTimeSpec, SeedContext, passage_time_grid
 from reference import enumerate_paths, passage_time
 
 EXP1 = PassageTimeSpec("exponential", (1.0,))
@@ -27,8 +27,8 @@ UNIFORM = PassageTimeSpec("uniform", (0.5, 1.5), param_range=(0.5, 2.0))
 PARETO3 = PassageTimeSpec("pareto", (1.0, 3.0), param_range=(0.5, 2.0))
 
 
-def lat(seed, trial=0, spec=EXP1, d=2):
-    return LatticeSpec(d=d, spec=spec, ctx=SeedContext(seed, trial))
+def lat(seed, trial=0, spec=EXP1, d=2, count=1):
+    return LatticeSpec(d=d, spec=spec, ctx=SeedContext(seed, trial, count))
 
 
 def path_time(lat_spec, path):
@@ -52,23 +52,23 @@ def test_box_region_indexing():
 
 
 def test_origin_target():
-    res = hop_constrained_time(lat(1), 0, 5)
+    (res,) = hop_constrained_time(lat(1), 0, 5)
     assert res.value == 0.0 and res.hop_count == 0 and res.path == ((0, 0),)
-    assert unconstrained_time(lat(1), 0).value == 0.0
+    assert unconstrained_time(lat(1), 0) == (res,)
 
 
 def test_infeasible_budget():
     with pytest.raises(InfeasibleError):
         hop_constrained_time(lat(1), 4, 3)
-    assert enumerate_paths_oracle(lat(1), 4, (3,)) == (None,)
-    assert enumerate_paths_oracle(lat(1), 4, (3, 4))[0] is None
+    assert enumerate_paths_oracle(lat(1), 4, (3,)) == ((None,),)
+    assert enumerate_paths_oracle(lat(1), 4, (3, 4))[0][0] is None
 
 
 def test_tight_budget_forces_straight_path():
     l = lat(42)
     n = 4
-    res = hop_constrained_time(l, n, n)
-    assert res.value == straight_path_time(l, n)
+    (res,) = hop_constrained_time(l, n, n)
+    assert (res.value,) == straight_path_time(l, n)
     assert res.hop_count == n
 
 
@@ -78,8 +78,9 @@ def test_dp_matches_oracle():
         for n in (1, 2, 3):
             l = lat(500 + seed)
             budgets = range(n, n + 5)
-            for k, oracle in zip(budgets, enumerate_paths_oracle(l, n, budgets)):
-                dp = hop_constrained_time(l, n, k)
+            (oracles,) = enumerate_paths_oracle(l, n, budgets)
+            for k, oracle in zip(budgets, oracles):
+                (dp,) = hop_constrained_time(l, n, k)
                 if dp.value != oracle:
                     mismatches += 1
     assert mismatches == 0
@@ -92,8 +93,9 @@ def test_dp_matches_oracle_heterogeneous():
             l = lat(900 + seed, spec=spec)
             for n in (1, 2):
                 budgets = range(n, 10)
-                for k, oracle in zip(budgets, enumerate_paths_oracle(l, n, budgets)):
-                    dp = hop_constrained_time(l, n, k)
+                (oracles,) = enumerate_paths_oracle(l, n, budgets)
+                for k, oracle in zip(budgets, oracles):
+                    (dp,) = hop_constrained_time(l, n, k)
                     assert dp.value == oracle, (spec, seed, n, k)
 
 
@@ -107,12 +109,52 @@ def test_path_oracle_matches_per_budget_search(spec):
         for n in (1, 2, 3):
             budgets = range(n - 1, (9 if heterogeneous else n + 4) + 1)
             expected = tuple(enumerate_paths(l, n, k) for k in budgets)
-            assert enumerate_paths_oracle(l, n, budgets) == expected, (seed, n)
+            assert enumerate_paths_oracle(l, n, budgets) == (expected,), (seed, n)
     # budgets in any order, repeated, or far below the L1 distance
     l = lat(1299, spec=spec)
     budgets = (6, 1, 3, 6, 0)
-    assert enumerate_paths_oracle(l, 3, budgets) == tuple(enumerate_paths(l, 3, k) for k in budgets)
-    assert enumerate_paths_oracle(l, 0, (0, 4)) == (0.0, 0.0)
+    assert enumerate_paths_oracle(l, 3, budgets) == (tuple(enumerate_paths(l, 3, k) for k in budgets),)
+    assert enumerate_paths_oracle(l, 0, (0, 4)) == ((0.0, 0.0),)
+
+
+def _dp_passes(l):
+    return [(r.value, r.hop_count, r.path, r.target_labels) for r in hop_constrained_time(l, 3, 8)]
+
+
+def _grid_rows(l):
+    return passage_time_grid(l.spec, l.ctx, 1, (np.arange(-2, 3)[:, None], np.arange(4))).tolist()
+
+
+def _oracle_searches(l):
+    # the trivial target, an infeasible schedule and two feasible ones
+    cases = ((0, (0, 3)), (3, (1, 2)), (1, range(0, 6)), (3, range(2, 8)))
+    return list(zip(*(enumerate_paths_oracle(l, n, budgets) for n, budgets in cases)))
+
+
+# Each routine's answers on a lattice context, one entry per trial.
+PER_TRIAL = {
+    "hop_constrained_time": _dp_passes,
+    "hop_constrained_certified": lambda l: hop_constrained_certified(l, 3, (3, 4, 6, 8)),
+    "certified_with_free": lambda l: hop_constrained_certified(l, 3, (3, 5, 9), free=unconstrained_time(l, 3)),
+    "unconstrained_time": lambda l: unconstrained_time(l, 3),
+    "straight_path_time": lambda l: straight_path_time(l, 6),
+    "enumerate_paths_oracle": _oracle_searches,
+    "passage_time_grid": _grid_rows,
+}
+
+
+@pytest.mark.parametrize("spec", [EXP1, UNIFORM, PARETO3], ids=lambda s: s.kind)
+@pytest.mark.parametrize("routine", sorted(PER_TRIAL))
+def test_seven_trials_answer_as_their_blocks(routine, spec):
+    # one entry per trial, equal to the answers of blocks of one and of
+    # three trials (cut 3 + 3 + 1) strung together
+    answer = PER_TRIAL[routine]
+    trials = SeedContext(2**63 + 9, 11, 7)
+    whole = answer(LatticeSpec(2, spec, trials))
+    assert len(whole) == 7
+    for size in (1, 3):
+        parts = [a for block in trials.blocks(size) for a in answer(LatticeSpec(2, spec, block))]
+        assert parts == list(whole), size
 
 
 @pytest.mark.parametrize("spec", [EXP1, UNIFORM, PARETO3], ids=lambda s: s.kind)
@@ -120,21 +162,17 @@ def test_path_oracle_matches_per_budget_search(spec):
 def test_block_pass_equals_single_trial_passes(spec, d):
     # block sizes 1, 3 and 7 from trial 11, 7 trials cut 3 + 3 + 1 (an uneven
     # last block), budgets above n and the tight budget k = n
-    trials = TrialBlock(SeedContext(2**63 + 9, 11), 7)
+    trials = SeedContext(2**63 + 9, 11, 7)
     for n, k in ((4, 4), (3, 8), (5, 9)):
-        expected = [hop_constrained_time(LatticeSpec(d, spec, ctx), n, k) for ctx in trials.contexts()]
-        for size in (1, 3, 7):
-            got = [r for block in trials.blocks(size) for r in hop_constrained_time(LatticeSpec(d, spec, block), n, k)]
+        expected = [r for ctx in trials.blocks(1) for r in hop_constrained_time(LatticeSpec(d, spec, ctx), n, k)]
+        for size in (3, 7):
+            got = [r for part in trials.blocks(size) for r in hop_constrained_time(LatticeSpec(d, spec, part), n, k)]
             assert [r.target_labels for r in got] == [r.target_labels for r in expected], (n, k, size)
             assert [(r.value, r.hop_count, r.path) for r in got] == [(r.value, r.hop_count, None) for r in expected]
-        schedule = range(n, k + 1)
-        block = LatticeSpec(d, spec, trials)
-        singles = [hop_constrained_certified(LatticeSpec(d, spec, ctx), n, schedule) for ctx in trials.contexts()]
-        assert hop_constrained_certified(block, n, schedule) == tuple(singles)
 
 
 def test_block_pass_infeasible_and_trivial_targets():
-    block = LatticeSpec(2, EXP1, TrialBlock(SeedContext(1), 3))
+    block = lat(1, count=3)
     with pytest.raises(InfeasibleError):
         hop_constrained_time(block, 4, 3)
     with pytest.raises(InfeasibleError):
@@ -143,42 +181,42 @@ def test_block_pass_infeasible_and_trivial_targets():
     assert hop_constrained_certified(block, 0, (0, 2)) == ((ConstrainedResult(0.0, 0),) * 2,) * 3
 
 
+def test_one_free_result_per_trial():
+    block = lat(1, count=3)
+    (free,) = unconstrained_time(lat(1), 4)
+    with pytest.raises(ValueError, match="shorter"):
+        hop_constrained_certified(block, 4, (4, 6), free=(free,))
+    with pytest.raises(ValueError, match="shorter"):
+        unconstrained_time(block, 4, (1e9, 1e9))
+
+
 def test_block_label_grids_are_checked_against_the_budget(monkeypatch):
     # one trial's grid fits, the block's grids do not
     cells = lattice.label_grid_cells(2, 6, 10)
     monkeypatch.setattr(weights, "ARRAY_BYTES", 8 * cells)
     hop_constrained_time(lat(1), 6, 10)
     with pytest.raises(CapacityError, match="over 2 trials"):
-        hop_constrained_time(LatticeSpec(2, EXP1, TrialBlock(SeedContext(1), 2)), 6, 10)
-
-
-@pytest.mark.parametrize("spec", [EXP1, UNIFORM, PARETO3], ids=lambda s: s.kind)
-def test_path_oracle_over_a_block_equals_per_trial_searches(spec):
-    trials = TrialBlock(SeedContext(77, 3), 5)
-    block = LatticeSpec(2, spec, trials)
-    for n, budgets in ((0, (0, 3)), (3, (1, 2)), (1, range(0, 6)), (3, range(2, 8))):
-        expected = tuple(enumerate_paths_oracle(LatticeSpec(2, spec, ctx), n, budgets) for ctx in trials.contexts())
-        assert enumerate_paths_oracle(block, n, budgets) == expected, n
+        hop_constrained_time(lat(1, count=2), 6, 10)
 
 
 def test_hop_monotonicity():
     l = lat(7)
-    values = [hop_constrained_time(l, 3, k).value for k in range(3, 12)]
+    values = [hop_constrained_time(l, 3, k)[0].value for k in range(3, 12)]
     assert all(b <= a for a, b in zip(values, values[1:]))
 
 
 def test_certified_wrapper():
     l = lat(3)
-    (res,) = hop_constrained_certified(l, 4, (12,))
-    direct = hop_constrained_time(l, 4, 12)
+    ((res,),) = hop_constrained_certified(l, 4, (12,))
+    (direct,) = hop_constrained_time(l, 4, 12)
     assert (res.value, res.hop_count, res.path) == (direct.value, direct.hop_count, None)
 
 
 def test_unconstrained_certified_and_ordered():
     for seed in range(10):
         l = lat(60 + seed)
-        res = unconstrained_time(l, 5)
-        straight = straight_path_time(l, 5)
+        (res,) = unconstrained_time(l, 5)
+        (straight,) = straight_path_time(l, 5)
         assert res.value <= straight
         assert res.path[0] == (0, 0) and res.path[-1] == (5, 0)
         assert len(res.path) - 1 == res.hop_count
@@ -188,8 +226,8 @@ def test_unconstrained_certified_and_ordered():
 def test_unconstrained_matches_saturated_dp():
     l = lat(9)
     n = 3
-    res = unconstrained_time(l, n)
-    sat = hop_constrained_time(l, n, 169)  # a budget far above the witness's hop count
+    (res,) = unconstrained_time(l, n)
+    (sat,) = hop_constrained_time(l, n, 169)  # a budget far above the witness's hop count
     assert sat.value == res.value
     assert res.hop_count >= n
     # the DP at a budget the Dijkstra witness fits finds the same value and
@@ -198,9 +236,9 @@ def test_unconstrained_matches_saturated_dp():
         for seed in range(20):
             for n in (2, 3, 5):
                 l = lat(700 + seed, spec=spec)
-                free = unconstrained_time(l, n)
+                (free,) = unconstrained_time(l, n)
                 k = free.hop_count + 4
-                dp = hop_constrained_time(l, n, k)
+                (dp,) = hop_constrained_time(l, n, k)
                 assert free.hop_count == len(free.path) - 1
                 assert (dp.value, dp.hop_count) == (free.value, free.hop_count), (spec, seed, n)
 
@@ -227,7 +265,7 @@ def test_unconstrained_cap_clamps_the_first_box(monkeypatch):
     # the start radius ceil(5n/4) + 8 exceeds 2n here; the cap limits it instead of raising
     monkeypatch.setattr(lattice, "RADIUS_CAP_MULTIPLE", 2)
     for n in (1, 2, 3):
-        res = unconstrained_time(lat(1), n)
+        (res,) = unconstrained_time(lat(1), n)
         assert (res.value, res.hop_count, res.path) == dijkstra_from_radius_2n(lat(1), n)
 
 
@@ -269,7 +307,8 @@ def box_times(lat_spec, radius, axis):
     d = lat_spec.d
     ranges = [np.arange(-radius, radius + (i != axis)) for i in range(d)]
     coords = tuple(np.meshgrid(*ranges, indexing="ij"))
-    return passage_time_grid(lat_spec.spec, lat_spec.ctx, axis, coords)
+    (times,) = passage_time_grid(lat_spec.spec, lat_spec.ctx, axis, coords)
+    return times
 
 
 def coo_box_csr(lat_spec, radius):
@@ -356,7 +395,7 @@ def test_unconstrained_matches_dijkstra_from_radius_2n(monkeypatch):
     for spec, seed in cases:
         l = lat(seed, spec=spec)
         radii.clear()
-        res = unconstrained_time(l, 4)
+        (res,) = unconstrained_time(l, 4)
         assert (res.value, res.hop_count, res.path) == dijkstra_from_radius_2n(l, 4), (spec, seed)
         grown += len(radii) > 1
     assert grown >= 1  # the doubling branch ran
@@ -368,11 +407,11 @@ def test_dijkstra_limit_keeps_value_path_and_certificate(monkeypatch):
     # ceil(1.5n); without a limit it must see the same boxes, value, hop
     # count and witness
     dijkstra = lattice._csgraph_dijkstra
-    boxes, limits = [], []
+    boxes, seen = [], []
 
     def bounded(graph, **kwargs):
         boxes.append(graph.shape[0])
-        limits.append(kwargs["limit"])
+        seen.append(kwargs["limit"])
         return dijkstra(graph, **kwargs)
 
     def unbounded(graph, **kwargs):
@@ -387,17 +426,17 @@ def test_dijkstra_limit_keeps_value_path_and_certificate(monkeypatch):
     at_straight = at_label = grown = 0
     for spec, d, n, seed in cases:
         l = lat(seed, spec=spec, d=d)
-        straight = straight_path_time(l, n)
-        label = hop_constrained_time(l, n, (3 * n + 1) // 2).target_labels[-1]
+        (straight,) = straight_path_time(l, n)
+        label = hop_constrained_time(l, n, (3 * n + 1) // 2)[0].target_labels[-1]
         outcomes = []
-        for dijkstra_fn, limit in ((bounded, None), (bounded, label), (unbounded, None)):
+        for dijkstra_fn, limits in ((bounded, None), (bounded, (label,)), (unbounded, None)):
             monkeypatch.setattr(lattice, "_csgraph_dijkstra", dijkstra_fn)
             boxes.clear()
-            limits.clear()
-            res = unconstrained_time(l, n, limit)
+            seen.clear()
+            (res,) = unconstrained_time(l, n, limits)
             outcomes.append((res.value, res.hop_count, res.path, tuple(boxes)))
             if dijkstra_fn is bounded:
-                assert set(limits) == {straight if limit is None else label}
+                assert set(seen) == {straight if limits is None else label}
         assert outcomes[0] == outcomes[1] == outcomes[2], (spec, d, n, seed)
         assert label >= res.value
         at_straight += res.value == straight
@@ -409,10 +448,10 @@ def test_dijkstra_limit_keeps_value_path_and_certificate(monkeypatch):
 
 def test_limit_below_the_passage_time_raises():
     l = lat(5)
-    t_n = unconstrained_time(l, 6).value
+    t_n = unconstrained_time(l, 6)[0].value
     for limit in (0.5 * t_n, np.nextafter(t_n, 0.0)):
         with pytest.raises(ValueError, match="limit .* n = 6"):
-            unconstrained_time(l, 6, limit)
+            unconstrained_time(l, 6, (limit,))
 
 
 def test_schedule_matches_per_k_solver(monkeypatch):
@@ -429,11 +468,11 @@ def test_schedule_matches_per_k_solver(monkeypatch):
             for seed in range(4):
                 l = lat(300 + seed, spec=spec, d=d)
                 solves.clear()
-                results = hop_constrained_certified(l, n, schedule)
+                (results,) = hop_constrained_certified(l, n, schedule)
                 # one pass at the largest budget
                 assert solves == [schedule[-1]]
                 for k, res in zip(schedule, results):
-                    (single,) = hop_constrained_certified(l, n, (k,))
+                    ((single,),) = hop_constrained_certified(l, n, (k,))
                     assert (res.value, res.hop_count) == (single.value, single.hop_count)
                     labels = full_box_labels(l, n, k, k)  # radius k loses nothing
                     assert res.value == labels[-1], (d, spec, seed, k)
@@ -452,7 +491,7 @@ def test_walk_windows_keep_every_target_label(seed, d, spec, n, extra):
     # the box of radius k holds every walk of at most k edges, so its labels are exact
     k = n + extra
     l = lat(seed, spec=spec, d=d)
-    res = hop_constrained_time(l, n, k)
+    (res,) = hop_constrained_time(l, n, k)
     assert list(res.target_labels) == full_box_labels(l, n, k, k)
 
 
@@ -465,52 +504,53 @@ def test_walk_windows_keep_every_target_label(seed, d, spec, n, extra):
 )
 def test_constrained_time_invariants(seed, n, spec, offsets):
     l = lat(seed, spec=spec)
-    free = unconstrained_time(l, n)
+    (free,) = unconstrained_time(l, n)
     schedule = sorted({n + o for o in offsets} | {free.hop_count})
     # without free every budget goes through the DP
-    values = [r.value for r in hop_constrained_certified(l, n, schedule)]
-    straight = straight_path_time(l, n)
+    values = [r.value for r in hop_constrained_certified(l, n, schedule)[0]]
+    (straight,) = straight_path_time(l, n)
     assert all(free.value <= v <= straight for v in values)
     assert all(b <= a for a, b in zip(values, values[1:]))
     assert all(v == free.value for k, v in zip(schedule, values) if k >= free.hop_count)
-    shortcut = hop_constrained_certified(l, n, schedule, free=free)
+    (shortcut,) = hop_constrained_certified(l, n, schedule, free=(free,))
     assert [r.value for r in shortcut] == values
 
 
 def test_straight_path():
     l = lat(2)
-    t1 = straight_path_time(l, 1)
+    (t1,) = straight_path_time(l, 1)
     assert t1 == passage_time(l.spec, l.ctx, 0, (0, 0))
     # additivity of the sequential accumulation
-    total = straight_path_time(l, 4)
-    partial = straight_path_time(l, 2)
+    (total,) = straight_path_time(l, 4)
+    (partial,) = straight_path_time(l, 2)
     for i in (2, 3):
         partial += passage_time(l.spec, l.ctx, 0, (i, 0))
     assert partial == total
     with pytest.raises(ValueError):
         straight_path_time(l, 0)
-    # one time per trial of a block, each summed as that trial's own
-    trials = TrialBlock(SeedContext(2, 5), 4)
-    for d in (2, 3):
-        expected = tuple(straight_path_time(LatticeSpec(d, UNIFORM, ctx), 6) for ctx in trials.contexts())
-        assert straight_path_time(LatticeSpec(d, UNIFORM, trials), 6) == expected
+    # each trial's sum adds its edges left to right, as this loop does
+    trials = lat(2, trial=5, spec=UNIFORM, count=3)
+    expected = []
+    for row in passage_time_grid(UNIFORM, trials.ctx, 0, (np.arange(513), 0)).tolist():
+        total = 0.0
+        for t in row:
+            total += t
+        expected.append(total)
+    assert straight_path_time(trials, 513) == tuple(expected)
 
 
 def test_straight_path_law_of_large_numbers():
-    vals = []
-    for trial in range(100):
-        l = lat(314, trial=trial)
-        vals.append(straight_path_time(l, 10_000) / 10_000)
+    vals = [t / 10_000 for t in straight_path_time(lat(314, count=100), 10_000)]
     mean = sum(vals) / len(vals)
     assert abs(mean - 1.0) < 0.05
 
 
 def test_tail_probe_boundaries():
-    l = lat(8)
-    assert linear_path_tail_probe(l, 5, 0.0, 200).point == 0.0
-    assert linear_path_tail_probe(l, 5, 100.0, 200).point == 1.0
+    l = lat(8, count=200)
+    assert linear_path_tail_probe(l, 5, 0.0).point == 0.0
+    assert linear_path_tail_probe(l, 5, 100.0).point == 1.0
     with pytest.raises(ValueError):
-        linear_path_tail_probe(l, 0, 0.1, 10)
+        linear_path_tail_probe(lat(8, count=10), 0, 0.1)
 
 
 def test_tail_probe_matches_gamma_cdf():
@@ -518,8 +558,7 @@ def test_tail_probe_matches_gamma_cdf():
     # at this trial count the Wilson interval contains it via a zero count
     from scipy.special import gammainc
 
-    l = lat(123)
-    est = linear_path_tail_probe(l, 10, 0.1, 200_000)
+    est = linear_path_tail_probe(lat(123, count=200_000), 10, 0.1)
     analytic = float(gammainc(10, 1.0))
     assert est.wilson_low <= analytic <= est.wilson_high
 
@@ -535,10 +574,10 @@ def test_tail_probe_counts_match_per_trial_grids(monkeypatch):
             l = lat(2**63 + 5, trial=trial, spec=spec, d=d)
             bases = (np.arange(m),) + (np.zeros(m, dtype=np.int64),) * (d - 1)
             sums.append(passage_time_grid(spec, l.ctx, 0, bases).sum())
-        l = lat(2**63 + 5, trial=first, spec=spec, d=d)
+        l = lat(2**63 + 5, trial=first, spec=spec, d=d, count=trials)
         for beta in np.quantile(sums, [0.1, 0.3, 0.5, 0.7, 0.9]) / m:
             expected = sum(s <= beta * m for s in sums)
-            assert linear_path_tail_probe(l, m, beta, trials).successes == expected
+            assert linear_path_tail_probe(l, m, beta).successes == expected
 
 
 def test_lattice_spec_guard():

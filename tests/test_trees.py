@@ -13,7 +13,6 @@ from minweight.errors import CapacityError
 from minweight.experiments import SANDWICH_SLACK
 from minweight.trees import (
     CompleteInstance,
-    all_labelled_trees,
     exact_min_tree,
     greedy_spanning_path,
     kruskal_mst,
@@ -23,8 +22,15 @@ from minweight.trees import (
     sample_yj,
     threshold_lower_bound,
 )
-from minweight.weights import SeedContext, TreeWeightSpec, TrialBlock
-from reference import bernoulli_upper_bound, envelope_d2, prufer_to_edges, yj_from_matrix, yj_trial
+from minweight.weights import SeedContext, TreeWeightSpec
+from reference import (
+    all_labelled_trees,
+    bernoulli_upper_bound,
+    envelope_d2,
+    prufer_to_edges,
+    yj_from_matrix,
+    yj_trial,
+)
 
 # Small instance worked through by hand: the greedy walk is 1 -> 3 -> 4 -> 2.
 FROZEN4 = [
@@ -82,9 +88,9 @@ def kruskal_oracle(inst):
     return set(edges), total
 
 
-def from_matrix(matrix, spec=None):
+def from_matrix(matrix, spec=TreeWeightSpec(alpha=0.5)):
     """Instance whose weight matrix is a given symmetric matrix, with +inf
-    set on its diagonal; no seed stands behind it."""
+    set on its diagonal; its seed is never read."""
     m = np.array(matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
         raise ValueError("matrix must be square with at least 2 vertices")
@@ -93,13 +99,13 @@ def from_matrix(matrix, spec=None):
     if not np.isfinite(m[~np.eye(m.shape[0], dtype=bool)]).all():
         raise ValueError("off-diagonal weights must be finite")
     np.fill_diagonal(m, np.inf)
-    inst = CompleteInstance(m.shape[0], spec, None)
+    inst = CompleteInstance(m.shape[0], spec, SeedContext(0))
     inst._matrix = m
     return inst
 
 
 def frozen4():
-    return from_matrix(FROZEN4, spec=TreeWeightSpec(alpha=0.5))
+    return from_matrix(FROZEN4)
 
 
 def seeded(n, seed, trial=0, alpha=0.5, m_min=1.0, het=False):
@@ -298,7 +304,7 @@ def test_sample_yj():
     spec = TreeWeightSpec(alpha=0.5)
     for j in (0, 4):
         with pytest.raises(ValueError, match="prefix length"):
-            sample_yj(TrialBlock(SeedContext(1), 2), spec, 4, j)
+            sample_yj(SeedContext(1, 0, 2), spec, 4, j)
 
 
 @pytest.mark.parametrize("het", [False, True])
@@ -309,10 +315,18 @@ def test_sample_yj_block_matches_per_trial_reference(n, het):
     spec = TreeWeightSpec(alpha=0.3, m_min=0.25 if het else 1.0, heterogeneous=het)
     for j in sorted({1, n // 2 or 1, n - 1}):
         # one-trial blocks and a longer block over the same trials agree
-        block = TrialBlock(SeedContext(2**63 + 7, 40), 6)
-        expected = [yj_trial(ctx, spec, n, j) for ctx in block.contexts()]
+        block = SeedContext(2**63 + 7, 40, 6)
+        expected = [yj_trial(ctx, spec, n, j) for ctx in block.blocks(1)]
         assert sample_yj(block, spec, n, j) == expected
-        assert [sample_yj(TrialBlock(ctx, 1), spec, n, j)[0] for ctx in block.contexts()] == expected
+        assert [y for ctx in block.blocks(1) for y in sample_yj(ctx, spec, n, j)] == expected
+
+
+def test_instance_needs_a_context_of_one(monkeypatch):
+    # the count is checked before any weight is hashed
+    monkeypatch.setattr(weights.rng, "hash_words_vec", None)
+    for count in (2, 7):
+        with pytest.raises(ValueError, match="one trial"):
+            CompleteInstance(5, TreeWeightSpec(alpha=0.5), SeedContext(1, 0, count))
 
 
 def test_tree_array_budget():

@@ -9,7 +9,6 @@ from minweight.weights import (
     PassageTimeSpec,
     SeedContext,
     TreeWeightSpec,
-    TrialBlock,
     inverse_transform_times,
     passage_time_grid,
     weight_matrix,
@@ -100,7 +99,9 @@ def test_matrix_matches_scalar_oracle():
                 assert W[i - 1, j - 1] == np.inf
             else:
                 assert W[i - 1, j - 1] == edge_weight(spec, ctx, i, j, n)
+    # a context of one keeps the vertices' shape
     row = weights_from_vertex(spec, ctx, 4, np.arange(1, n + 1))
+    assert row.shape == (n,)
     for j in range(1, n + 1):
         if j != 4:
             assert row[j - 1] == W[3, j - 1]
@@ -217,7 +218,7 @@ def test_grid_matches_scalar():
     ctx = SeedContext(11, 4)
     xs = np.arange(-2, 2)
     ys = np.arange(-2, 3)
-    grid = passage_time_grid(spec, ctx, 0, (xs[:, None], ys[None, :]))
+    (grid,) = passage_time_grid(spec, ctx, 0, (xs[:, None], ys[None, :]))
     for a, x in enumerate(xs):
         for b, y in enumerate(ys):
             assert grid[a, b] == passage_time(spec, ctx, 0, (int(x), int(y)))
@@ -236,11 +237,11 @@ def test_grid_under_a_trial_block_matches_per_trial_grids(spec, d):
     # row t of a block call is trial first + t, bit for bit, on every axis
     gen = np.random.default_rng(d)
     coords = tuple(gen.integers(-40, 40, size=12) for _ in range(d))
-    block = TrialBlock(SeedContext(2**63 + 9, 17), 5)
+    block = SeedContext(2**63 + 9, 17, 5)
     for axis in range(d):
         rows = passage_time_grid(spec, block, axis, coords)
         assert rows.shape == (5, 12)
-        expected = np.stack([passage_time_grid(spec, ctx, axis, coords) for ctx in block.contexts()])
+        expected = np.concatenate([passage_time_grid(spec, ctx, axis, coords) for ctx in block.blocks(1)])
         assert rows.tobytes() == expected.tobytes()
     # d-dimensional coordinate grids, as the hop DP passes them: the trial
     # axis goes ahead of their broadcast shape
@@ -249,8 +250,21 @@ def test_grid_under_a_trial_block_matches_per_trial_grids(spec, d):
     for axis in range(d):
         rows = passage_time_grid(spec, block, axis, grid)
         assert rows.shape == (5,) + shape
-        expected = np.stack([passage_time_grid(spec, ctx, axis, grid) for ctx in block.contexts()])
+        expected = np.concatenate([passage_time_grid(spec, ctx, axis, grid) for ctx in block.blocks(1)])
         assert rows.tobytes() == expected.tobytes()
+
+
+def test_seed_context_counts_and_blocks():
+    ctx = SeedContext(9, 4, 7)
+    assert ctx.trials.dtype == np.uint64 and ctx.trials[:, 0].tolist() == list(range(4, 11))
+    assert SeedContext(9, 4).trials.shape == (1, 1)
+    blocks = ctx.blocks(3)
+    assert [(b.trial_index, b.count) for b in blocks] == [(4, 3), (7, 3), (10, 1)]
+    assert all(b.master_seed == 9 for b in blocks)
+    assert ctx.blocks(0) == ctx.blocks(1) == [SeedContext(9, t) for t in range(4, 11)]
+    for count in (0, -1):
+        with pytest.raises(ValueError, match="count"):
+            SeedContext(9, 4, count)
 
 
 def _sample_times(spec, n_samples=200_000, seed=31):
