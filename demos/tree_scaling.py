@@ -17,11 +17,9 @@ for alpha in (0.3, 0.7):
     points = []
     print(f"alpha = {alpha}  (expected exponent {1 - alpha:.1f})")
     for n in SIZES:
-        weights = []
-        for trial in range(TRIALS):
-            inst = CompleteInstance(n, spec, SeedContext(7, trial))
-            weights.append(kruskal_mst(inst).total_weight)
-        s = summarize(weights)
+        # one instance holds all TRIALS trials; kruskal_mst answers once per trial
+        inst = CompleteInstance(n, spec, SeedContext(7, 0, TRIALS))
+        s = summarize([tree.total_weight for tree in kruskal_mst(inst)])
         points.append((n, s.mean))
         print(f"  n={n:>4}  mean weight {s.mean:8.3f}  (se {s.standard_error:.3f})")
     fit = loglog_fit(points)

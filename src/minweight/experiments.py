@@ -8,13 +8,12 @@ tables and verdicts are pure functions of the configuration. All seven
 drivers run their trials through _sweep, the one place the trial-index rule
 lives: trial t of sweep point p uses trial index first + p * trials + t
 under the master seed. _sweep hands out blocks of consecutive trials of one
-point, each a SeedContext of count trials. yj-moments runs each block
-through one array kernel (sample_yj). The lattice drivers run the block
-function _lattice_trial, whose straight paths, first hop-DP pass and
-Dijkstra call serve the whole block, and the oracle suite's lattice part
-runs _lattice_oracle_trial, whose DP passes and path-oracle grids serve the
-whole block. The tree drivers run their per-trial functions one trial at a
-time, each on a context of one.
+point, each a SeedContext of count trials, to a block function. The tree
+drivers and the oracle suite's tree parts build one CompleteInstance per
+block, yj-moments runs one array kernel (sample_yj), the lattice drivers
+run _lattice_trial, whose straight paths, first hop-DP pass and Dijkstra
+call serve the whole block, and the oracle suite's lattice part runs
+_lattice_oracle_trial, whose DP passes and path-oracle grids do too.
 The oracle suite pins its parts at indices p * suite_tree_instances + t
 (trees, n = 5, 6, 7), t (lattice) and 10_000 + t (Pruefer, AC2, which runs
 the tree-oracle trial at n = 7 with only its spanning comparison).
@@ -35,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import time
 import typing
 from dataclasses import dataclass, field, fields
@@ -275,66 +275,54 @@ def _report(cfg: ExperimentConfig, tables, verdicts, started: float) -> Experime
 # -- deterministic sweep runner ------------------------------------------------
 
 
-def _sweep(cfg: ExperimentConfig, fn, points, trials=None, first=0, width=1) -> list:
+def _sweep(cfg: ExperimentConfig, fn, points, widths, trials=None, first=0) -> list:
     """Run trials trials (default cfg.trials) of every sweep point through fn.
 
     fn(block, *point) takes a SeedContext of consecutive trials of one point
-    and returns their outcomes in trial order; a per-trial function goes
-    through _EachTrial. Trial t of point p runs under master seed
-    cfg.master_seed and trial index first + p * trials + t. A block holds at
-    most weights.BLOCK_ELEMENTS // width trials, width being the array
-    elements one trial takes; a pooled run makes blocks small enough that
-    each worker gets about 8. All blocks go through one serial pass or one
-    process pool; the result holds one outcome list per point, in trial
-    order.
+    and returns their outcomes in trial order. Trial t of point p runs under
+    master seed cfg.master_seed and trial index first + p * trials + t. A
+    block of point p holds at most weights.BLOCK_ELEMENTS // widths[p]
+    trials, widths[p] being the array elements one trial of that point
+    takes. The workers are cfg.workers capped at the CPU count; with more
+    than one, blocks are made small enough that each worker gets about 8,
+    and the process pool starts no more workers than there are blocks. All
+    blocks go through one serial pass or one pool; the result holds one
+    outcome list per point, in trial order.
     """
     trials = cfg.trials if trials is None else trials
-    size = weights.BLOCK_ELEMENTS // width
-    if cfg.workers > 1:
-        size = min(size, len(points) * trials // (cfg.workers * 8))
-    tasks = [
-        (block, *point)
-        for p, point in enumerate(points)
-        for block in SeedContext(cfg.master_seed, first + p * trials, trials).blocks(size)
-    ]
-    if cfg.workers <= 1 or len(tasks) <= 1:
+    workers = min(cfg.workers, os.cpu_count() or 1)
+    tasks = []
+    for p, (point, width) in enumerate(zip(points, widths)):
+        size = weights.BLOCK_ELEMENTS // width
+        if workers > 1:
+            size = min(size, len(points) * trials // (workers * 8))
+        tasks += [(block, *point) for block in SeedContext(cfg.master_seed, first + p * trials, trials).blocks(size)]
+    if workers <= 1 or len(tasks) <= 1:
         blocks = [fn(*task) for task in tasks]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             blocks = list(pool.map(fn, *zip(*tasks)))
     outcomes = list(itertools.chain.from_iterable(blocks))
     return [outcomes[p * trials : (p + 1) * trials] for p in range(len(points))]
 
 
-class _EachTrial:
-    """Block form of a per-trial function fn(ctx, *point): fn once per trial
-    of the block, on a context of one."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __call__(self, block, *point) -> list:
-        return [self.fn(ctx, *point) for ctx in block.blocks(1)]
-
-
 # -- trial functions (module level so the process pool can pickle them) -----
 
 
-def _tree_scaling_trial(ctx, spec, n_vertices, tau, gamma):
-    inst = CompleteInstance(n_vertices, spec, ctx)
-    mst = kruskal_mst(inst).total_weight
-    path = greedy_spanning_path(inst)
-    upper = min_tree_upper_bound(inst, tau, path)
-    lower = threshold_lower_bound(inst, tau, gamma)
+def _tree_scaling_trial(block, spec, n_vertices, tau, gamma):
+    """Per trial of block: (spanning weight, greedy upper bound, counting lower bound, sandwich holds)."""
+    inst = CompleteInstance(n_vertices, spec, block)
+    msts = [tree.total_weight for tree in kruskal_mst(inst)]
+    uppers = min_tree_upper_bound(inst, tau, greedy_spanning_path(inst))
+    lowers = threshold_lower_bound(inst, tau, gamma)
     slack = SANDWICH_SLACK * n_vertices
-    ok = (lower <= mst + slack) and (mst <= upper + slack)
-    return mst, upper, lower, ok
+    return [(mst, up, low, low <= mst + slack and mst <= up + slack) for mst, up, low in zip(msts, uppers, lowers)]
 
 
-def _tree_variance_trial(ctx, spec, n_vertices):
-    return kruskal_mst(CompleteInstance(n_vertices, spec, ctx)).total_weight
+def _tree_variance_trial(block, spec, n_vertices):
+    return [tree.total_weight for tree in kruskal_mst(CompleteInstance(n_vertices, spec, block))]
 
 
 def _yj_block(block, spec, n_vertices, j):
@@ -389,35 +377,37 @@ def _lattice_sweep(cfg: ExperimentConfig, points) -> list:
     """_sweep of _lattice_trial over points (pspec, d, n, budgets).
 
     A block holds as many trials as fit the label grids of the first DP
-    pass into weights.BLOCK_ELEMENTS: width is the largest first-pass grid's
-    cells over the points, 1 when no point runs that pass. Before any trial
-    runs, each point's first arrays at that block size are checked against
-    the array budget (require_trial_arrays), so an oversized config exits
+    pass into weights.BLOCK_ELEMENTS: a point's width is its first-pass
+    grid's cells, 1 when it runs no such pass. Before any trial runs, each
+    point's first arrays at its own block size are checked against the
+    array budget (require_trial_arrays), so an oversized config exits
     before a trial or a process pool starts.
     """
     heads = [_first_pass(pspec, n, budgets) for pspec, _, n, budgets in points]
-    cells = [label_grid_cells(d, n, head[-1]) for (_, d, n, _), head in zip(points, heads) if head]
-    width = max(cells, default=1)
-    count = min(cfg.trials, max(1, weights.BLOCK_ELEMENTS // width))
-    for (_, d, n, _), head in zip(points, heads):
+    widths = [label_grid_cells(d, n, head[-1]) if head else 1 for (_, d, n, _), head in zip(points, heads)]
+    for (_, d, n, _), head, width in zip(points, heads, widths):
+        count = min(cfg.trials, max(1, weights.BLOCK_ELEMENTS // width))
         require_trial_arrays(d, n, head[-1] if head else None, count)
-    return _sweep(cfg, _lattice_trial, points, width=width)
+    return _sweep(cfg, _lattice_trial, points, widths)
 
 
-def _tree_oracle_trial(ctx, spec, n_vertices, parts, gammas):
-    """(spanning mismatches, sandwich violations) of one K_n instance; see run_oracle_suite."""
-    inst = CompleteInstance(n_vertices, spec, ctx)
-    spanning_bad = sandwich_bad = 0
+def _tree_oracle_trial(block, spec, n_vertices, parts, gammas):
+    """(spanning mismatches, sandwich violations) per K_n instance of block; see run_oracle_suite."""
+    inst = CompleteInstance(n_vertices, spec, block)
+    spanning_bad, sandwich_bad = [0] * block.count, [0] * block.count
     if "spanning" in parts:
-        spanning_bad = kruskal_mst(inst).total_weight != prufer_mst_weight(inst)
+        spanning_bad = [tree.total_weight != w for tree, w in zip(kruskal_mst(inst), prufer_mst_weight(inst))]
     if "sandwich" in parts:
-        path = greedy_spanning_path(inst)
+        paths = greedy_spanning_path(inst)
         slack = SANDWICH_SLACK * n_vertices
         for tau in range(1, n_vertices):
-            exact = exact_min_tree(inst, tau).total_weight
-            sandwich_bad += exact > min_tree_upper_bound(inst, tau, path) + slack
-            sandwich_bad += sum(threshold_lower_bound(inst, tau, g) > exact + slack for g in gammas)
-    return spanning_bad, sandwich_bad
+            uppers = min_tree_upper_bound(inst, tau, paths)
+            lowers = [threshold_lower_bound(inst, tau, g) for g in gammas]
+            for t, tree in enumerate(exact_min_tree(inst, tau)):
+                exact = tree.total_weight
+                sandwich_bad[t] += exact > uppers[t] + slack
+                sandwich_bad[t] += sum(lower[t] > exact + slack for lower in lowers)
+    return list(zip(spanning_bad, sandwich_bad))
 
 
 def _lattice_oracle_trial(block, pspec):
@@ -476,7 +466,7 @@ def run_tree_scaling(cfg: ExperimentConfig) -> ExperimentReport:
     _require(cfg.gamma > 0.0, "gamma must be positive")
     specs = [cfg.tree_spec(alpha) for alpha in cfg.alpha_values]
     points = [(spec, n, n - 1, cfg.gamma) for spec in specs for n in cfg.n_values]
-    outcomes = iter(zip(points, _sweep(cfg, _EachTrial(_tree_scaling_trial), points)))
+    outcomes = iter(zip(points, _sweep(cfg, _tree_scaling_trial, points, [n * n for _, n, _, _ in points])))
     summary_rows = []
     fit_rows = []
     verdicts = []
@@ -559,7 +549,7 @@ def run_tree_variance(cfg: ExperimentConfig) -> ExperimentReport:
     spec = cfg.tree_spec(alpha)
     rows = []
     verdicts = []
-    outcomes = _sweep(cfg, _EachTrial(_tree_variance_trial), [(spec, n) for n in cfg.n_values])
+    outcomes = _sweep(cfg, _tree_variance_trial, [(spec, n) for n in cfg.n_values], [n * n for n in cfg.n_values])
     for n, values in zip(cfg.n_values, outcomes):
         s = summarize(values)
         # upper 95% chi-square confidence bound under approximate normality
@@ -600,7 +590,7 @@ def run_yj_moments(cfg: ExperimentConfig) -> ExperimentReport:
     rows = []
     scaled_means = []
     exp_checks = []
-    outcomes = _sweep(cfg, _yj_block, [(spec, cfg.n, j) for j in cfg.j_values], width=cfg.n)
+    outcomes = _sweep(cfg, _yj_block, [(spec, cfg.n, j) for j in cfg.j_values], [cfg.n] * len(cfg.j_values))
     for j, ys in zip(cfg.j_values, outcomes):
         s = summarize(ys)
         scale = (cfg.n - j) ** alpha
@@ -811,7 +801,7 @@ def run_oracle_suite(cfg: ExperimentConfig) -> ExperimentReport:
     tree_ns = (5, 6, 7)
     if "spanning" in cfg.suite or "sandwich" in cfg.suite:
         points = [(spec, n, cfg.suite, cfg.suite_gammas) for n in tree_ns]
-        out = _sweep(cfg, _EachTrial(_tree_oracle_trial), points, trials=cfg.suite_tree_instances)
+        out = _sweep(cfg, _tree_oracle_trial, points, [n * n for n in tree_ns], trials=cfg.suite_tree_instances)
         spanning_bad, sandwich_bad = map(sum, zip(*itertools.chain.from_iterable(out)))
         if "spanning" in cfg.suite:
             add("spanning_exact_equals_kruskal", "AC1", len(tree_ns) * cfg.suite_tree_instances, spanning_bad)
@@ -823,13 +813,12 @@ def run_oracle_suite(cfg: ExperimentConfig) -> ExperimentReport:
         pspec = cfg.passage_spec() if cfg.distribution else PassageTimeSpec("exponential", (1.0,))
         # the largest grid of the trial: the n = 3 DP label grid, also the path oracle's box
         width = label_grid_cells(2, 3, 7)
-        (out,) = _sweep(cfg, _lattice_oracle_trial, [(pspec,)], trials=cfg.suite_lattice_instances, width=width)
+        (out,) = _sweep(cfg, _lattice_oracle_trial, [(pspec,)], [width], trials=cfg.suite_lattice_instances)
         add("hop_dp_equals_enumeration", "AC3", 18 * cfg.suite_lattice_instances, sum(out))
 
     if "prufer" in cfg.suite:
         point = (spec, 7, ("spanning",), ())
-        trial = _EachTrial(_tree_oracle_trial)
-        (out,) = _sweep(cfg, trial, [point], trials=cfg.suite_prufer_instances, first=10_000)
+        (out,) = _sweep(cfg, _tree_oracle_trial, [point], [7 * 7], trials=cfg.suite_prufer_instances, first=10_000)
         add("kruskal_equals_prufer_enumeration", "AC2", cfg.suite_prufer_instances, sum(s for s, _ in out))
 
     tables = [Table("suite", ("part", "comparisons", "mismatches"), tuple(rows))]

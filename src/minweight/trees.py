@@ -10,10 +10,11 @@ shares no code with Prim: all n**(n-2) labelled trees, decoded from their
 Prufer sequences at once in numpy and cached as flat edge keys, whose totals
 are gathered from the flattened matrix (n <= 8). The spanning routine keeps
 the name kruskal_mst because the golden report digests and the benchmark
-look it up by that name. A CompleteInstance is one trial, so its
-SeedContext has count 1. The nearest-unvisited-edge minima Y_j come from a
-block kernel, sample_yj, that hashes one row per trial of a SeedContext of
-any count and builds no matrix.
+look it up by that name. A CompleteInstance holds the trials of a
+SeedContext of any count, and every routine returns one entry per trial,
+in trial order; the two enumeration oracles loop over the trials inside.
+The nearest-unvisited-edge minima Y_j come from a block kernel,
+sample_yj, that hashes one row per trial and builds no matrix.
 """
 
 from __future__ import annotations
@@ -31,21 +32,19 @@ from .weights import SeedContext, TreeWeightSpec, weight_matrix, weights_from_ve
 
 
 class CompleteInstance:
-    """One realization of K_n weights under (spec, ctx), read through its
-    cached weight matrix; ctx must hold one trial."""
+    """One realization of K_n weights per trial of ctx, read through the
+    cached stack of weight matrices."""
 
     def __init__(self, n: int, spec: TreeWeightSpec, ctx: SeedContext):
         if n < 2:
             raise ValueError(f"need at least 2 vertices, got {n}")
-        if ctx.count != 1:
-            raise ValueError(f"an instance is one trial, got a context of {ctx.count}")
         self.n = n
         self.spec = spec
         self.ctx = ctx
         self._matrix = None
 
     def matrix(self) -> np.ndarray:
-        """Weight matrix with +inf on the diagonal, built on first use."""
+        """Weight matrices (count, n, n), +inf on each diagonal, built on first use."""
         if self._matrix is None:
             self._matrix = weight_matrix(self.spec, self.ctx, self.n)
         return self._matrix
@@ -113,65 +112,65 @@ def _tree_result(lo, hi, total, labels) -> TreeResult:
     return TreeResult(edges=edges, total_weight=float(total), edge_count=len(edges))
 
 
-def greedy_spanning_path(inst: CompleteInstance) -> GreedyPathResult:
-    """Incremental nearest-unvisited-vertex spanning path from vertex 1.
+def greedy_spanning_path(inst: CompleteInstance) -> tuple:
+    """Incremental nearest-unvisited-vertex spanning path from vertex 1, per trial.
 
-    Ties break toward the smallest vertex index. Reads one matrix row per
-    step.
+    Ties break toward the smallest vertex index. Each step reads one matrix
+    row per trial and takes one argmin over all of them; the prefix sums add
+    the steps left to right.
     """
-    n = inst.n
     W = inst.matrix()
-    visited = np.zeros(n, dtype=bool)
-    visited[0] = True
-    order = [1]
-    steps = []
-    prefix = []
-    acc = 0.0
-    cur = 1
+    count, n, _ = W.shape
+    flat = W.reshape(count * n, n)
+    # at[t] = t * n + v indexes trial t's row of vertex v in flat and its entry in closed
+    base = np.arange(count) * n
+    closed = np.zeros((count, n))  # +inf once a vertex is on the path
+    closed.reshape(-1)[base] = np.inf
+    path = [base]
     for _ in range(n - 1):
-        row = np.where(visited, np.inf, W[cur - 1])
-        nxt0 = int(np.argmin(row))
-        w = float(row[nxt0])
-        visited[nxt0] = True
-        cur = nxt0 + 1
-        order.append(cur)
-        steps.append(w)
-        acc += w
-        prefix.append(acc)
-    return GreedyPathResult(order=tuple(order), step_weights=tuple(steps), prefix_sums=tuple(prefix))
+        at = base + (flat[path[-1]] + closed).argmin(axis=1)
+        closed.reshape(-1)[at] = np.inf
+        path.append(at)
+    at = np.stack(path, axis=1)
+    order = at - base[:, None]
+    steps = flat[at[:, :-1], order[:, 1:]]
+    return tuple(
+        GreedyPathResult(order=tuple(o), step_weights=tuple(w), prefix_sums=tuple(p))
+        for o, w, p in zip((order + 1).tolist(), steps.tolist(), np.cumsum(steps, axis=1).tolist())
+    )
 
 
-def min_tree_upper_bound(inst: CompleteInstance, tau: int, path: GreedyPathResult) -> float:
-    """Weight of the first tau steps of the greedy path; a feasible tau-edge tree."""
+def min_tree_upper_bound(inst: CompleteInstance, tau: int, paths: tuple) -> tuple:
+    """Weight of the first tau steps of each trial's greedy path; a feasible tau-edge tree."""
     if not 1 <= tau <= inst.n - 1:
         raise ValueError(f"tau must lie in 1..{inst.n - 1}, got {tau}")
-    return path.prefix_sums[tau - 1]
+    return tuple(path.prefix_sums[tau - 1] for path in paths)
 
 
-def kruskal_mst(inst: CompleteInstance) -> TreeResult:
-    """Exact minimum spanning tree, computed by the dense Prim kernel.
+def kruskal_mst(inst: CompleteInstance) -> tuple:
+    """Exact minimum spanning tree of each trial, by the dense Prim kernel.
 
     Edges come back sorted by key and the total adds them in that order.
     The name is kept because the golden report digests and the benchmark
     refer to it; with distinct weights the tree is Kruskal's.
     """
     W = inst.matrix()
-    lo, hi = _prim(W[None])
-    total = _tree_totals(W[lo, hi])[0]
-    return _tree_result(lo[0], hi[0], total, np.arange(1, inst.n + 1))
+    lo, hi = _prim(W)
+    totals = _tree_totals(W[np.arange(len(W))[:, None], lo, hi])
+    return tuple(_tree_result(*tree, np.arange(1, inst.n + 1)) for tree in zip(lo, hi, totals))
 
 
-def light_edge_count(inst: CompleteInstance, gamma: float) -> int:
-    """Number of edges of weight strictly below (gamma/n)**alpha (full scan)."""
+def light_edge_count(inst: CompleteInstance, gamma: float) -> tuple:
+    """Number of edges of weight strictly below (gamma/n)**alpha per trial (full scan)."""
     if gamma <= 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     threshold = (gamma / inst.n) ** inst.spec.alpha
-    # the matrix is symmetric with +inf on the diagonal: each edge counts twice
-    return int(np.count_nonzero(inst.matrix() < threshold)) // 2
+    # each matrix is symmetric with +inf on the diagonal: each edge counts twice
+    return tuple((np.count_nonzero(inst.matrix() < threshold, axis=(1, 2)) // 2).tolist())
 
 
-def threshold_lower_bound(inst: CompleteInstance, tau: int, gamma: float) -> float:
-    """Certified lower bound from counting light edges.
+def threshold_lower_bound(inst: CompleteInstance, tau: int, gamma: float) -> tuple:
+    """Certified lower bound from counting light edges, per trial.
 
     Counts R_tot = #{e : w(e) < (gamma/n)**alpha} over all edges and returns
     max(0, tau - R_tot) * (gamma/n)**alpha: a tree with at least tau edges
@@ -180,23 +179,22 @@ def threshold_lower_bound(inst: CompleteInstance, tau: int, gamma: float) -> flo
     """
     if not 1 <= tau <= inst.n - 1:
         raise ValueError(f"tau must lie in 1..{inst.n - 1}, got {tau}")
-    r_tot = light_edge_count(inst, gamma)
     threshold = (gamma / inst.n) ** inst.spec.alpha
-    return max(0, tau - r_tot) * threshold
+    return tuple(max(0, tau - r_tot) * threshold for r_tot in light_edge_count(inst, gamma))
 
 
 # exact_min_tree refuses an enumeration of more elementary steps than this
 EXACT_STEP_BUDGET = 10**8
 
 
-def exact_min_tree(inst: CompleteInstance, tau: int) -> TreeResult:
-    """Exact minimum over trees with at least tau edges, by subset enumeration.
+def exact_min_tree(inst: CompleteInstance, tau: int) -> tuple:
+    """Exact minimum over trees with at least tau edges, by subset enumeration, per trial.
 
     With strictly positive weights the optimum has exactly tau edges and
     spans tau + 1 vertices, so the answer is the best MST over all
-    (tau+1)-subsets, found by one batched Prim run. Ties go to the
+    (tau+1)-subsets, found by one batched Prim run per trial. Ties go to the
     lexicographically smallest subset. Only feasible at desk scale: n <= 12
-    and C(n, tau+1)*(tau+1)**2 within EXACT_STEP_BUDGET.
+    and C(n, tau+1)*(tau+1)**2 within EXACT_STEP_BUDGET, a budget per trial.
     """
     n = inst.n
     if not 1 <= tau <= n - 1:
@@ -210,11 +208,14 @@ def exact_min_tree(inst: CompleteInstance, tau: int) -> TreeResult:
         )
     # increasing subsets keep local edge keys in the order of the global ones
     subsets = np.array(list(itertools.combinations(range(n), tau + 1)), dtype=np.intp)
-    W = inst.matrix()[subsets[:, :, None], subsets[:, None, :]]
-    lo, hi = _prim(W)
-    totals = _tree_totals(W[np.arange(len(W))[:, None], lo, hi])
-    best = int(np.argmin(totals))
-    return _tree_result(lo[best], hi[best], totals[best], subsets[best] + 1)
+    out = []
+    for matrix in inst.matrix():
+        W = matrix[subsets[:, :, None], subsets[:, None, :]]
+        lo, hi = _prim(W)
+        totals = _tree_totals(W[np.arange(len(W))[:, None], lo, hi])
+        best = int(np.argmin(totals))
+        out.append(_tree_result(lo[best], hi[best], totals[best], subsets[best] + 1))
+    return tuple(out)
 
 
 def _prefix_block(block: SeedContext, n: int, j: int) -> np.ndarray:
@@ -293,12 +294,13 @@ def _labelled_tree_keys(n: int) -> np.ndarray:
     return keys
 
 
-def prufer_mst_weight(inst: CompleteInstance) -> float:
-    """Minimum spanning tree weight by full labelled-tree enumeration.
+def prufer_mst_weight(inst: CompleteInstance) -> tuple:
+    """Minimum spanning tree weight of each trial by full labelled-tree enumeration.
 
-    Gathers each tree's edge weights from the flat weight matrix at its
-    cached keys. Each total comes from the same sorted-key sum as
-    kruskal_mst, so the two agree bit for bit on the optimal tree.
+    Gathers each tree's edge weights from one trial's flat weight matrix at
+    its cached keys, one trial at a time. Each total comes from the same
+    sorted-key sum as kruskal_mst, so the two agree bit for bit on the
+    optimal tree.
     """
-    w = inst.matrix().ravel()[_labelled_tree_keys(inst.n)]
-    return float(_tree_totals(w).min())
+    keys = _labelled_tree_keys(inst.n)
+    return tuple(float(_tree_totals(matrix.ravel()[keys]).min()) for matrix in inst.matrix())

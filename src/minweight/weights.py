@@ -19,13 +19,15 @@ for passage times. Both take a SeedContext, count consecutive trials under
 one master seed, and hash ctx.master_seed and ctx.trials, the (count, 1)
 column of trial indices. weights_from_vertex lines the column up with the
 first axis of its vertices, so a context of one keeps their broadcast
-shape; passage_time_grid puts it ahead of its coordinates' broadcast shape,
-(count,) + (1,) * ndim, so its grids get a leading trial axis that the
-lattice routines keep. SeedContext.blocks is the one rule that cuts trials
-into blocks of at most BLOCK_ELEMENTS array elements, and require_array is
-the one byte budget of both families. The scalar per-edge versions that the
-tests use as oracles, and the analytic law helpers (cdf, envelope
-constants, moments), are in ``tests/reference.py``.
+shape; weight_matrix passes vertices with a leading axis of 1 and gets
+one (n, n) matrix per trial. passage_time_grid puts the column ahead of
+its coordinates' broadcast shape, (count,) + (1,) * ndim, so its grids
+get a leading trial axis that the lattice routines keep.
+SeedContext.blocks is the one rule that cuts trials into blocks of at most
+BLOCK_ELEMENTS array elements, and require_array is the one byte budget of
+both families. The scalar per-edge versions that the tests use as oracles,
+and the analytic law helpers (cdf, envelope constants, moments), are in
+``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -158,14 +160,16 @@ class PassageTimeSpec:
 
 
 def weight_matrix(spec: TreeWeightSpec, ctx: SeedContext, n: int) -> np.ndarray:
-    """Dense symmetric n x n weight matrix with +inf on the diagonal.
+    """Dense weight matrices of shape (count, n, n), one per trial of ctx.
 
-    Row/column index v corresponds to vertex v+1. Bit-identical to looping
-    the scalar reference edge_weight of ``tests/reference.py`` over all pairs.
+    Entry [t, v, w] is trial t's weight of the edge between vertices v+1
+    and w+1; each matrix is symmetric with +inf on its diagonal.
+    Bit-identical to looping the scalar reference edge_weight of
+    ``tests/reference.py`` over all pairs.
     """
     idx = np.arange(1, n + 1, dtype=np.uint64)
-    w = weights_from_vertex(spec, ctx, idx[:, None], idx[None, :])
-    np.fill_diagonal(w, np.inf)
+    w = weights_from_vertex(spec, ctx, idx[None, :, None], idx[None, None, :])
+    w[:, idx - 1, idx - 1] = np.inf
     return w
 
 

@@ -335,5 +335,5 @@ def yj_from_matrix(W, prefix) -> float:
 
 def yj_trial(ctx: SeedContext, spec: TreeWeightSpec, n_vertices: int, j: int) -> float:
     """Y_j of one trial: the row rule on the trial's full weight matrix, at its random_prefix."""
-    W = CompleteInstance(n_vertices, spec, ctx).matrix()
+    W = CompleteInstance(n_vertices, spec, ctx).matrix()[0]
     return float(yj_from_matrix(W, random_prefix(ctx.master_seed, ctx.trial_index, n_vertices, j)))

@@ -1,7 +1,8 @@
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
-import operator
+import os
 import typing
 
 import numpy as np
@@ -17,7 +18,6 @@ from minweight.experiments import (
     DRIVER_FIELDS,
     ExperimentConfig,
     Verdict,
-    _EachTrial,
     _lattice_trial,
     _sweep,
     passage_spec_from_config,
@@ -84,9 +84,11 @@ SMALL_SWEEPS = {
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
 def test_smoke_reports_do_not_depend_on_the_block_size(monkeypatch, name):
-    # at 64 elements the yj, lattice-DP and lattice-oracle blocks hold one trial each
-    monkeypatch.setattr(weights, "BLOCK_ELEMENTS", 64)
-    assert digest(run_experiment(smoke(name))) == GOLDEN_DIGESTS[name]
+    # at 64 elements the tree, yj, lattice-DP and lattice-oracle blocks hold
+    # one trial each; at 2**18 the tree-variance smoke (n = 256) holds 4
+    for cap in (64, 2**18):
+        monkeypatch.setattr(weights, "BLOCK_ELEMENTS", cap)
+        assert digest(run_experiment(smoke(name))) == GOLDEN_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_SWEEPS))
@@ -101,18 +103,63 @@ def _block_trial_indices(block):
     return block.trials[:, 0].tolist()
 
 
+def _block_sizes(block):
+    """A block trial function: the block's size, once per trial."""
+    return [block.count] * block.count
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sweep_runs_trial_t_of_point_p_at_index_p_trials_plus_t(workers):
     cfg = ExperimentConfig(experiment="tree-scaling", trials=4, workers=workers)
-    # a per-trial function through the adapter, then a block function whose
-    # width of a third of BLOCK_ELEMENTS splits 4 trials into blocks of 3 and 1
-    per_trial = _EachTrial(operator.attrgetter("trial_index"))
-    for fn, kw in ((per_trial, {}), (_block_trial_indices, {"width": weights.BLOCK_ELEMENTS // 3})):
-        got = _sweep(cfg, fn, [(), (), ()], **kw)
+    # per-point widths of all, a third and half of BLOCK_ELEMENTS cut the
+    # points' 4 trials into blocks of 1, of 3 and 1, and of 2
+    cap = weights.BLOCK_ELEMENTS
+    for widths in ([1, 1, 1], [cap, cap // 3, cap // 2]):
+        got = _sweep(cfg, _block_trial_indices, [(), (), ()], widths)
         assert got == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]]
         # explicit trials and first override cfg.trials and shift every index
-        got = _sweep(cfg, fn, [(), (), ()], trials=2, first=10_000, **kw)
+        got = _sweep(cfg, _block_trial_indices, [(), (), ()], widths, trials=2, first=10_000)
         assert got == [[10_000, 10_001], [10_002, 10_003], [10_004, 10_005]]
+    if workers == 1:
+        sizes = _sweep(cfg, _block_sizes, [(), (), ()], [cap, cap // 3, cap // 2])
+        assert sizes == [[1, 1, 1, 1], [3, 3, 3, 1], [2, 2, 2, 2]]
+
+
+class _RecordingPool:
+    """Stand-in for ProcessPoolExecutor that records its size and maps serially."""
+
+    opened = []
+
+    def __init__(self, max_workers):
+        self.opened.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_sweep_pool_is_bounded_by_cpus_and_blocks(monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "opened", [])
+    expected = [list(range(p * 64, (p + 1) * 64)) for p in range(3)]
+    cfg = ExperimentConfig(experiment="tree-scaling", trials=64, workers=100_000)
+    # 100000 workers on 4 CPUs: a pool of 4, and blocks of 3 * 64 // (4 * 8) = 6 trials
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert _sweep(cfg, _block_trial_indices, [(), (), ()], [1, 1, 1]) == expected
+    assert _sweep(cfg, _block_sizes, [(), (), ()], [1, 1, 1])[0] == [6] * 60 + [4] * 4
+    # two blocks of one trial each open two workers, not four
+    assert _sweep(cfg, _block_trial_indices, [()], [1], trials=2) == [[0, 1]]
+    assert _RecordingPool.opened == [4, 4, 2]
+    # one CPU, or an unknown count, runs serially in whole blocks without a pool
+    for cpus in (1, None):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert _sweep(cfg, _block_sizes, [(), (), ()], [1, 1, 1]) == [[64] * 64] * 3
+    assert _RecordingPool.opened == [4, 4, 2]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -130,7 +177,7 @@ def test_yj_blocks_through_sweep_match_per_trial_reference(monkeypatch, workers,
     # then one-trial blocks, because one row is wider than the cap
     for cap in (3 * n, n - 1):
         monkeypatch.setattr(weights, "BLOCK_ELEMENTS", cap)
-        assert _sweep(cfg, sample_yj, points, width=n) == expected
+        assert _sweep(cfg, sample_yj, points, [n] * len(points)) == expected
 
 
 def test_pooled_yj_run_takes_a_wrapped_sample_yj(monkeypatch):
@@ -231,8 +278,10 @@ def test_passage_spec_from_config():
 
 
 def test_tree_scaling_fit_identity_hook(monkeypatch):
-    # trial args: ctx, spec, n_vertices, tau, gamma
-    monkeypatch.setattr(exp_mod, "_tree_scaling_trial", lambda *a: (3.0 * a[2] ** 0.5, 0.0, 0.0, True))
+    # block trial args: block, spec, n_vertices, tau, gamma
+    monkeypatch.setattr(
+        exp_mod, "_tree_scaling_trial", lambda block, *a: [(3.0 * a[1] ** 0.5, 0.0, 0.0, True)] * block.count
+    )
     cfg = smoke("tree-scaling", workers=1)
     report = run_tree_scaling(cfg)
     slope = report.table("fits").rows[0][1]
@@ -250,7 +299,7 @@ def test_tree_scaling_empty_sweep_rejected():
 
 
 def test_tree_variance_constant_hook(monkeypatch):
-    monkeypatch.setattr(exp_mod, "_tree_variance_trial", lambda *a: 7.25)
+    monkeypatch.setattr(exp_mod, "_tree_variance_trial", lambda block, *a: [7.25] * block.count)
     cfg = smoke("tree-variance", workers=1)
     report = run_tree_variance(cfg)
     row = report.table("variance").rows[0]

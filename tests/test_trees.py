@@ -71,7 +71,7 @@ def kruskal_oracle(inst):
 
     Returns the edge set and the total added in sorted-key order.
     """
-    W = inst.matrix()
+    W = inst.matrix()[0]
     lo0, hi0 = np.triu_indices(inst.n, 1)
     w = W[lo0, hi0]
     uf = UnionFind(inst.n + 1)
@@ -84,13 +84,13 @@ def kruskal_oracle(inst):
                 break
     total = 0.0
     for a, b in sorted(edges):
-        total += inst.matrix()[a - 1, b - 1]
+        total += W[a - 1, b - 1]
     return set(edges), total
 
 
 def from_matrix(matrix, spec=TreeWeightSpec(alpha=0.5)):
-    """Instance whose weight matrix is a given symmetric matrix, with +inf
-    set on its diagonal; its seed is never read."""
+    """One-trial instance whose weight matrix is a given symmetric matrix,
+    with +inf set on its diagonal; its seed is never read."""
     m = np.array(matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
         raise ValueError("matrix must be square with at least 2 vertices")
@@ -100,7 +100,7 @@ def from_matrix(matrix, spec=TreeWeightSpec(alpha=0.5)):
         raise ValueError("off-diagonal weights must be finite")
     np.fill_diagonal(m, np.inf)
     inst = CompleteInstance(m.shape[0], spec, SeedContext(0))
-    inst._matrix = m
+    inst._matrix = m[None]
     return inst
 
 
@@ -115,7 +115,7 @@ def seeded(n, seed, trial=0, alpha=0.5, m_min=1.0, het=False):
 
 
 def test_greedy_frozen_matrix():
-    res = greedy_spanning_path(frozen4())
+    (res,) = greedy_spanning_path(frozen4())
     assert res.order == (1, 3, 4, 2)
     assert res.step_weights == (0.2, 0.3, 0.1)
     assert res.prefix_sums == pytest.approx((0.2, 0.5, 0.6))
@@ -123,14 +123,14 @@ def test_greedy_frozen_matrix():
 
 def test_greedy_two_vertices():
     inst = seeded(2, 5)
-    res = greedy_spanning_path(inst)
+    (res,) = greedy_spanning_path(inst)
     assert res.order == (1, 2)
-    assert res.step_weights == (inst.matrix()[0, 1],)
+    assert res.step_weights == (inst.matrix()[0, 0, 1],)
 
 
 def test_greedy_structure():
     inst = seeded(40, 17, het=True, m_min=0.5)
-    res = greedy_spanning_path(inst)
+    (res,) = greedy_spanning_path(inst)
     assert sorted(res.order) == list(range(1, 41))
     assert res.order[0] == 1
     assert len(res.step_weights) == 39
@@ -138,7 +138,7 @@ def test_greedy_structure():
     for idx in range(5):
         cur = res.order[idx]
         seen = set(res.order[: idx + 1])
-        expected = min(inst.matrix()[cur - 1, a - 1] for a in range(1, 41) if a not in seen)
+        expected = min(inst.matrix()[0, cur - 1, a - 1] for a in range(1, 41) if a not in seen)
         assert res.step_weights[idx] == expected
     # prefix sums nondecreasing
     assert all(b >= a for a, b in zip(res.prefix_sums, res.prefix_sums[1:]))
@@ -146,18 +146,18 @@ def test_greedy_structure():
 
 def test_upper_bound_frozen():
     inst = frozen4()
-    path = greedy_spanning_path(inst)
-    assert min_tree_upper_bound(inst, 2, path) == 0.5
-    assert min_tree_upper_bound(inst, 1, path) == 0.2
-    assert min_tree_upper_bound(inst, 3, path) == path.prefix_sums[-1]
+    paths = greedy_spanning_path(inst)
+    assert min_tree_upper_bound(inst, 2, paths) == (0.5,)
+    assert min_tree_upper_bound(inst, 1, paths) == (0.2,)
+    assert min_tree_upper_bound(inst, 3, paths) == (paths[0].prefix_sums[-1],)
     with pytest.raises(ValueError):
-        min_tree_upper_bound(inst, 0, path)
+        min_tree_upper_bound(inst, 0, paths)
     with pytest.raises(ValueError):
-        min_tree_upper_bound(inst, 4, path)
+        min_tree_upper_bound(inst, 4, paths)
 
 
 def test_kruskal_frozen():
-    res = kruskal_mst(frozen4())
+    (res,) = kruskal_mst(frozen4())
     assert set(res.edges) == {(2, 4), (1, 3), (3, 4)}
     assert res.total_weight == pytest.approx(0.6)
     assert res.edge_count == 3
@@ -165,7 +165,7 @@ def test_kruskal_frozen():
 
 def test_kruskal_three_vertices():
     w = [[0.0, 0.7, 0.4], [0.7, 0.0, 0.9], [0.4, 0.9, 0.0]]
-    res = kruskal_mst(from_matrix(w))
+    (res,) = kruskal_mst(from_matrix(w))
     assert res.total_weight == pytest.approx(0.7 + 0.4)
 
 
@@ -174,7 +174,7 @@ def test_kruskal_three_vertices():
 def test_kruskal_mst_matches_oracle(n, m_min, het):
     for alpha in (0.3, 0.5, 0.7):
         inst = seeded(n, 31 + n, trial=7, alpha=alpha, m_min=m_min, het=het)
-        res = kruskal_mst(inst)
+        (res,) = kruskal_mst(inst)
         edges, total = kruskal_oracle(inst)
         assert set(res.edges) == edges
         assert res.total_weight == total  # bit-identical, same summation order
@@ -183,24 +183,24 @@ def test_kruskal_mst_matches_oracle(n, m_min, het):
 
 def test_kruskal_is_tree():
     inst = seeded(30, 3)
-    res = kruskal_mst(inst)
+    (res,) = kruskal_mst(inst)
     uf = UnionFind(31)
     for a, b in res.edges:
         assert uf.union(a, b)  # acyclic
     roots = {uf.find(v) for v in range(1, 31)}
     assert len(roots) == 1  # connected
     # totals re-sum within accumulation tolerance
-    resum = sum(inst.matrix()[a - 1, b - 1] for a, b in res.edges)
+    resum = sum(inst.matrix()[0, a - 1, b - 1] for a, b in res.edges)
     assert abs(resum - res.total_weight) <= 1e-12 * res.edge_count
 
 
 def test_threshold_lower_bound_frozen():
     inst = frozen4()
     # gamma = 0.25 makes the threshold (0.25/4)**0.5 = 0.25; two edges below it
-    assert light_edge_count(inst, 0.25) == 2
-    assert threshold_lower_bound(inst, 3, 0.25) == pytest.approx(0.25)
+    assert light_edge_count(inst, 0.25) == (2,)
+    assert threshold_lower_bound(inst, 3, 0.25) == pytest.approx((0.25,))
     # huge gamma counts every edge
-    assert threshold_lower_bound(inst, 3, 4000.0) == 0.0
+    assert threshold_lower_bound(inst, 3, 4000.0) == (0.0,)
     with pytest.raises(ValueError):
         threshold_lower_bound(inst, 3, 0.0)
 
@@ -216,11 +216,11 @@ def test_light_edge_count_concentration():
     m = n * (n - 1) // 2
     mu2 = envelope_d2(spec) * gamma / n
     cutoff = m * mu2 * (1 + eps)
-    overflow = 0
-    for seed_off in range(reps):
-        inst = CompleteInstance(n, spec, SeedContext(777, seed_off))
-        if light_edge_count(inst, gamma) > cutoff:
-            overflow += 1
+    overflow = sum(
+        count > cutoff
+        for ctx in SeedContext(777, 0, reps).blocks(100)
+        for count in light_edge_count(CompleteInstance(n, spec, ctx), gamma)
+    )
     freq = overflow / reps
     bound = bernoulli_upper_bound(m, mu2, eps)
     se = _math.sqrt(max(freq * (1 - freq), 1e-12) / reps)
@@ -229,16 +229,16 @@ def test_light_edge_count_concentration():
 
 def test_exact_min_tree_examples():
     inst = frozen4()
-    assert exact_min_tree(inst, 1).total_weight == pytest.approx(0.1)
-    assert exact_min_tree(inst, 2).total_weight == pytest.approx(0.4)
-    full = exact_min_tree(inst, 3)
-    assert full.total_weight == kruskal_mst(inst).total_weight
+    assert exact_min_tree(inst, 1)[0].total_weight == pytest.approx(0.1)
+    assert exact_min_tree(inst, 2)[0].total_weight == pytest.approx(0.4)
+    (full,) = exact_min_tree(inst, 3)
+    assert full.total_weight == kruskal_mst(inst)[0].total_weight
     assert full.edge_count == 3
 
 
 def test_exact_min_tree_golden_seed11():
     inst = seeded(5, 11)
-    res = exact_min_tree(inst, 2)
+    (res,) = exact_min_tree(inst, 2)
     assert res.total_weight == GOLDEN_N5_TAU2
     assert res.edge_count == 2
 
@@ -247,7 +247,7 @@ def test_exact_equals_kruskal_spanning():
     for seed in range(8):
         for n in (5, 6, 7):
             inst = seeded(n, 100 + seed)
-            assert exact_min_tree(inst, n - 1).total_weight == kruskal_mst(inst).total_weight
+            assert exact_min_tree(inst, n - 1)[0].total_weight == kruskal_mst(inst)[0].total_weight
 
 
 def test_exact_min_tree_guards(monkeypatch):
@@ -265,14 +265,14 @@ def test_sandwich_and_monotonicity():
     for seed in range(6):
         for n in (5, 6, 7):
             inst = seeded(n, 200 + seed, het=(seed % 2 == 0), m_min=0.5)
-            path = greedy_spanning_path(inst)
+            paths = greedy_spanning_path(inst)
             prev = 0.0
             for tau in range(1, n):
-                exact = exact_min_tree(inst, tau).total_weight
-                upper = min_tree_upper_bound(inst, tau, path)
+                exact = exact_min_tree(inst, tau)[0].total_weight
+                (upper,) = min_tree_upper_bound(inst, tau, paths)
                 assert exact <= upper + 1e-15
                 for g in gammas:
-                    assert threshold_lower_bound(inst, tau, g) <= exact + 1e-15
+                    assert threshold_lower_bound(inst, tau, g)[0] <= exact + 1e-15
                 assert exact >= prev  # nondecreasing in tau
                 prev = exact
 
@@ -288,19 +288,19 @@ def test_sandwich_and_monotonicity():
 )
 def test_bounds_sandwich_exact_property(seed, n, alpha, m_min, het, gamma):
     inst = seeded(n, seed, alpha=alpha, m_min=m_min, het=het)
-    path = greedy_spanning_path(inst)
+    paths = greedy_spanning_path(inst)
     slack = SANDWICH_SLACK * n
     for tau in range(1, n):
-        exact = exact_min_tree(inst, tau).total_weight
-        assert threshold_lower_bound(inst, tau, gamma) <= exact + slack
-        assert exact <= min_tree_upper_bound(inst, tau, path) + slack
+        exact = exact_min_tree(inst, tau)[0].total_weight
+        assert threshold_lower_bound(inst, tau, gamma)[0] <= exact + slack
+        assert exact <= min_tree_upper_bound(inst, tau, paths)[0] + slack
     # the loop ends at tau = n - 1, the spanning tree
-    assert kruskal_mst(inst).total_weight == exact
+    assert kruskal_mst(inst)[0].total_weight == exact
 
 
 def test_sample_yj():
     # the rule on the frozen matrix: from vertex 3, vertices 2 and 4 remain
-    assert yj_from_matrix(frozen4().matrix(), (1, 3)) == 0.3
+    assert yj_from_matrix(frozen4().matrix()[0], (1, 3)) == 0.3
     spec = TreeWeightSpec(alpha=0.5)
     for j in (0, 4):
         with pytest.raises(ValueError, match="prefix length"):
@@ -321,12 +321,41 @@ def test_sample_yj_block_matches_per_trial_reference(n, het):
         assert [y for ctx in block.blocks(1) for y in sample_yj(ctx, spec, n, j)] == expected
 
 
-def test_instance_needs_a_context_of_one(monkeypatch):
-    # the count is checked before any weight is hashed
-    monkeypatch.setattr(weights.rng, "hash_words_vec", None)
-    for count in (2, 7):
-        with pytest.raises(ValueError, match="one trial"):
-            CompleteInstance(5, TreeWeightSpec(alpha=0.5), SeedContext(1, 0, count))
+@pytest.mark.parametrize("het", [False, True])
+def test_tree_routines_on_a_block_equal_them_on_its_sub_blocks(het):
+    # every routine answers one entry per trial, in trial order: a 7-trial
+    # instance equals the concatenation over its contexts of one and of three
+    spec = TreeWeightSpec(alpha=0.4, m_min=0.25 if het else 1.0, heterogeneous=het)
+    n = 7
+    routines = {
+        "kruskal_mst": kruskal_mst,
+        "greedy_spanning_path": greedy_spanning_path,
+        "min_tree_upper_bound": lambda inst: min_tree_upper_bound(inst, 3, greedy_spanning_path(inst)),
+        "light_edge_count": lambda inst: light_edge_count(inst, 1.5),
+        "threshold_lower_bound": lambda inst: threshold_lower_bound(inst, 4, 0.5),
+        "exact_min_tree": lambda inst: exact_min_tree(inst, 3),
+        "prufer_mst_weight": prufer_mst_weight,
+    }
+    block = SeedContext(2**63 + 5, 90, 7)
+    for name, routine in routines.items():
+        whole = routine(CompleteInstance(n, spec, block))
+        assert len(whole) == block.count, name
+        for size in (1, 3):
+            parts = [a for ctx in block.blocks(size) for a in routine(CompleteInstance(n, spec, ctx))]
+            assert list(whole) == parts, (name, size)
+
+
+@pytest.mark.parametrize("het", [False, True])
+def test_weight_matrix_has_one_symmetric_matrix_per_trial(het):
+    # count == n once gave an (n, n) matrix whose row t was trial t's
+    spec = TreeWeightSpec(alpha=0.5, m_min=0.25 if het else 1.0, heterogeneous=het)
+    block = SeedContext(1, 0, 5)
+    W = weights.weight_matrix(spec, block, 5)
+    assert W.shape == (5, 5, 5)
+    assert np.array_equal(W, W.transpose(0, 2, 1))
+    assert np.all(np.isinf(np.diagonal(W, axis1=1, axis2=2)))
+    for t, ctx in enumerate(block.blocks(1)):
+        assert np.array_equal(W[t], weights.weight_matrix(spec, ctx, 5)[0])
 
 
 def test_tree_array_budget():
@@ -362,7 +391,7 @@ def test_kruskal_matches_prufer_enumeration():
     assert trees.shape[0] == 7**5
     for seed in range(5):
         inst = seeded(7, 300 + seed)
-        assert kruskal_mst(inst).total_weight == prufer_mst_weight(inst)
+        assert kruskal_mst(inst)[0].total_weight == prufer_mst_weight(inst)[0]
 
 
 @pytest.mark.parametrize("n", range(2, 8))

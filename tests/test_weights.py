@@ -92,7 +92,7 @@ def test_matrix_matches_scalar_oracle():
     spec = TreeWeightSpec(alpha=0.5, m_min=0.5, heterogeneous=True)
     ctx = SeedContext(42, 3)
     n = 13
-    W = weight_matrix(spec, ctx, n)
+    (W,) = weight_matrix(spec, ctx, n)
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if i == j:
@@ -167,7 +167,7 @@ def test_empirical_cdf_inside_envelope(alpha, m_min):
 def test_weights_in_unit_interval():
     spec = TreeWeightSpec(alpha=0.7, m_min=0.5, heterogeneous=True)
     ctx = SeedContext(5, 2)
-    W = weight_matrix(spec, ctx, 64)
+    (W,) = weight_matrix(spec, ctx, 64)
     off = W[~np.eye(64, dtype=bool)]
     assert off.min() >= 0.0 and off.max() <= 1.0
 
