@@ -5,8 +5,8 @@ from the origin to (n, 0) over paths of at most k edges decreases in k and
 locks onto the unconstrained minimum once the hop budget covers the optimal
 path. Both values are exact for the infinite lattice: the hop DP relaxes
 only the finitely many cells a walk of at most k edges to the target can
-visit, and Dijkstra runs on a finite box whose boundary labels prove that
-no path leaving it is shorter.
+visit, and Dijkstra searches a finite box from both ends, whose two sets
+of boundary labels prove that no path leaving it is shorter.
 """
 
 from minweight.lattice import (

@@ -59,6 +59,7 @@ from .trees import (
     exact_min_tree,
     greedy_spanning_path,
     kruskal_mst,
+    light_edge_count,
     min_tree_upper_bound,
     prufer_mst_weight,
     sample_yj,
@@ -350,9 +351,10 @@ def _lattice_trial(block, pspec, d, n, budgets):
     budgets is an increasing schedule. The straight paths, the first hop-DP
     pass of _first_pass and Dijkstra each run once for the whole block. Each
     trial's last target label of that pass becomes its Dijkstra limit: the
-    label is the time of a walk inside Dijkstra's first box, so it bounds
-    T_n. Without that pass Dijkstra runs limited by the straight-path time,
-    which already prunes about half the box under the other laws. Every
+    label is the time of a real walk, so it bounds T_n, and Dijkstra's two
+    searches, from the origin and from the target, each stop near half of
+    it. Without that pass the straight-path time is the limit, which under
+    the other laws already keeps the searches to under half the box. Every
     remaining budget at or above a trial's Dijkstra hop count reuses its
     value, and at most one more DP pass, per trial on a context of one and
     only for a trial that still needs it, answers the rest: a pass over the
@@ -399,10 +401,11 @@ def _tree_oracle_trial(block, spec, n_vertices, parts, gammas):
         spanning_bad = [tree.total_weight != w for tree, w in zip(kruskal_mst(inst), prufer_mst_weight(inst))]
     if "sandwich" in parts:
         paths = greedy_spanning_path(inst)
+        counts = [light_edge_count(inst, g) for g in gammas]  # one scan per gamma serves every tau
         slack = SANDWICH_SLACK * n_vertices
         for tau in range(1, n_vertices):
             uppers = min_tree_upper_bound(inst, tau, paths)
-            lowers = [threshold_lower_bound(inst, tau, g) for g in gammas]
+            lowers = [threshold_lower_bound(inst, tau, g, c) for g, c in zip(gammas, counts)]
             for t, tree in enumerate(exact_min_tree(inst, tau)):
                 exact = tree.total_weight
                 sandwich_bad[t] += exact > uppers[t] + slack

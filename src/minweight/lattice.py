@@ -6,22 +6,26 @@ cells a walk of at most k edges to the target can visit, a finite set, so it
 needs no box. With nonnegative times the walk relaxation is exact for
 self-avoiding paths.
 
-Only Dijkstra runs on a box [-r, r]^d around the origin, and a boundary
-certificate proves it exact: if every boundary vertex's distance is already
-at least the target's, a path leaving the box pays at least that before it
-exits and passage times are nonnegative, so it cannot improve. Dijkstra
-stops at an inclusive limit, an upper bound on the target's distance that
-the caller may pass (the straight-path time by default, or a hop-DP label);
-vertices beyond it read +inf, which changes neither the value, the witness
-nor the certificate.
+Only Dijkstra runs on a box, [-r, n + r] x [-r, r]^(d - 1) around the
+segment from the origin to the target, and it searches from both ends: one
+call runs a search from the origin and one from the target, each stopping
+at about half of an inclusive limit, an upper bound on T_n that the caller
+may pass (the straight-path time by default, or a hop-DP label). Any path
+of time at most the limit has an edge whose two ends both searches reached,
+so T_n is the least sum of the two distances and the edge time over the
+box's edges. A boundary certificate proves the box exact: a path leaving
+it pays at least the origin's least boundary distance before its first
+exit and the target's after its last re-entry, and passage times are
+nonnegative, so when those two add up to at least T_n it cannot improve.
 
 Every caller takes its edge times from one grid convention, _axis_times: a
 numpy grid spanning [lows[a], lows[a] + shape[a]) on each axis a,
 row-major. The DP's grid is its walk region; Dijkstra's is the box, with
-lows = (-r,) * d and shape = (2r + 1,) * d; the straight path's is the
-segment from the origin to the target; the path oracle's is the bounding
-box of its search. The DP's label grid and Dijkstra's arc times are checked
-against the array budget of weights.require_array before they are built;
+lows = (-r,) * d and shape = (n + 2r + 1,) + (2r + 1,) * (d - 1); the
+straight path's is the segment from the origin to the target; the path
+oracle's is the bounding box of its search. The DP's label grid, and
+Dijkstra's arc times and search distances, are checked against the array
+budget of weights.require_array before they are built;
 require_trial_arrays runs the same checks from a config alone.
 
 LatticeSpec.ctx is a SeedContext of count trials, one lattice per trial.
@@ -254,43 +258,58 @@ def hop_constrained_certified(lat: LatticeSpec, n: int, budgets, free: tuple | N
     )
 
 
-def _require_box(radius: int, d: int) -> None:
-    """Raise CapacityError when the box [-radius, radius]^d has 2**31 arcs or
-    more (the int32 CSR indptr and indices would wrap), or when its float64
-    arc times exceed the array budget."""
-    arcs = 2 * d * 2 * radius * (2 * radius + 1) ** (d - 1)
+def _box(d: int, n: int, radius: int) -> tuple:
+    """(lows, shape) of Dijkstra's box of radius radius for target n:
+    [-radius, n + radius] x [-radius, radius]^(d - 1), as an _axis_times grid."""
+    return (-radius,) * d, (n + 2 * radius + 1,) + (2 * radius + 1,) * (d - 1)
+
+
+def _require_box(shape: tuple) -> None:
+    """Raise CapacityError when the Dijkstra box of grid shape shape has
+    2**31 arcs or more (the int32 CSR indptr and indices would wrap), or
+    when its float64 arc times or the (2, cells) distances of its two
+    searches exceed the array budget."""
+    cells = math.prod(shape)
+    arcs = 2 * sum(cells // side * (side - 1) for side in shape)
     if arcs >= 2**31:
-        msg = f"Dijkstra box of radius {radius} in d = {d} has {arcs} arcs, beyond int32 CSR indices"
-        raise CapacityError(msg)
-    require_array(f"the arc-time array of the Dijkstra box of radius {radius} in d = {d}", arcs)
+        raise CapacityError(f"Dijkstra box of shape {shape} has {arcs} arcs, beyond int32 CSR indices")
+    require_array(f"the arc-time array of the Dijkstra box of shape {shape}", arcs)
+    require_array(f"the distance array of Dijkstra's two searches on the box of shape {shape}", 2 * cells)
+
+
+def _arc_ends(d: int, axis: int) -> tuple:
+    """Slices of the base and of the head cells of a grid's +axis arcs."""
+    lo = tuple(slice(None, -1) if i == axis else slice(None) for i in range(d))
+    hi = tuple(slice(1, None) if i == axis else slice(None) for i in range(d))
+    return lo, hi
 
 
 @functools.lru_cache(maxsize=1)
-def _csr_pattern(radius: int, d: int) -> tuple:
-    """indptr, indices and COO-to-CSR order of the arcs of the box
-    [-radius, radius]^d, and the flat indices of its boundary cells.
+def _csr_pattern(shape: tuple) -> tuple:
+    """indptr, indices and COO-to-CSR order of the arcs of the grid of shape
+    shape, and the flat indices of its boundary cells.
 
-    Cells are indexed row-major on the grid of shape (2 * radius + 1,) * d.
-    The arcs are listed as _box_csr lists their times: per axis, the +axis
-    arcs and then the -axis arcs. The order sorts them by row, then column,
-    which is the layout csr_matrix builds from those COO triplets.
+    Cells are indexed row-major. The arcs are listed as _box_csr lists their
+    times: per axis, the +axis arcs and then the -axis arcs. The order sorts
+    them by row, then column, which is the layout csr_matrix builds from
+    those COO triplets.
 
     Raises CapacityError, before allocating, as _require_box does.
     """
-    _require_box(radius, d)
-    cells = (2 * radius + 1) ** d
-    idx = np.arange(cells, dtype=np.int32).reshape((2 * radius + 1,) * d)
+    _require_box(shape)
+    cells = math.prod(shape)
+    idx = np.arange(cells, dtype=np.int32).reshape(shape)
     rows, cols = [], []
-    for a in range(d):
-        u = idx[tuple(slice(0, -1) if i == a else slice(None) for i in range(d))].ravel()
-        v = idx[tuple(slice(1, None) if i == a else slice(None) for i in range(d))].ravel()
+    for a in range(len(shape)):
+        lo, hi = _arc_ends(len(shape), a)
+        u, v = idx[lo].ravel(), idx[hi].ravel()
         rows += [u, v]
         cols += [v, u]
     rows, cols = np.concatenate(rows), np.concatenate(cols)
     order = np.lexsort((cols, rows))
     indptr = np.zeros(cells + 1, dtype=np.int32)
     np.cumsum(np.bincount(rows, minlength=cells), out=indptr[1:])
-    interior = np.zeros((2 * radius - 1,) * d, dtype=bool)
+    interior = np.zeros(tuple(side - 2 for side in shape), dtype=bool)
     boundary = np.flatnonzero(np.pad(interior, 1, constant_values=True))
     pattern = (indptr, cols[order], order, boundary)
     for a in pattern:
@@ -298,54 +317,72 @@ def _csr_pattern(radius: int, d: int) -> tuple:
     return pattern
 
 
-def _box_csr(lat: LatticeSpec, radius: int):
-    """Sparse adjacency of the box [-radius, radius]^d with per-edge passage
-    times (both arcs), indexed as _csr_pattern indexes it."""
-    indptr, indices, order, _ = _csr_pattern(radius, lat.d)
-    shape = (2 * radius + 1,) * lat.d
-    times = [_axis_times(lat, (-radius,) * lat.d, shape, a).ravel() for a in range(lat.d)]
+def _box_csr(times: list, shape: tuple):
+    """Sparse adjacency of the grid of shape shape with per-edge passage
+    times (both arcs), indexed as _csr_pattern indexes it; times[a] holds
+    one trial's +a edge times, indexed by base cell."""
+    indptr, indices, order, _ = _csr_pattern(shape)
     # each edge's time serves its +axis and its -axis arc
-    data = np.concatenate([t for t in times for _ in range(2)])
+    data = np.concatenate([t.ravel() for t in times for _ in range(2)])
     return csr_matrix((data[order], indices, indptr), shape=(indptr.size - 1,) * 2)
 
 
 # Dijkstra's box never grows past radius RADIUS_CAP_MULTIPLE * n
 RADIUS_CAP_MULTIPLE = 64
 
+# Each of Dijkstra's two searches first stops at limit * (1/2 + PATH_SUM_SLACK).
+# The slack is relative and covers the rounding of every path sum in a box
+# the array budget admits: such a box has fewer than 2**25 cells, so a sum
+# of its edge times is off by less than 2**25 * 2**-53 of its exact value.
+PATH_SUM_SLACK = 2.0**-26
+
 
 def _first_radius(n: int) -> int:
-    """Radius of Dijkstra's first box for target n: ceil(5n/4) + 8, clamped to the cap."""
-    return min((5 * n + 3) // 4 + 8, RADIUS_CAP_MULTIPLE * n)
+    """Radius of Dijkstra's first box for target n: ceil(5n/8) + 8, clamped to the cap."""
+    return min((5 * n + 7) // 8 + 8, RADIUS_CAP_MULTIPLE * n)
 
 
 def require_trial_arrays(d: int, n: int, k: int | None = None, count: int = 1) -> None:
     """Check, before any trial runs, the first arrays a lattice trial for
     target n builds, as the solvers check them: the label grids of a
     hop-DP pass to budget k over count trials, when such a pass runs first,
-    and the arc times of Dijkstra's first box. Raises CapacityError."""
+    and the arc times and search distances of Dijkstra's first box. Raises
+    CapacityError."""
     if k is not None:
         _require_label_grids(d, n, k, count)
-    _require_box(_first_radius(n), d)
+    _require_box(_box(d, n, _first_radius(n))[1])
 
 
 def unconstrained_time(lat: LatticeSpec, n: int, limits=None) -> tuple:
     """Unconstrained minimum passage time on Z^d to (n, 0, ..., 0): one
     ConstrainedResult per trial of lat.ctx, each with its witness path.
 
-    Dijkstra runs on one trial's lattice at a time, on a box of initial
-    radius ceil(5n/4) + 8, clamped to the cap RADIUS_CAP_MULTIPLE * n, and
-    doubles the radius (again clamped to the cap) until every boundary
-    vertex's distance is at least the target's distance; the value is then
-    exact for the infinite lattice. A certificate that fails at the cap
-    raises CapacityError rather than returning an unproven value, as does a
-    box too large for int32 CSR indices (see _csr_pattern).
-
     limits holds one limit per trial, an inclusive upper bound on its T_n
-    that defaults to its straight-path time. Dijkstra stops there; vertices
-    beyond it read +inf, which changes neither the value, the witness nor
-    the certificate. Any hop-DP target label is the time of a real walk, so
-    it is a valid limit too. A limit below T_n leaves the target unreached
-    in the certified box and raises ValueError.
+    that defaults to its straight-path time. Any hop-DP target label is the
+    time of a real walk, so it is a valid limit too.
+
+    Dijkstra runs on one trial's lattice at a time, from both ends at once:
+    one call searches from the origin and from the target on the box
+    [-r, n + r] x [-r, r]^(d - 1), r = ceil(5n/8) + 8 clamped to the cap
+    RADIUS_CAP_MULTIPLE * n, each search stopping at h = limit * (1/2 +
+    PATH_SUM_SLACK). A path of time at most the limit has an edge u -> w
+    with both ends within h of their search's root, so T_n is the least
+    ds(u) + t(u, w) + dt(w) over the box's arcs. The witness is the origin's
+    search path to u, then the target's search path from w; the value is
+    its edge times summed left to right, as a one-source Dijkstra sums them.
+
+    The box is certified when e_s + e_t >= T_n, e being each search's least
+    boundary distance and an unreached boundary counting at its search's
+    stop: a path that leaves the box pays at least e_s up to its first
+    boundary vertex and at least e_t from its last one. When the
+    certificate fails the same box is searched once more to the full limit,
+    and then the radius doubles (again clamped to the cap), each box
+    searched to the full limit, until it holds; the value is then exact for
+    the infinite lattice. A certificate that fails at the cap raises
+    CapacityError rather than returning an unproven value, as does a box
+    too large for int32 CSR indices or for the array budget (see
+    _require_box). When e_s + e_t exceeds the limit and no path in the box
+    takes at most the limit, the limit is below T_n: ValueError.
 
     Distance ties between distinct optimal paths occur with probability zero
     under the continuous passage-time laws; on such ties the reported witness
@@ -365,29 +402,73 @@ def _certified_dijkstra(lat: LatticeSpec, n: int, limit: float) -> ConstrainedRe
     """unconstrained_time on a context of one, for n >= 1."""
     cap = RADIUS_CAP_MULTIPLE * n
     radius = _first_radius(n)
+    stops = (limit * (0.5 + PATH_SUM_SLACK), limit)
     while True:
-        shape = (2 * radius + 1,) * lat.d
-        source = int(np.ravel_multi_index((radius,) * lat.d, shape))
-        target = int(np.ravel_multi_index((radius + n,) + (radius,) * (lat.d - 1), shape))
-        dist, pred = _csgraph_dijkstra(
-            _box_csr(lat, radius), directed=True, indices=source, return_predecessors=True, limit=limit
-        )
-        value = float(dist[target])
-        if float(dist[_csr_pattern(radius, lat.d)[3]].min()) >= value:
-            break
+        lows, shape = _box(lat.d, n, radius)
+        _require_box(shape)  # before any array of the box is built
+        times = [_axis_times(lat, lows, shape, a)[0] for a in range(lat.d)]
+        graph = _box_csr(times, shape)
+        boundary = _csr_pattern(shape)[3]
+        # flat indices of the origin and of the target, the two searches' roots
+        ends = np.ravel_multi_index(((radius, radius + n),) + ((radius, radius),) * (lat.d - 1), shape)
+        for stop in stops:
+            dist, pred = _csgraph_dijkstra(graph, directed=True, indices=ends, return_predecessors=True, limit=stop)
+            value, cells = _meet(dist, pred, times, shape, ends)
+            bound = sum(min(float(side[boundary].min()), stop) for side in dist)
+            if value <= limit and bound >= value:
+                return ConstrainedResult(value, len(cells) - 1, tuple(map(tuple, (cells + lows).tolist())))
+            if bound > limit:
+                raise ValueError(f"Dijkstra limit {limit} is below the passage time to n = {n}")
         if radius >= cap:
             msg = f"boundary certificate fails at radius {radius}, the cap {RADIUS_CAP_MULTIPLE}*n"
             raise CapacityError(msg)
         radius = min(2 * radius, cap)
-    if math.isinf(value):
-        raise ValueError(f"Dijkstra limit {limit} is below the passage time to n = {n}")
+        stops = (limit,)
 
-    chain = [target]
-    while chain[-1] != source:
-        chain.append(int(pred[chain[-1]]))
-    coords = np.stack(np.unravel_index(chain[::-1], shape), axis=1) - radius
-    path = tuple(map(tuple, coords.tolist()))
-    return ConstrainedResult(value, len(path) - 1, path)
+
+def _meet(dist, pred, times: list, shape: tuple, ends) -> tuple:
+    """(value, cells) of the best origin-to-target path through an arc
+    u -> w of the box whose ends both searches reached: the least
+    ds(u) + t(u, w) + dt(w). cells holds the path's grid indices, one row
+    per vertex, and the value sums its edge times left to right; it is
+    +inf, with no cells, when no arc joins the searches.
+
+    dist and pred are the two searches' (2, cells) distances and
+    predecessors, from the origin ends[0] and from the target ends[1].
+    """
+    d = len(shape)
+    ds, dt = dist.reshape((2,) + shape)
+    best, arc = math.inf, None
+    for a, t in enumerate(times):
+        lo, hi = _arc_ends(d, a)
+        for backward, (u, w) in enumerate(((lo, hi), (hi, lo))):
+            sums = ds[u] + t + dt[w]
+            i = int(np.argmin(sums))
+            if sums.flat[i] < best:
+                best, arc = sums.flat[i], (a, backward, i)
+    if arc is None:
+        return math.inf, np.empty((0, d), dtype=np.intp)
+    a, backward, i = arc
+    base = np.unravel_index(i, times[a].shape)
+    head = tuple(c + (j == a) for j, c in enumerate(base))
+    u, w = (int(np.ravel_multi_index(x, shape)) for x in ((head, base) if backward else (base, head)))
+
+    path = [u]
+    while path[-1] != ends[0]:
+        path.append(int(pred[0, path[-1]]))
+    path = path[::-1] + [w]
+    while path[-1] != ends[1]:
+        path.append(int(pred[1, path[-1]]))
+
+    cells = np.stack(np.unravel_index(path, shape), axis=1)
+    axes = np.argmax(cells[1:] != cells[:-1], axis=1)
+    bases = np.minimum(cells[1:], cells[:-1])
+    steps = np.empty(len(path) - 1)
+    for a, t in enumerate(times):
+        on = axes == a
+        steps[on] = t[tuple(bases[on].T)]
+    # cumsum adds in order, as Dijkstra's relaxations do
+    return float(np.cumsum(steps)[-1]), cells
 
 
 def enumerate_paths_oracle(lat: LatticeSpec, n: int, budgets) -> tuple:

@@ -169,18 +169,23 @@ def light_edge_count(inst: CompleteInstance, gamma: float) -> tuple:
     return tuple((np.count_nonzero(inst.matrix() < threshold, axis=(1, 2)) // 2).tolist())
 
 
-def threshold_lower_bound(inst: CompleteInstance, tau: int, gamma: float) -> tuple:
+def threshold_lower_bound(inst: CompleteInstance, tau: int, gamma: float, counts: tuple | None = None) -> tuple:
     """Certified lower bound from counting light edges, per trial.
 
     Counts R_tot = #{e : w(e) < (gamma/n)**alpha} over all edges and returns
     max(0, tau - R_tot) * (gamma/n)**alpha: a tree with at least tau edges
     carries at least tau - R_tot edges of weight >= threshold. The inequality
     is strict (<) in the count.
+
+    counts, the light_edge_count(inst, gamma) of the same gamma, spares a
+    caller that bounds several tau a rescan of the matrices; it is computed
+    when None.
     """
     if not 1 <= tau <= inst.n - 1:
         raise ValueError(f"tau must lie in 1..{inst.n - 1}, got {tau}")
     threshold = (gamma / inst.n) ** inst.spec.alpha
-    return tuple(max(0, tau - r_tot) * threshold for r_tot in light_edge_count(inst, gamma))
+    counts = light_edge_count(inst, gamma) if counts is None else counts
+    return tuple(max(0, tau - r_tot) * threshold for r_tot in counts)
 
 
 # exact_min_tree refuses an enumeration of more elementary steps than this

@@ -8,6 +8,7 @@ import tracemalloc
 import pytest
 
 import minweight
+import minweight.experiments as exp_mod
 
 from minweight.cli import SMOKE_CONFIGS, emit_report, parse_and_dispatch, report_document
 from minweight.experiments import ExperimentConfig, ExperimentReport, Table, Verdict, run_experiment
@@ -385,6 +386,9 @@ def test_malformed_config_exits_one_with_one_error_line(tmp_path, capsys, name, 
         # checked before the sweep starts
         ("fpp-band", {"n_values": [5000]}),
         ("constraint-decay", {"n": 12000, "k_values": [12000, 18000]}),
+        # d = 3: the first Dijkstra box [-133, 333] x [-133, 133]^2 has 1.6 GB
+        # of arc times, although its int32 indices fit
+        ("fpp-band", {"n_values": [200], "d": 3}),
     ],
 )
 def test_malformed_config_over_the_tree_array_budget_exits_one_before_allocating(
@@ -396,6 +400,7 @@ def test_malformed_config_over_the_tree_array_budget_exits_one_before_allocating
     import concurrent.futures
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda *a, **k: pytest.fail("pool started"))
+    monkeypatch.setattr(exp_mod, "_sweep", lambda *a, **k: pytest.fail("sweep started"))
     for workers in ([], ["--workers", "2"]):
         tracemalloc.start()
         try:

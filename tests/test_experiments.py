@@ -452,6 +452,24 @@ def test_spanning_part_catches_a_wrong_spanning_tree(monkeypatch):
     assert mismatches == 10 and not report.passed
 
 
+def test_sandwich_part_scans_each_block_once_per_gamma(monkeypatch):
+    # the light-edge count depends on gamma alone, so one scan of the block
+    # per suite gamma serves every tau
+    scans = []
+    count = trees.light_edge_count
+
+    def recording_count(inst, gamma):
+        scans.append((inst.ctx.count, gamma))
+        return count(inst, gamma)
+
+    monkeypatch.setattr(trees, "light_edge_count", recording_count)
+    monkeypatch.setattr(exp_mod, "light_edge_count", recording_count)
+    gammas = (0.5, 1.0, 2.0)
+    out = exp_mod._tree_oracle_trial(SeedContext(5, 0, 4), TreeWeightSpec(alpha=0.5), 6, ("sandwich",), gammas)
+    assert scans == [(4, g) for g in gammas]
+    assert out == [(0, 0)] * 4
+
+
 def test_verdicts_map_to_criteria():
     small = {
         "tree-variance": {"trials": 100},
@@ -509,42 +527,49 @@ def test_lattice_trial_equals_the_solvers(law, d, n, budgets):
 
 
 def _dijkstra_limits(monkeypatch, cfg):
-    """(T_n, straight-path time, Dijkstra limits) of every trial of a decay run."""
-    limits, trials = {}, []
-    box_csr, dijkstra = lattice._box_csr, lattice._csgraph_dijkstra
-    boxes = []  # the trial of each box, in build order
+    """(T_n, straight-path time, Dijkstra limit) of every trial of a decay run.
 
-    def recording_box_csr(lat, radius):
-        boxes.append(lat.ctx.trial_index)
-        return box_csr(lat, radius)
+    The limit is the one the lattice trial passes for that trial. Each of
+    the trial's Dijkstra calls stops at half of it, widened by
+    PATH_SUM_SLACK, or at all of it when a box is searched again or grown.
+    """
+    limits, stops, trials = {}, [], []
+    certified, dijkstra = lattice._certified_dijkstra, lattice._csgraph_dijkstra
+
+    def recording_certified(lat, n, limit):
+        stops.clear()
+        res = certified(lat, n, limit)
+        assert stops[0] == limit * (0.5 + lattice.PATH_SUM_SLACK) and set(stops[1:]) <= {limit}
+        limits[lat.ctx.trial_index] = limit
+        return res
 
     def recording_dijkstra(graph, **kwargs):
-        limits.setdefault(boxes[-1], []).append(kwargs["limit"])
+        stops.append(kwargs["limit"])
         return dijkstra(graph, **kwargs)
 
     def recording_unconstrained(lat, n, *args):
         frees = unconstrained_time(lat, n, *args)
         for ctx, free, straight in zip(lat.ctx.blocks(1), frees, straight_path_time(lat, n)):
-            trials.append((free.value, straight, limits.get(ctx.trial_index, [])))
+            trials.append((free.value, straight, limits[ctx.trial_index]))
         return frees
 
-    monkeypatch.setattr(lattice, "_box_csr", recording_box_csr)
+    monkeypatch.setattr(lattice, "_certified_dijkstra", recording_certified)
     monkeypatch.setattr(lattice, "_csgraph_dijkstra", recording_dijkstra)
     monkeypatch.setattr(exp_mod, "unconstrained_time", recording_unconstrained)
     run_constraint_decay(cfg)
-    assert len(trials) == cfg.trials and all(seen for _, _, seen in trials)
+    assert len(trials) == cfg.trials
     return trials
 
 
 def test_exponential_decay_bounds_dijkstra_by_the_dp_label(monkeypatch):
     cfg = smoke("constraint-decay", n=8, k_values=[8, 10, 12, 16], trials=10, workers=1)
     trials = _dijkstra_limits(monkeypatch, cfg)
-    assert all(t_n <= limit for t_n, _, seen in trials for limit in seen)
-    assert any(limit < straight for _, straight, seen in trials for limit in seen)
+    assert all(t_n <= limit for t_n, _, limit in trials)
+    assert any(limit < straight for _, straight, limit in trials)
 
 
 def test_uniform_decay_keeps_the_straight_path_limit(monkeypatch):
     uniform = {"kind": "uniform", "a": 0.5, "b": 1.5}
     cfg = smoke("constraint-decay", n=8, k_values=[8, 10, 12, 16], trials=10, workers=1, distribution=uniform)
     trials = _dijkstra_limits(monkeypatch, cfg)
-    assert all(limit == straight for _, straight, seen in trials for limit in seen)
+    assert all(limit == straight for _, straight, limit in trials)

@@ -46,7 +46,8 @@ def test_box_region_indexing():
     assert box_index(3, (0, 0)) == 24
     assert box_index(3, (-3, 2)) == 5
     assert box_coords(3, 2, [5, 24]) == ((-3, 2), (0, 0))
-    assert boundary_mask(3, 2).sum() == 24 and boundary_mask(2, 3).sum() == 125 - 27
+    assert boundary_mask(box_shape(3, 2)).sum() == 24 and boundary_mask(box_shape(2, 3)).sum() == 125 - 27
+    assert boundary_mask((4, 3)).sum() == 10
     with pytest.raises(ValueError):
         box_index(3, (4, 0))
 
@@ -293,33 +294,36 @@ def box_coords(radius, d, flat):
     return tuple(tuple(int(g) - radius for g in cell) for cell in zip(*grid))
 
 
-def boundary_mask(radius, d):
-    """Cells of the box with some coordinate at -radius or radius."""
-    mask = np.zeros(box_shape(radius, d), dtype=bool)
-    for a in range(d):
+def boundary_mask(shape):
+    """Cells of the grid of shape shape with some coordinate at either end of its axis."""
+    mask = np.zeros(shape, dtype=bool)
+    for a in range(len(shape)):
         for end in (0, -1):
-            mask[tuple(end if i == a else slice(None) for i in range(d))] = True
+            mask[tuple(end if i == a else slice(None) for i in range(len(shape)))] = True
     return mask
 
 
-def box_times(lat_spec, radius, axis):
-    """Times of all +axis edges in the box, indexed by base vertex."""
-    d = lat_spec.d
-    ranges = [np.arange(-radius, radius + (i != axis)) for i in range(d)]
+def grid_times(lat_spec, lows, shape, axis):
+    """Times of all +axis edges of the grid spanning [lows[a], lows[a] + shape[a]), indexed by base vertex."""
+    ranges = [np.arange(lo, lo + size - (i == axis)) for i, (lo, size) in enumerate(zip(lows, shape))]
     coords = tuple(np.meshgrid(*ranges, indexing="ij"))
     (times,) = passage_time_grid(lat_spec.spec, lat_spec.ctx, axis, coords)
     return times
 
 
-def coo_box_csr(lat_spec, radius):
-    """The box's sparse adjacency built afresh from COO triplets."""
-    shape = box_shape(radius, lat_spec.d)
+def box_times(lat_spec, radius, axis):
+    """Times of all +axis edges in the box, indexed by base vertex."""
+    return grid_times(lat_spec, (-radius,) * lat_spec.d, box_shape(radius, lat_spec.d), axis)
+
+
+def coo_grid_csr(lat_spec, lows, shape):
+    """The grid's sparse adjacency built afresh from COO triplets."""
     cells = int(np.prod(shape))
     idx = np.arange(cells, dtype=np.int32).reshape(shape)
     rows, cols, data = [], [], []
     for a in range(lat_spec.d):
         lo, hi = _ends(lat_spec.d, a)
-        t = box_times(lat_spec, radius, a).ravel()
+        t = grid_times(lat_spec, lows, shape, a).ravel()
         u, v = idx[lo].ravel(), idx[hi].ravel()
         rows += [u, v]
         cols += [v, u]
@@ -337,8 +341,9 @@ def dijkstra_from_radius_2n(lat_spec, n):
     while True:
         source = box_index(radius, (0,) * d)
         target = box_index(radius, (n,) + (0,) * (d - 1))
-        dist, pred = dijkstra(coo_box_csr(lat_spec, radius), indices=source, return_predecessors=True)
-        if dist[boundary_mask(radius, d).ravel()].min() >= dist[target]:
+        graph = coo_grid_csr(lat_spec, (-radius,) * d, box_shape(radius, d))
+        dist, pred = dijkstra(graph, indices=source, return_predecessors=True)
+        if dist[boundary_mask(box_shape(radius, d)).ravel()].min() >= dist[target]:
             break
         radius *= 2
     chain = [target]
@@ -367,45 +372,72 @@ def full_box_labels(lat_spec, n, k, radius):
 
 
 def test_cached_csr_equals_fresh_coo_build():
-    # alternate radii so that the one-entry pattern cache is evicted and rebuilt,
-    # and take two trials in a row so that a cached pattern is reused
-    for radius, d in ((1, 2), (5, 2), (88, 2), (4, 3), (5, 2), (1, 2), (4, 3), (88, 2)):
+    # Dijkstra boxes (the last is the cube [-88, 88]^2) and two other grids,
+    # alternated so that the one-entry pattern cache is evicted and rebuilt,
+    # and two trials in a row so that a cached pattern is reused
+    boxes = ((2, 1, 1), (2, 4, 5), (2, 64, 48), (3, 3, 4), (2, 4, 5), (2, 1, 1), (3, 3, 4), (2, 0, 88))
+    grids = [lattice._box(d, n, radius) for d, n, radius in boxes] + [((-1, 2), (3, 5)), ((0, -2, 1), (2, 3, 4))]
+    for lows, shape in grids:
+        d = len(shape)
         for trial in (0, 1):
-            cached = lattice._box_csr(lat(17, trial=trial, d=d), radius)
-            fresh = coo_box_csr(lat(17, trial=trial, d=d), radius)
+            l = lat(17, trial=trial, d=d)
+            cached = lattice._box_csr([lattice._axis_times(l, lows, shape, a)[0] for a in range(d)], shape)
+            fresh = coo_grid_csr(l, lows, shape)
             for name in ("indptr", "indices", "data"):
                 a, b = getattr(cached, name), getattr(fresh, name)
-                assert a.dtype == b.dtype and np.array_equal(a, b), (radius, d, name)
-            boundary = lattice._csr_pattern(radius, d)[3]
-            assert np.array_equal(boundary, np.flatnonzero(boundary_mask(radius, d))), (radius, d)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (shape, name)
+            boundary = lattice._csr_pattern(shape)[3]
+            assert np.array_equal(boundary, np.flatnonzero(boundary_mask(shape))), shape
+
+
+def _stops_derive_from(stops, limit):
+    # both searches stop at half the caller's limit, widened by the slack,
+    # and at the full limit on a rerun of the first box and on every larger box
+    return stops[0] == limit * (0.5 + lattice.PATH_SUM_SLACK) and set(stops[1:]) <= {limit}
 
 
 def test_unconstrained_matches_dijkstra_from_radius_2n(monkeypatch):
-    radii = []
-    box_csr = lattice._box_csr
+    # the first box as unconstrained_time sizes it, then patched down to
+    # radius 2, where certificates fail: the box is searched again to the
+    # full limit, which sometimes certifies it, and otherwise the radius doubles
+    shapes, stops = [], []
+    box_csr, dijkstra = lattice._box_csr, lattice._csgraph_dijkstra
 
-    def recording_box_csr(lat_spec, radius):
-        radii.append(radius)
-        return box_csr(lat_spec, radius)
+    def recording_box_csr(times, shape):
+        shapes.append(shape)
+        return box_csr(times, shape)
+
+    def recording_dijkstra(graph, **kwargs):
+        stops.append(kwargs["limit"])
+        return dijkstra(graph, **kwargs)
 
     monkeypatch.setattr(lattice, "_box_csr", recording_box_csr)
+    monkeypatch.setattr(lattice, "_csgraph_dijkstra", recording_dijkstra)
     cases = [(EXP1, seed) for seed in range(40)]
     cases += [(spec, 100 + seed) for spec in (UNIFORM, PARETO3) for seed in range(10)]
-    grown = 0
-    for spec, seed in cases:
-        l = lat(seed, spec=spec)
-        radii.clear()
-        (res,) = unconstrained_time(l, 4)
-        assert (res.value, res.hop_count, res.path) == dijkstra_from_radius_2n(l, 4), (spec, seed)
-        grown += len(radii) > 1
-    assert grown >= 1  # the doubling branch ran
+    rescued = grown = 0
+    for first_radius in (lattice._first_radius, lambda n: 2):
+        monkeypatch.setattr(lattice, "_first_radius", first_radius)
+        for spec, seed in cases:
+            l = lat(seed, spec=spec)
+            shapes.clear()
+            stops.clear()
+            (res,) = unconstrained_time(l, 4)
+            assert (res.value, res.hop_count, res.path) == dijkstra_from_radius_2n(l, 4), (spec, seed)
+            assert _stops_derive_from(stops, *straight_path_time(l, 4))
+            assert len(stops) == len(shapes) + (len(stops) > 1)  # only the first box is searched twice
+            rescued += len(shapes) == 1 < len(stops)
+            grown += len(shapes) > 1
+    assert rescued >= 1 and grown >= 1  # both retry branches ran
 
 
 def test_dijkstra_limit_keeps_value_path_and_certificate(monkeypatch):
-    # unconstrained_time stops Dijkstra at the straight-path time, or at the
-    # limit its caller passes, here the last target label of a DP pass to
-    # ceil(1.5n); without a limit it must see the same boxes, value, hop
-    # count and witness
+    # unconstrained_time takes its limit from the straight-path time, or from
+    # its caller, here the last target label of a DP pass to ceil(1.5n), and
+    # stops Dijkstra at half of it, or at all of it on a rerun. Either limit
+    # gives the same value, hop count and witness, and without any limit
+    # Dijkstra must also search the same boxes. Each case runs at the first
+    # radius and at radius 2, where certificates fail.
     dijkstra = lattice._csgraph_dijkstra
     boxes, seen = [], []
 
@@ -420,28 +452,31 @@ def test_dijkstra_limit_keeps_value_path_and_certificate(monkeypatch):
 
     single_edge = PassageTimeSpec("uniform", (0.5, 1.5))  # no detour beats one edge
     cases = [(single_edge, 2, 1, 200 + seed) for seed in range(20)]
-    cases += [(EXP1, 2, 4, seed) for seed in range(40)]  # seeds whose first box fails
+    cases += [(EXP1, 2, 4, seed) for seed in range(40)]
     cases += [(spec, 2, 9, 300 + seed) for spec in (EXP1, UNIFORM, PARETO3) for seed in range(8)]
     cases += [(spec, 3, 4, 400 + seed) for spec in (EXP1, UNIFORM, PARETO3) for seed in range(3)]
     at_straight = at_label = grown = 0
-    for spec, d, n, seed in cases:
-        l = lat(seed, spec=spec, d=d)
-        (straight,) = straight_path_time(l, n)
-        label = hop_constrained_time(l, n, (3 * n + 1) // 2)[0].target_labels[-1]
-        outcomes = []
-        for dijkstra_fn, limits in ((bounded, None), (bounded, (label,)), (unbounded, None)):
-            monkeypatch.setattr(lattice, "_csgraph_dijkstra", dijkstra_fn)
-            boxes.clear()
-            seen.clear()
-            (res,) = unconstrained_time(l, n, limits)
-            outcomes.append((res.value, res.hop_count, res.path, tuple(boxes)))
-            if dijkstra_fn is bounded:
-                assert set(seen) == {straight if limits is None else label}
-        assert outcomes[0] == outcomes[1] == outcomes[2], (spec, d, n, seed)
-        assert label >= res.value
-        at_straight += res.value == straight
-        at_label += res.value == label
-        grown += len(boxes) > 1
+    for first_radius in (lattice._first_radius, lambda n: 2):
+        monkeypatch.setattr(lattice, "_first_radius", first_radius)
+        for spec, d, n, seed in cases:
+            l = lat(seed, spec=spec, d=d)
+            (straight,) = straight_path_time(l, n)
+            label = hop_constrained_time(l, n, (3 * n + 1) // 2)[0].target_labels[-1]
+            outcomes = []
+            for dijkstra_fn, limits in ((bounded, None), (bounded, (label,)), (unbounded, None)):
+                monkeypatch.setattr(lattice, "_csgraph_dijkstra", dijkstra_fn)
+                boxes.clear()
+                seen.clear()
+                (res,) = unconstrained_time(l, n, limits)
+                outcomes.append((res.value, res.hop_count, res.path, tuple(boxes)))
+                if dijkstra_fn is bounded:
+                    assert _stops_derive_from(seen, straight if limits is None else label)
+            # the certificate counts an unreached boundary at the stop, so boxes follow the limit
+            assert outcomes[0][:3] == outcomes[1][:3] and outcomes[0] == outcomes[2], (spec, d, n, seed)
+            assert label >= res.value
+            at_straight += res.value == straight
+            at_label += res.value == label
+            grown += len(set(boxes)) > 1
     # dist == limit occurs for both limits, and so does a failed certificate
     assert at_straight >= 20 and at_label >= 20 and grown >= 1
 
@@ -452,6 +487,28 @@ def test_limit_below_the_passage_time_raises():
     for limit in (0.5 * t_n, np.nextafter(t_n, 0.0)):
         with pytest.raises(ValueError, match="limit .* n = 6"):
             unconstrained_time(l, 6, (limit,))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    d=st.sampled_from((2, 3)),
+    law=st.sampled_from((EXP1, PassageTimeSpec("uniform", (0.5, 1.5)), PassageTimeSpec("pareto", (1.0, 3.0)))),
+    heterogeneous=st.booleans(),
+    n=st.integers(1, 10),
+)
+def test_two_searches_match_one_search_from_radius_2n(seed, d, law, heterogeneous, n):
+    # the same value, hop count and witness under the straight-path limit,
+    # the DP-label limit and no limit; a limit one ulp below T_n is refused
+    spec = PassageTimeSpec(law.kind, law.params, (0.5, 2.0) if heterogeneous else (1.0, 1.0))
+    l = lat(seed, spec=spec, d=d)
+    expected = dijkstra_from_radius_2n(l, n)
+    label = hop_constrained_time(l, n, (3 * n + 1) // 2)[0].target_labels[-1]
+    for limits in (None, (label,), (np.inf,)):
+        (res,) = unconstrained_time(l, n, limits)
+        assert (res.value, res.hop_count, res.path) == expected, limits
+    with pytest.raises(ValueError, match="below the passage time"):
+        unconstrained_time(l, n, (np.nextafter(expected[0], 0.0),))
 
 
 def test_schedule_matches_per_k_solver(monkeypatch):

@@ -199,6 +199,9 @@ def test_threshold_lower_bound_frozen():
     # gamma = 0.25 makes the threshold (0.25/4)**0.5 = 0.25; two edges below it
     assert light_edge_count(inst, 0.25) == (2,)
     assert threshold_lower_bound(inst, 3, 0.25) == pytest.approx((0.25,))
+    # counts passed in stand for the scan
+    assert threshold_lower_bound(inst, 3, 0.25, (2,)) == threshold_lower_bound(inst, 3, 0.25)
+    assert threshold_lower_bound(inst, 3, 0.25, (0,)) == pytest.approx((0.75,))
     # huge gamma counts every edge
     assert threshold_lower_bound(inst, 3, 4000.0) == (0.0,)
     with pytest.raises(ValueError):
