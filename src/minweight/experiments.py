@@ -804,7 +804,9 @@ def run_oracle_suite(cfg: ExperimentConfig) -> ExperimentReport:
     tree_ns = (5, 6, 7)
     if "spanning" in cfg.suite or "sandwich" in cfg.suite:
         points = [(spec, n, cfg.suite, cfg.suite_gammas) for n in tree_ns]
-        out = _sweep(cfg, _tree_oracle_trial, points, [n * n for n in tree_ns], trials=cfg.suite_tree_instances)
+        # a trial's largest array is exact_min_tree's subset stack at its widest tau
+        widths = [max(math.comb(n, k) * k * k for k in range(2, n + 1)) for n in tree_ns]
+        out = _sweep(cfg, _tree_oracle_trial, points, widths, trials=cfg.suite_tree_instances)
         spanning_bad, sandwich_bad = map(sum, zip(*itertools.chain.from_iterable(out)))
         if "spanning" in cfg.suite:
             add("spanning_exact_equals_kruskal", "AC1", len(tree_ns) * cfg.suite_tree_instances, spanning_bad)

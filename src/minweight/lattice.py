@@ -20,12 +20,12 @@ nonnegative, so when those two add up to at least T_n it cannot improve.
 
 Every caller takes its edge times from one grid convention, _axis_times: a
 numpy grid spanning [lows[a], lows[a] + shape[a]) on each axis a,
-row-major. The DP's grid is its walk region; Dijkstra's is the box, with
-lows = (-r,) * d and shape = (n + 2r + 1,) + (2r + 1,) * (d - 1); the
-straight path's is the segment from the origin to the target; the path
-oracle's is the bounding box of its search. The DP's label grid, and
-Dijkstra's arc times and search distances, are checked against the array
-budget of weights.require_array before they are built;
+row-major. _box(d, n, r) is the box [-r, n + r] x [-r, r]^(d - 1):
+Dijkstra searches it, and at r = floor((k - n) / 2) it bounds every walk of
+at most k edges, so it is the DP's grid and the path oracle's. The straight
+path's grid is the segment from the origin to the target. The DP's label
+grid, and Dijkstra's arc times and search distances, are checked against
+the array budget of weights.require_array before they are built;
 require_trial_arrays runs the same checks from a config alone.
 
 LatticeSpec.ctx is a SeedContext of count trials, one lattice per trial.
@@ -94,6 +94,13 @@ def _axis_times(lat: LatticeSpec, lows: tuple, shape: tuple, axis: int) -> np.nd
     return passage_time_grid(lat.spec, lat.ctx, axis, tuple(coords))
 
 
+def _box(d: int, n: int, radius: int) -> tuple:
+    """(lows, shape) of [-radius, n + radius] x [-radius, radius]^(d - 1) as an
+    _axis_times grid: Dijkstra's box, and at radius floor((k - n) / 2) the
+    bounding box of the walks of at most k edges to target n."""
+    return (-radius,) * d, (n + 2 * radius + 1,) + (2 * radius + 1,) * (d - 1)
+
+
 @functools.lru_cache(maxsize=256)
 def _walk_windows(d: int, n: int, k: int) -> tuple:
     """Cells the hop DP relaxes at each hop: those a walk of at most k edges
@@ -107,8 +114,8 @@ def _walk_windows(d: int, n: int, k: int) -> tuple:
     hop farther from t than its head) and the bounding box of that ellipse,
     [-m, t_a + m] with m = floor((k - n) / 2).
 
-    Returns (lows, shape, hops). Labels live on the grid spanning
-    [lows[a], lows[a] + shape[a]) on each axis a. hops[h - 1] holds the
+    Returns (lows, shape, hops). Labels live on the grid _box(d, n, m), the
+    bounding box of the windows. hops[h - 1] holds the
     window of hop h in grid slices and, per axis a, the slices (lo, hi) of
     the base and head vertices of its +a edges; lo also indexes that axis's
     edge-time array, keyed by base vertex on the same grid. Every index
@@ -120,8 +127,7 @@ def _walk_windows(d: int, n: int, k: int) -> tuple:
         [(max(-h, t - k + h - 1, -m), min(h, t + k - h + 1, t + m)) for t in target]
         for h in range(1, k + 1)
     ]
-    lows = tuple(min(hop[a][0] for hop in spans) for a in range(d))
-    shape = tuple(max(hop[a][1] for hop in spans) - lows[a] + 1 for a in range(d))
+    lows, shape = _box(d, n, m)
 
     hops = []
     for hop in spans:
@@ -144,11 +150,10 @@ def _trivial_result(lat: LatticeSpec) -> ConstrainedResult:
 def label_grid_cells(d: int, n: int, k: int) -> int:
     """Cells of one trial's hop-DP label grid for target n and budget k >= n.
 
-    The grid is the walk region's bounding box, [-m, n + m] x [-m, m]^(d - 1)
-    with m = floor((k - n) / 2).
+    The grid is _box(d, n, floor((k - n) / 2)); only its size is computed,
+    so configs far too large to build are sized too.
     """
-    m = (k - n) // 2
-    return (n + 2 * m + 1) * (2 * m + 1) ** (d - 1)
+    return math.prod(_box(d, n, (k - n) // 2)[1])
 
 
 def _require_label_grids(d: int, n: int, k: int, count: int) -> None:
@@ -256,12 +261,6 @@ def hop_constrained_certified(lat: LatticeSpec, n: int, budgets, free: tuple | N
         )
         for row, f in zip(labels, free, strict=True)
     )
-
-
-def _box(d: int, n: int, radius: int) -> tuple:
-    """(lows, shape) of Dijkstra's box of radius radius for target n:
-    [-radius, n + radius] x [-radius, radius]^(d - 1), as an _axis_times grid."""
-    return (-radius,) * d, (n + 2 * radius + 1,) + (2 * radius + 1,) * (d - 1)
 
 
 def _require_box(shape: tuple) -> None:
@@ -506,7 +505,7 @@ def enumerate_paths_oracle(lat: LatticeSpec, n: int, budgets) -> tuple:
         return (((0.0 if n == 0 else None),) * len(budgets),) * lat.ctx.count
 
     m = (kmax - n) // 2
-    grids = [_axis_times(lat, (-m, -m), (n + 2 * m + 1, 2 * m + 1), axis).tolist() for axis in (0, 1)]
+    grids = [_axis_times(lat, *_box(2, n, m), axis).tolist() for axis in (0, 1)]
     return tuple(_path_search(trial, n, m, budgets) for trial in zip(*grids))
 
 

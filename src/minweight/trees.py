@@ -5,14 +5,15 @@ is attacked from three sides: a greedy spanning path whose tau-edge prefix is
 a feasible upper bound, a threshold edge count that certifies a lower bound,
 and an exact subset-enumeration oracle for desk-scale n. Every spanning tree,
 the subset oracle's included, comes from one batched dense Prim kernel on
-the cached weight matrix. The spanning tree has an oracle of its own that
+the cached weight matrices. The spanning tree has an oracle of its own that
 shares no code with Prim: all n**(n-2) labelled trees, decoded from their
 Prufer sequences at once in numpy and cached as flat edge keys, whose totals
 are gathered from the flattened matrix (n <= 8). The spanning routine keeps
 the name kruskal_mst because the golden report digests and the benchmark
 look it up by that name. A CompleteInstance holds the trials of a
 SeedContext of any count, and every routine returns one entry per trial,
-in trial order; the two enumeration oracles loop over the trials inside.
+in trial order; only the Prufer oracle loops over the trials inside, so
+that its gather of every labelled tree does not grow with the block.
 The nearest-unvisited-edge minima Y_j come from a block kernel,
 sample_yj, that hashes one row per trial and builds no matrix.
 """
@@ -22,13 +23,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from . import rng
 from .errors import CapacityError
-from .weights import SeedContext, TreeWeightSpec, weight_matrix, weights_from_vertex
+from .weights import SeedContext, TreeWeightSpec, require_array, weight_matrix, weights_from_vertex
 
 
 class CompleteInstance:
@@ -98,13 +99,11 @@ def _tree_totals(w: np.ndarray) -> np.ndarray:
     """Total weight of each tree, adding its edges in sorted-key order.
 
     w[t, e] is the weight of edge e of tree t, with each row in sorted-key
-    order. Columns are added one at a time because np.sum adds pairwise,
-    which can change the last bit of a total.
+    order. The columns are added one at a time, left to right, because
+    np.sum adds pairwise, which can change the last bit of a total, and
+    np.cumsum along a short last axis is several times slower.
     """
-    totals = w[:, 0]
-    for col in range(1, w.shape[1]):
-        totals = totals + w[:, col]
-    return totals
+    return reduce(np.add, w.T)
 
 
 def _tree_result(lo, hi, total, labels) -> TreeResult:
@@ -188,39 +187,32 @@ def threshold_lower_bound(inst: CompleteInstance, tau: int, gamma: float, counts
     return tuple(max(0, tau - r_tot) * threshold for r_tot in counts)
 
 
-# exact_min_tree refuses an enumeration of more elementary steps than this
-EXACT_STEP_BUDGET = 10**8
-
-
 def exact_min_tree(inst: CompleteInstance, tau: int) -> tuple:
     """Exact minimum over trees with at least tau edges, by subset enumeration, per trial.
 
     With strictly positive weights the optimum has exactly tau edges and
     spans tau + 1 vertices, so the answer is the best MST over all
-    (tau+1)-subsets, found by one batched Prim run per trial. Ties go to the
-    lexicographically smallest subset. Only feasible at desk scale: n <= 12
-    and C(n, tau+1)*(tau+1)**2 within EXACT_STEP_BUDGET, a budget per trial.
+    (tau+1)-subsets. One Prim run answers the subset matrices of every trial,
+    stacked (count * C(n, tau+1), tau+1, tau+1), and each trial takes its
+    first least total, so ties go to the lexicographically smallest subset.
+    Only feasible at desk scale: n <= 12, and the stack within the array
+    budget, checked before any subset, weight or stack array is built.
     """
     n = inst.n
     if not 1 <= tau <= n - 1:
         raise ValueError(f"tau must lie in 1..{n - 1}, got {tau}")
     if n > 12:
         raise ValueError(f"exact_min_tree is limited to n <= 12, got {n}")
-    steps = math.comb(n, tau + 1) * (tau + 1) ** 2
-    if steps > EXACT_STEP_BUDGET:
-        raise CapacityError(
-            f"enumeration would take {steps} elementary steps, budget is {EXACT_STEP_BUDGET}"
-        )
+    size, count = tau + 1, inst.ctx.count
+    per_trial = math.comb(n, size)
+    require_array(f"the subset stack of {count} trials at n = {n}, tau = {tau}", count * per_trial * size**2)
     # increasing subsets keep local edge keys in the order of the global ones
-    subsets = np.array(list(itertools.combinations(range(n), tau + 1)), dtype=np.intp)
-    out = []
-    for matrix in inst.matrix():
-        W = matrix[subsets[:, :, None], subsets[:, None, :]]
-        lo, hi = _prim(W)
-        totals = _tree_totals(W[np.arange(len(W))[:, None], lo, hi])
-        best = int(np.argmin(totals))
-        out.append(_tree_result(lo[best], hi[best], totals[best], subsets[best] + 1))
-    return tuple(out)
+    subsets = np.array(list(itertools.combinations(range(n), size)), dtype=np.intp)
+    W = inst.matrix()[:, subsets[:, :, None], subsets[:, None, :]].reshape(-1, size, size)
+    lo, hi = _prim(W)
+    totals = _tree_totals(W[np.arange(len(W))[:, None], lo, hi])
+    best = totals.reshape(count, per_trial).argmin(axis=1) + np.arange(count) * per_trial
+    return tuple(_tree_result(lo[b], hi[b], totals[b], subsets[b % per_trial] + 1) for b in best)
 
 
 def _prefix_block(block: SeedContext, n: int, j: int) -> np.ndarray:
@@ -303,7 +295,8 @@ def prufer_mst_weight(inst: CompleteInstance) -> tuple:
     """Minimum spanning tree weight of each trial by full labelled-tree enumeration.
 
     Gathers each tree's edge weights from one trial's flat weight matrix at
-    its cached keys, one trial at a time. Each total comes from the same
+    its cached keys, one trial at a time: n**(n-2) * (n-1) values, 0.8 MB at
+    n = 7, which a whole block would multiply. Each total comes from the same
     sorted-key sum as kruskal_mst, so the two agree bit for bit on the
     optimal tree.
     """

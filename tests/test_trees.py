@@ -1,6 +1,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -253,14 +254,23 @@ def test_exact_equals_kruskal_spanning():
             assert exact_min_tree(inst, n - 1)[0].total_weight == kruskal_mst(inst)[0].total_weight
 
 
-def test_exact_min_tree_guards(monkeypatch):
+def test_exact_min_tree_guards():
     inst = seeded(13, 1)
     with pytest.raises(ValueError):
         exact_min_tree(inst, 3)
-    inst = seeded(12, 1)
-    monkeypatch.setattr(trees_mod, "EXACT_STEP_BUDGET", 10)
-    with pytest.raises(CapacityError):
-        exact_min_tree(inst, 6)
+    # the subset stack of n = 12, tau = 6 takes C(12, 7) * 7**2 float64 per
+    # trial: 1729 trials fit the array budget and 1730 do not
+    per_trial = 8 * math.comb(12, 7) * 7**2
+    assert 1729 * per_trial <= weights.ARRAY_BYTES < 1730 * per_trial
+    inst = CompleteInstance(12, TreeWeightSpec(alpha=0.5), SeedContext(1, 0, 1730))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="subset stack .* budget"):
+            exact_min_tree(inst, 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_sandwich_and_monotonicity():
@@ -336,7 +346,7 @@ def test_tree_routines_on_a_block_equal_them_on_its_sub_blocks(het):
         "min_tree_upper_bound": lambda inst: min_tree_upper_bound(inst, 3, greedy_spanning_path(inst)),
         "light_edge_count": lambda inst: light_edge_count(inst, 1.5),
         "threshold_lower_bound": lambda inst: threshold_lower_bound(inst, 4, 0.5),
-        "exact_min_tree": lambda inst: exact_min_tree(inst, 3),
+        "exact_min_tree": lambda inst: tuple(zip(*(exact_min_tree(inst, tau) for tau in range(1, n)))),
         "prufer_mst_weight": prufer_mst_weight,
     }
     block = SeedContext(2**63 + 5, 90, 7)
@@ -346,6 +356,23 @@ def test_tree_routines_on_a_block_equal_them_on_its_sub_blocks(het):
         for size in (1, 3):
             parts = [a for ctx in block.blocks(size) for a in routine(CompleteInstance(n, spec, ctx))]
             assert list(whole) == parts, (name, size)
+
+
+def test_exact_min_tree_runs_prim_once_per_block(monkeypatch):
+    # the subset matrices of all trials of a block go to one Prim call
+    calls = []
+    prim = trees_mod._prim
+
+    def counting_prim(W):
+        calls.append(len(W))
+        return prim(W)
+
+    monkeypatch.setattr(trees_mod, "_prim", counting_prim)
+    inst = CompleteInstance(7, TreeWeightSpec(alpha=0.4), SeedContext(3, 0, 7))
+    for tau in (1, 3, 6):
+        calls.clear()
+        assert len(exact_min_tree(inst, tau)) == 7
+        assert calls == [7 * math.comb(7, tau + 1)]
 
 
 @pytest.mark.parametrize("het", [False, True])
