@@ -13,7 +13,7 @@ drivers and the oracle suite's tree parts build one CompleteInstance per
 block, yj-moments runs one array kernel (sample_yj), the lattice drivers
 run _lattice_trial, whose straight paths, first hop-DP pass and Dijkstra
 call serve the whole block, and the oracle suite's lattice part runs
-_lattice_oracle_trial, whose DP passes and path-oracle grids do too.
+_lattice_oracle_trial, whose DP passes and path-oracle costs do too.
 The oracle suite pins its parts at indices p * suite_tree_instances + t
 (trees, n = 5, 6, 7), t (lattice) and 10_000 + t (Pruefer, AC2, which runs
 the tree-oracle trial at n = 7 with only its spanning comparison).
@@ -45,6 +45,7 @@ from . import __version__, rng, weights
 from .errors import ConfigurationError, InfeasibleError
 from .lattice import (
     LatticeSpec,
+    _path_table,
     enumerate_paths_oracle,
     hop_constrained_certified,
     hop_constrained_time,
@@ -775,9 +776,9 @@ def run_oracle_suite(cfg: ExperimentConfig) -> ExperimentReport:
     Parts: 'spanning' (the spanning tree vs full labelled-tree enumeration
     at n = 5, 6, 7), 'sandwich' (counting lower bound <= subset-enumeration
     exact <= greedy upper bound across tau and the gamma grid), 'lattice'
-    (hop DP vs exhaustive path enumeration, one search per n for all its
-    budgets, plus infeasibility agreement), 'prufer' (spanning tree vs full
-    labelled-tree enumeration at n = 7, on its own seeds, through the
+    (hop DP vs exhaustive path enumeration, one path table per n for all
+    its budgets, plus infeasibility agreement), 'prufer' (spanning tree vs
+    full labelled-tree enumeration at n = 7, on its own seeds, through the
     spanning comparison of the tree-oracle trial). Every comparison
     demands exact equality or a zero violation count. The spanning tree
     comes from dense Prim (kruskal_mst); the verdict names still say
@@ -816,8 +817,8 @@ def run_oracle_suite(cfg: ExperimentConfig) -> ExperimentReport:
 
     if "lattice" in cfg.suite:
         pspec = cfg.passage_spec() if cfg.distribution else PassageTimeSpec("exponential", (1.0,))
-        # the largest grid of the trial: the n = 3 DP label grid, also the path oracle's box
-        width = label_grid_cells(2, 3, 7)
+        # a trial's largest array: the n = 3 DP label grid or the n = 3 path oracle's cost row
+        width = max(label_grid_cells(2, 3, 7), len(_path_table(3, 7)[0]))
         (out,) = _sweep(cfg, _lattice_oracle_trial, [(pspec,)], [width], trials=cfg.suite_lattice_instances)
         add("hop_dp_equals_enumeration", "AC3", 18 * cfg.suite_lattice_instances, sum(out))
 

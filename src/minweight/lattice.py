@@ -28,6 +28,12 @@ grid, and Dijkstra's arc times and search distances, are checked against
 the array budget of weights.require_array before they are built;
 require_trial_arrays runs the same checks from a config alone.
 
+The path oracle, the hop DP's ground truth on Z^2 for budgets up to 9,
+searches no lattice: _path_table lists every self-avoiding path of at most
+K edges to the target once, from geometry alone, as indices into the two
+edge-time grids of the box at r = floor((K - n) / 2), and the oracle sums
+each path's gathered times in path order for every trial of a block.
+
 LatticeSpec.ctx is a SeedContext of count trials, one lattice per trial.
 _axis_times grids have a leading trial axis, and every routine returns a
 tuple with one entry per trial, in trial order, a context of one included.
@@ -470,26 +476,68 @@ def _meet(dist, pred, times: list, shape: tuple, ends) -> tuple:
     return float(np.cumsum(steps)[-1]), cells
 
 
+@functools.lru_cache(maxsize=32)
+def _path_table(n: int, kmax: int) -> tuple:
+    """Every self-avoiding path on Z^2 from the origin to (n, 0) with at
+    most kmax edges, for 1 <= n <= kmax: (index, edges).
+
+    Row p of index lists path p's edges in path order, as indices into one
+    trial's two _axis_times grids of _box(2, n, floor((kmax - n) / 2)),
+    flattened and concatenated, axis 0 first; the index past both grids
+    pads each row to the longest path and points at a 0.0 column that the
+    caller appends. edges[p] is path p's edge count, and the rows are
+    sorted by it, so the paths of at most k edges are a prefix of rows.
+
+    A depth-first search builds it from geometry alone: a prefix of u edges
+    at L1 distance r from the target is cut when u + r > kmax. Every vertex
+    of a path it keeps satisfies |v|_1 + |v - t|_1 <= kmax, so the path lies
+    in the box. Cached and read-only: the table is reused across seeds.
+    """
+    m = (kmax - n) // 2
+    _, (width, height) = _box(2, n, m)
+    x_edges = (width - 1) * height  # size of the axis-0 grid, which the axis-1 grid follows
+    rows = []
+
+    def extend(x, y, path, visited):
+        if (x, y) == (n, 0):
+            rows.append(path)
+            return
+        i, j = x + m, y + m  # the cell's grid indices
+        for step, edge in (
+            ((x + 1, y), i * height + j),
+            ((x - 1, y), (i - 1) * height + j),
+            ((x, y + 1), x_edges + i * (height - 1) + j),
+            ((x, y - 1), x_edges + i * (height - 1) + j - 1),
+        ):
+            if step not in visited and len(path) + 1 + abs(step[0] - n) + abs(step[1]) <= kmax:
+                extend(*step, path + [edge], visited | {step})
+
+    extend(0, 0, [], {(0, 0)})
+    rows.sort(key=len)
+    pad = x_edges + width * (height - 1)
+    index = np.array([row + [pad] * (len(rows[-1]) - len(row)) for row in rows])
+    edges = np.array([len(row) for row in rows])
+    for a in (index, edges):
+        a.flags.writeable = False
+    return index, edges
+
+
 def enumerate_paths_oracle(lat: LatticeSpec, n: int, budgets) -> tuple:
     """Exhaustive minimum over self-avoiding paths of at most k edges on Z^2,
     for each hop budget k: per trial of lat.ctx, one tuple with one value
     per budget, None when k < n.
 
-    Only for tiny instances (d = 2, every budget at most 9). One search
-    serves every budget: it keeps best[j], the least cost found so far over
-    paths of at most j edges, which never increases in j. Costs accumulate
-    in path order, so values match hop_constrained_time bit for bit.
-
-    Every vertex v of such a path satisfies |v|_1 + |v - t|_1 <= K for the
-    target t = (n, 0) and the largest budget K, so the search stays in that
-    set's bounding box, x in [-m, n + m] and y in [-m, m] with
-    m = floor((K - n) / 2), and loses no path. A prefix of u edges at L1
-    distance r from t is cut when u + r > K, or when its cost is at least
-    best[u + r]: every completion has at least u + r edges and costs at
-    least as much, since passage times are nonnegative.
-
-    One grid hash per axis serves every trial, and the search runs once per
-    trial.
+    Only for tiny instances (d = 2, every budget at most 9). The paths come
+    from _path_table for the largest budget K, every self-avoiding path of
+    at most K edges to the target t = (n, 0); each of its vertices
+    satisfies |v|_1 + |v - t|_1 <= K, so one pair of edge-time grids on the
+    box _box(2, n, floor((K - n) / 2)) holds every edge time. The grids are
+    hashed once for the block, and the table's (count, paths) costs are
+    checked against the array budget before they are. Each path's cost is
+    gathered one path position at a time and added left to right, in path
+    order, so values match hop_constrained_time bit for bit; the padding
+    positions add 0.0, which changes no sum. Budget k takes the least cost
+    over the paths of at most k edges.
     """
     budgets = tuple(budgets)
     if lat.d != 2:
@@ -501,45 +549,18 @@ def enumerate_paths_oracle(lat: LatticeSpec, n: int, budgets) -> tuple:
         raise ValueError(f"oracle is limited to k <= 9, got {kmax}")
     if n < 0:
         raise ValueError(f"target abscissa must be nonnegative, got {n}")
+    count = lat.ctx.count
     if n == 0 or kmax < n:
-        return (((0.0 if n == 0 else None),) * len(budgets),) * lat.ctx.count
+        return (((0.0 if n == 0 else None),) * len(budgets),) * count
 
-    m = (kmax - n) // 2
-    grids = [_axis_times(lat, *_box(2, n, m), axis).tolist() for axis in (0, 1)]
-    return tuple(_path_search(trial, n, m, budgets) for trial in zip(*grids))
-
-
-def _path_search(grids, n: int, m: int, budgets: tuple) -> tuple:
-    """enumerate_paths_oracle's search on one lattice, given its two edge-time
-    grids (nested lists over the box x in [-m, n + m], y in [-m, m])."""
-    kmax = max(budgets)
-    target = (n, 0)
-    # the neighbours of every vertex inside the box, with the edge time
-    adjacent = {}
-    for (dx, dy), grid in zip(((1, 0), (0, 1)), grids):
-        for x, row in enumerate(grid, -m):
-            for y, t in enumerate(row, -m):
-                adjacent.setdefault((x, y), []).append(((x + dx, y + dy), t))
-                adjacent.setdefault((x + dx, y + dy), []).append(((x, y), t))
-
-    best = [math.inf] * (kmax + 1)
-
-    def rec(pos, cost, used, visited):
-        if pos == target:
-            for j in range(used, kmax + 1):
-                best[j] = min(best[j], cost)
-            return
-        reach = used + abs(pos[0] - n) + abs(pos[1])
-        if reach > kmax or cost >= best[reach]:
-            return
-        for npos, t in adjacent[pos]:
-            if npos not in visited:
-                visited.add(npos)
-                rec(npos, cost + t, used + 1, visited)
-                visited.remove(npos)
-
-    rec((0, 0), 0.0, 0, {(0, 0)})
-    return tuple(best[k] if k >= n else None for k in budgets)
+    index, edges = _path_table(n, kmax)
+    require_array(f"the path-cost table of {len(index)} paths to n = {n} over {count} trials", count * len(index))
+    box = _box(2, n, (kmax - n) // 2)
+    grids = [_axis_times(lat, *box, axis).reshape(count, -1) for axis in (0, 1)]
+    times = np.concatenate(grids + [np.zeros((count, 1))], axis=1)
+    costs = weights.sum_in_order(times[:, column] for column in index.T)
+    best = {k: costs[:, : np.searchsorted(edges, k, side="right")].min(axis=1).tolist() for k in budgets if k >= n}
+    return tuple(tuple(best[k][t] if k >= n else None for k in budgets) for t in range(count))
 
 
 def straight_path_time(lat: LatticeSpec, n: int) -> tuple:
@@ -548,8 +569,7 @@ def straight_path_time(lat: LatticeSpec, n: int) -> tuple:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     times = _axis_times(lat, (0,) * lat.d, (n + 1,) + (1,) * (lat.d - 1), 0)
-    # cumsum adds in order, where sum would add pairwise
-    return tuple(np.cumsum(times.reshape(-1, n), axis=1)[:, -1].tolist())
+    return tuple(weights.sum_in_order(times.reshape(-1, n).T).tolist())
 
 
 def linear_path_tail_probe(lat: LatticeSpec, m: int, beta: float) -> ProbEstimate:

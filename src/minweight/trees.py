@@ -23,13 +23,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
 from . import rng
 from .errors import CapacityError
-from .weights import SeedContext, TreeWeightSpec, require_array, weight_matrix, weights_from_vertex
+from .weights import SeedContext, TreeWeightSpec, require_array, sum_in_order, weight_matrix, weights_from_vertex
 
 
 class CompleteInstance:
@@ -95,17 +95,6 @@ def _prim(W: np.ndarray):
     return np.divmod(key, m)
 
 
-def _tree_totals(w: np.ndarray) -> np.ndarray:
-    """Total weight of each tree, adding its edges in sorted-key order.
-
-    w[t, e] is the weight of edge e of tree t, with each row in sorted-key
-    order. The columns are added one at a time, left to right, because
-    np.sum adds pairwise, which can change the last bit of a total, and
-    np.cumsum along a short last axis is several times slower.
-    """
-    return reduce(np.add, w.T)
-
-
 def _tree_result(lo, hi, total, labels) -> TreeResult:
     edges = tuple((int(labels[a]), int(labels[b])) for a, b in zip(lo, hi))
     return TreeResult(edges=edges, total_weight=float(total), edge_count=len(edges))
@@ -155,7 +144,7 @@ def kruskal_mst(inst: CompleteInstance) -> tuple:
     """
     W = inst.matrix()
     lo, hi = _prim(W)
-    totals = _tree_totals(W[np.arange(len(W))[:, None], lo, hi])
+    totals = sum_in_order(W[np.arange(len(W))[:, None], lo, hi].T)
     return tuple(_tree_result(*tree, np.arange(1, inst.n + 1)) for tree in zip(lo, hi, totals))
 
 
@@ -210,7 +199,7 @@ def exact_min_tree(inst: CompleteInstance, tau: int) -> tuple:
     subsets = np.array(list(itertools.combinations(range(n), size)), dtype=np.intp)
     W = inst.matrix()[:, subsets[:, :, None], subsets[:, None, :]].reshape(-1, size, size)
     lo, hi = _prim(W)
-    totals = _tree_totals(W[np.arange(len(W))[:, None], lo, hi])
+    totals = sum_in_order(W[np.arange(len(W))[:, None], lo, hi].T)
     best = totals.reshape(count, per_trial).argmin(axis=1) + np.arange(count) * per_trial
     return tuple(_tree_result(lo[b], hi[b], totals[b], subsets[b % per_trial] + 1) for b in best)
 
@@ -301,4 +290,4 @@ def prufer_mst_weight(inst: CompleteInstance) -> tuple:
     optimal tree.
     """
     keys = _labelled_tree_keys(inst.n)
-    return tuple(float(_tree_totals(matrix.ravel()[keys]).min()) for matrix in inst.matrix())
+    return tuple(float(sum_in_order(matrix.ravel()[keys].T).min()) for matrix in inst.matrix())

@@ -24,8 +24,9 @@ one (n, n) matrix per trial. passage_time_grid puts the column ahead of
 its coordinates' broadcast shape, (count,) + (1,) * ndim, so its grids
 get a leading trial axis that the lattice routines keep.
 SeedContext.blocks is the one rule that cuts trials into blocks of at most
-BLOCK_ELEMENTS array elements, and require_array is the one byte budget of
-both families. The scalar per-edge versions that the tests use as oracles,
+BLOCK_ELEMENTS array elements, require_array is the one byte budget of
+both families, and sum_in_order is the one left-to-right sum of their
+totals. The scalar per-edge versions that the tests use as oracles,
 and the analytic law helpers (cdf, envelope constants, moments), are in
 ``tests/reference.py``.
 """
@@ -33,6 +34,7 @@ and the analytic law helpers (cdf, envelope constants, moments), are in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -50,6 +52,16 @@ def require_array(what: str, elements: int) -> None:
     size = 8 * elements
     if size > ARRAY_BYTES:
         raise CapacityError(f"{what} takes {size} bytes, budget is {ARRAY_BYTES}")
+
+
+def sum_in_order(columns) -> np.ndarray:
+    """Elementwise sum of columns, equal-shape arrays added one at a time, left to right.
+
+    Over a.T it sums a 2-D array a along its last axis, each row left to
+    right. np.sum adds pairwise, which can change the last bit of a sum,
+    and np.cumsum along a short last axis is several times slower.
+    """
+    return reduce(np.add, columns)
 
 
 # Most array elements (trials x elements per trial) one trial block holds.

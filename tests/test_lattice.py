@@ -1,3 +1,5 @@
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -116,6 +118,86 @@ def test_path_oracle_matches_per_budget_search(spec):
     budgets = (6, 1, 3, 6, 0)
     assert enumerate_paths_oracle(l, 3, budgets) == (tuple(enumerate_paths(l, 3, k) for k in budgets),)
     assert enumerate_paths_oracle(l, 0, (0, 4)) == ((0.0, 0.0),)
+
+
+def _table_paths(n, kmax):
+    """The rows of _path_table(n, kmax) as vertex sequences from the origin,
+    each edge read as (axis, base) from the two grids' layout."""
+    index, edges = lattice._path_table(n, kmax)
+    lows, shape = lattice._box(2, n, (kmax - n) // 2)
+    grids = [tuple(side - (a == axis) for a, side in enumerate(shape)) for axis in (0, 1)]
+    pad = sum(math.prod(g) for g in grids)
+    paths = []
+    for row, count in zip(index.tolist(), edges.tolist()):
+        assert all(e < pad for e in row[:count]) and all(e == pad for e in row[count:])
+        vertices = [(0, 0)]
+        for e in row[:count]:
+            axis = int(e >= math.prod(grids[0]))
+            cell = np.unravel_index(e - axis * math.prod(grids[0]), grids[axis])
+            base = tuple(int(c) + lo for c, lo in zip(cell, lows))
+            head = tuple(c + (a == axis) for a, c in enumerate(base))
+            assert vertices[-1] in (base, head), (n, kmax, row)  # a unit step from the last vertex
+            vertices.append(head if vertices[-1] == base else base)
+        paths.append(vertices)
+    return paths
+
+
+def _self_avoiding_path_counts(kmax):
+    """{(end, k): number of self-avoiding move sequences of k steps from the origin that end at end}."""
+    counts = {}
+    for k in range(1, kmax + 1):
+        for moves in itertools.product(((1, 0), (-1, 0), (0, 1), (0, -1)), repeat=k):
+            pos, seen = (0, 0), {(0, 0)}
+            for dx, dy in moves:
+                pos = (pos[0] + dx, pos[1] + dy)
+                if pos in seen:
+                    break
+                seen.add(pos)
+            else:
+                counts[pos, k] = counts.get((pos, k), 0) + 1
+    return counts
+
+
+def test_path_table_lists_every_self_avoiding_path_once():
+    brute = _self_avoiding_path_counts(7)
+    for n in (1, 2, 3):
+        for kmax in range(n, 8):
+            index, edges = lattice._path_table(n, kmax)
+            m = (kmax - n) // 2
+            paths = _table_paths(n, kmax)
+            for path in paths:
+                assert path[-1] == (n, 0) and len(set(path)) == len(path)
+                assert all(-m <= x <= n + m and -m <= y <= m for x, y in path)
+            assert [len(p) - 1 for p in paths] == edges.tolist() == sorted(edges.tolist())
+            assert max(edges) <= kmax
+            assert len(set(map(tuple, index.tolist()))) == len(index)
+            assert len(index) == sum(brute.get(((n, 0), k), 0) for k in range(1, kmax + 1)), (n, kmax)
+            for a in (index, edges):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 0
+    assert [len(lattice._path_table(n, k)[0]) for n, k in ((1, 5), (2, 6), (3, 7))] == [9, 27, 67]
+
+
+def test_path_tables_are_built_once_across_seeds():
+    lattice._path_table.cache_clear()
+    for seed in range(4):
+        for n in (1, 2, 3):
+            enumerate_paths_oracle(lat(seed, count=3), n, range(n - 1, n + 5))
+    info = lattice._path_table.cache_info()
+    assert (info.misses, info.currsize) == (3, 3)
+
+
+def test_path_cost_table_is_checked_against_the_budget():
+    # one trial more than the (count, paths) cost table of n = 3, K = 9 fits
+    count = weights.ARRAY_BYTES // (8 * len(lattice._path_table(3, 9)[0])) + 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="path-cost table.*budget"):
+            enumerate_paths_oracle(lat(1, count=count), 3, range(2, 10))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def _dp_passes(l):
