@@ -8,12 +8,11 @@ tables and verdicts are pure functions of the configuration. All seven
 drivers run their trials through _sweep, the one place the trial-index rule
 lives: trial t of sweep point p uses trial index first + p * trials + t
 under the master seed. _sweep hands out blocks of consecutive trials of one
-point, each a SeedContext of count trials, to a block function. The tree
-drivers and the oracle suite's tree parts build one CompleteInstance per
-block, yj-moments runs one array kernel (sample_yj), the lattice drivers
-run _lattice_trial, whose straight paths, first hop-DP pass and Dijkstra
-call serve the whole block, and the oracle suite's lattice part runs
-_lattice_oracle_trial, whose DP passes and path-oracle costs do too.
+point, each a SeedContext of count trials, to a block function; every
+solver call in one but Dijkstra serves the whole block. Width helpers next
+to the block functions check one trial's arrays against the array budget
+and return the widths _sweep cuts blocks by. Drivers compute every width
+before _sweep starts, so an oversized config runs no trial and no pool.
 The oracle suite pins its parts at indices p * suite_tree_instances + t
 (trees, n = 5, 6, 7), t (lattice) and 10_000 + t (Pruefer, AC2, which runs
 the tree-oracle trial at n = 7 with only its spanning comparison).
@@ -45,11 +44,10 @@ from . import __version__, rng, weights
 from .errors import ConfigurationError, InfeasibleError
 from .lattice import (
     LatticeSpec,
-    _path_table,
     enumerate_paths_oracle,
     hop_constrained_certified,
     hop_constrained_time,
-    label_grid_cells,
+    require_oracle_arrays,
     require_trial_arrays,
     straight_path_time,
     unconstrained_time,
@@ -284,12 +282,13 @@ def _sweep(cfg: ExperimentConfig, fn, points, widths, trials=None, first=0) -> l
     and returns their outcomes in trial order. Trial t of point p runs under
     master seed cfg.master_seed and trial index first + p * trials + t. A
     block of point p holds at most weights.BLOCK_ELEMENTS // widths[p]
-    trials, widths[p] being the array elements one trial of that point
-    takes. The workers are cfg.workers capped at the CPU count; with more
-    than one, blocks are made small enough that each worker gets about 8,
-    and the process pool starts no more workers than there are blocks. All
-    blocks go through one serial pass or one pool; the result holds one
-    outcome list per point, in trial order.
+    trials, widths[p] being one trial's elements of its largest array that
+    grows with the block, as the point's width helper returns it. The
+    workers are cfg.workers capped at the CPU count; with more than one,
+    blocks are made small enough that each worker gets about 8, and the
+    process pool starts no more workers than there are blocks. All blocks go
+    through one serial pass or one pool; the result holds one outcome list
+    per point, in trial order.
     """
     trials = cfg.trials if trials is None else trials
     workers = min(cfg.workers, os.cpu_count() or 1)
@@ -327,9 +326,21 @@ def _tree_variance_trial(block, spec, n_vertices):
     return [tree.total_weight for tree in kruskal_mst(CompleteInstance(n_vertices, spec, block))]
 
 
+def _tree_width(n_vertices: int) -> int:
+    """Width of a tree-driver or Pruefer trial on K_n, checked: its n x n weight matrix."""
+    require_array(f"a {n_vertices} x {n_vertices} weight matrix", n_vertices**2)
+    return n_vertices**2
+
+
 def _yj_block(block, spec, n_vertices, j):
     """Y_j of every trial of block; looks sample_yj up when called, so a wrapped one still pools."""
     return sample_yj(block, spec, n_vertices, j)
+
+
+def _yj_width(n_vertices: int) -> int:
+    """Width of a _yj_block trial, checked: its row of n vertices."""
+    require_array(f"a yj block row of {n_vertices} vertices", n_vertices)
+    return n_vertices
 
 
 def _first_pass(pspec, n, budgets) -> tuple:
@@ -376,22 +387,10 @@ def _lattice_trial(block, pspec, d, n, budgets):
     return out
 
 
-def _lattice_sweep(cfg: ExperimentConfig, points) -> list:
-    """_sweep of _lattice_trial over points (pspec, d, n, budgets).
-
-    A block holds as many trials as fit the label grids of the first DP
-    pass into weights.BLOCK_ELEMENTS: a point's width is its first-pass
-    grid's cells, 1 when it runs no such pass. Before any trial runs, each
-    point's first arrays at its own block size are checked against the
-    array budget (require_trial_arrays), so an oversized config exits
-    before a trial or a process pool starts.
-    """
-    heads = [_first_pass(pspec, n, budgets) for pspec, _, n, budgets in points]
-    widths = [label_grid_cells(d, n, head[-1]) if head else 1 for (_, d, n, _), head in zip(points, heads)]
-    for (_, d, n, _), head, width in zip(points, heads, widths):
-        count = min(cfg.trials, max(1, weights.BLOCK_ELEMENTS // width))
-        require_trial_arrays(d, n, head[-1] if head else None, count)
-    return _sweep(cfg, _lattice_trial, points, widths)
+def _lattice_width(pspec, d, n, budgets) -> int:
+    """Width of a _lattice_trial point, checked: n straight-path edges or the first pass's label grid."""
+    head = _first_pass(pspec, n, budgets)
+    return max(n, require_trial_arrays(d, n, head[-1] if head else None))
 
 
 def _tree_oracle_trial(block, spec, n_vertices, parts, gammas):
@@ -453,8 +452,6 @@ def _validate_tree_sweep(cfg: ExperimentConfig):
     _require(len(cfg.alpha_values) > 0, "alpha sweep must not be empty")
     _require_distinct(cfg.alpha_values, "alpha sweep")
     _require(cfg.rho == 1.0, "this driver runs the spanning rule; set rho = 1")
-    n = max(cfg.n_values)
-    require_array(f"a {n} x {n} weight matrix", n * n)
 
 
 def run_tree_scaling(cfg: ExperimentConfig) -> ExperimentReport:
@@ -470,7 +467,8 @@ def run_tree_scaling(cfg: ExperimentConfig) -> ExperimentReport:
     _require(cfg.gamma > 0.0, "gamma must be positive")
     specs = [cfg.tree_spec(alpha) for alpha in cfg.alpha_values]
     points = [(spec, n, n - 1, cfg.gamma) for spec in specs for n in cfg.n_values]
-    outcomes = iter(zip(points, _sweep(cfg, _tree_scaling_trial, points, [n * n for _, n, _, _ in points])))
+    widths = [_tree_width(n) for _, n, _, _ in points]
+    outcomes = iter(zip(points, _sweep(cfg, _tree_scaling_trial, points, widths)))
     summary_rows = []
     fit_rows = []
     verdicts = []
@@ -553,7 +551,8 @@ def run_tree_variance(cfg: ExperimentConfig) -> ExperimentReport:
     spec = cfg.tree_spec(alpha)
     rows = []
     verdicts = []
-    outcomes = _sweep(cfg, _tree_variance_trial, [(spec, n) for n in cfg.n_values], [n * n for n in cfg.n_values])
+    widths = [_tree_width(n) for n in cfg.n_values]
+    outcomes = _sweep(cfg, _tree_variance_trial, [(spec, n) for n in cfg.n_values], widths)
     for n, values in zip(cfg.n_values, outcomes):
         s = summarize(values)
         # upper 95% chi-square confidence bound under approximate normality
@@ -589,12 +588,12 @@ def run_yj_moments(cfg: ExperimentConfig) -> ExperimentReport:
     _require(cfg.trials >= 1, "trials must be at least 1")
     alpha = cfg.alpha_values[0]
     spec = cfg.tree_spec(alpha)
-    require_array(f"a yj block row of {cfg.n} vertices", cfg.n)
+    width = _yj_width(cfg.n)
     s_param = cfg.exp_moment_s
     rows = []
     scaled_means = []
     exp_checks = []
-    outcomes = _sweep(cfg, _yj_block, [(spec, cfg.n, j) for j in cfg.j_values], [cfg.n] * len(cfg.j_values))
+    outcomes = _sweep(cfg, _yj_block, [(spec, cfg.n, j) for j in cfg.j_values], [width] * len(cfg.j_values))
     for j, ys in zip(cfg.j_values, outcomes):
         s = summarize(ys)
         scale = (cfg.n - j) ** alpha
@@ -651,7 +650,8 @@ def run_fpp_band(cfg: ExperimentConfig) -> ExperimentReport:
     violations = 0
     tinf_means = []
     hop_ratios = []
-    for (_, _, n, (k,)), out in zip(points, _lattice_sweep(cfg, points)):
+    widths = [_lattice_width(*point) for point in points]
+    for (_, _, n, (k,)), out in zip(points, _sweep(cfg, _lattice_trial, points, widths)):
         t_inf, t_straight, t_k, n_hops = zip(*((a, b, c, h) for a, b, ((c, h),) in out))
         tk = summarize([v / n for v in t_k])
         tinf = summarize([v / n for v in t_inf])
@@ -708,7 +708,7 @@ def run_constraint_decay(cfg: ExperimentConfig) -> ExperimentReport:
     ks = cfg.k_values
     _require(all(b > a for a, b in zip(ks, ks[1:])), "k schedule must be strictly increasing")
     _require(ks[0] >= cfg.n, "k schedule must start at or above n")
-    (out,) = _lattice_sweep(cfg, [(pspec, cfg.d, cfg.n, ks)])
+    (out,) = _sweep(cfg, _lattice_trial, [(pspec, cfg.d, cfg.n, ks)], [_lattice_width(pspec, cfg.d, cfg.n, ks)])
     rows = []
     estimates = []
     for idx, k in enumerate(ks):
@@ -748,7 +748,8 @@ def run_fpp_variance(cfg: ExperimentConfig) -> ExperimentReport:
     grid = [(pspec, cfg.d, n, (cfg.k_multiple * n,)) for n in cfg.n_values]
     rows = []
     points = []
-    for (_, _, n, (k,)), out in zip(grid, _lattice_sweep(cfg, grid)):
+    widths = [_lattice_width(*point) for point in grid]
+    for (_, _, n, (k,)), out in zip(grid, _sweep(cfg, _lattice_trial, grid, widths)):
         s = summarize([tk for _, _, ((tk, _),) in out])
         rows.append((pspec.kind, n, k, cfg.trials, s.mean, s.unbiased_variance))
         points.append((n, s.unbiased_variance))
@@ -817,14 +818,15 @@ def run_oracle_suite(cfg: ExperimentConfig) -> ExperimentReport:
 
     if "lattice" in cfg.suite:
         pspec = cfg.passage_spec() if cfg.distribution else PassageTimeSpec("exponential", (1.0,))
-        # a trial's largest array: the n = 3 DP label grid or the n = 3 path oracle's cost row
-        width = max(label_grid_cells(2, 3, 7), len(_path_table(3, 7)[0]))
+        # the longest path-oracle row; each DP label grid, w x h, is shorter: wh <= 2wh - w - h + 1
+        width = max(require_oracle_arrays(n, n + 4) for n in (1, 2, 3))
         (out,) = _sweep(cfg, _lattice_oracle_trial, [(pspec,)], [width], trials=cfg.suite_lattice_instances)
         add("hop_dp_equals_enumeration", "AC3", 18 * cfg.suite_lattice_instances, sum(out))
 
     if "prufer" in cfg.suite:
         point = (spec, 7, ("spanning",), ())
-        (out,) = _sweep(cfg, _tree_oracle_trial, [point], [7 * 7], trials=cfg.suite_prufer_instances, first=10_000)
+        width = _tree_width(7)
+        (out,) = _sweep(cfg, _tree_oracle_trial, [point], [width], trials=cfg.suite_prufer_instances, first=10_000)
         add("kruskal_equals_prufer_enumeration", "AC2", cfg.suite_prufer_instances, sum(s for s, _ in out))
 
     tables = [Table("suite", ("part", "comparisons", "mismatches"), tuple(rows))]

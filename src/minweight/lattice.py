@@ -24,9 +24,9 @@ row-major. _box(d, n, r) is the box [-r, n + r] x [-r, r]^(d - 1):
 Dijkstra searches it, and at r = floor((k - n) / 2) it bounds every walk of
 at most k edges, so it is the DP's grid and the path oracle's. The straight
 path's grid is the segment from the origin to the target. The DP's label
-grid, and Dijkstra's arc times and search distances, are checked against
-the array budget of weights.require_array before they are built;
-require_trial_arrays runs the same checks from a config alone.
+grid, Dijkstra's arcs and distances and the path oracle's costs and edge
+times are checked against weights.require_array's budget before they are
+built; require_trial_arrays and require_oracle_arrays check one trial's.
 
 The path oracle, the hop DP's ground truth on Z^2 for budgets up to 9,
 searches no lattice: _path_table lists every self-avoiding path of at most
@@ -162,12 +162,6 @@ def label_grid_cells(d: int, n: int, k: int) -> int:
     return math.prod(_box(d, n, (k - n) // 2)[1])
 
 
-def _require_label_grids(d: int, n: int, k: int, count: int) -> None:
-    """Check the float64 label grids of a hop-DP pass over count trials against the array budget."""
-    what = f"the hop-DP label grid for n = {n}, k = {k}" + (f" over {count} trials" if count > 1 else "")
-    require_array(what, count * label_grid_cells(d, n, k))
-
-
 def _read_budget(labels, k: int) -> tuple:
     """(value, hop count) of budget k from the target labels of a DP pass of budget >= k.
 
@@ -208,7 +202,8 @@ def hop_constrained_time(lat: LatticeSpec, n: int, k: int) -> tuple:
     count = lat.ctx.count
     if n == 0:
         return (_trivial_result(lat),) * count
-    _require_label_grids(lat.d, n, k, count)
+    what = f"the hop-DP label grid for n = {n}, k = {k}" + (f" over {count} trials" if count > 1 else "")
+    require_array(what, count * label_grid_cells(lat.d, n, k))
 
     lows, shape, hops = _walk_windows(lat.d, n, k)
     times = [_axis_times(lat, lows, shape, a) for a in range(lat.d)]
@@ -297,11 +292,8 @@ def _csr_pattern(shape: tuple) -> tuple:
     Cells are indexed row-major. The arcs are listed as _box_csr lists their
     times: per axis, the +axis arcs and then the -axis arcs. The order sorts
     them by row, then column, which is the layout csr_matrix builds from
-    those COO triplets.
-
-    Raises CapacityError, before allocating, as _require_box does.
+    those COO triplets. The caller has checked the box (_require_box).
     """
-    _require_box(shape)
     cells = math.prod(shape)
     idx = np.arange(cells, dtype=np.int32).reshape(shape)
     rows, cols = [], []
@@ -347,15 +339,14 @@ def _first_radius(n: int) -> int:
     return min((5 * n + 7) // 8 + 8, RADIUS_CAP_MULTIPLE * n)
 
 
-def require_trial_arrays(d: int, n: int, k: int | None = None, count: int = 1) -> None:
-    """Check, before any trial runs, the first arrays a lattice trial for
-    target n builds, as the solvers check them: the label grids of a
-    hop-DP pass to budget k over count trials, when such a pass runs first,
-    and the arc times and search distances of Dijkstra's first box. Raises
-    CapacityError."""
+def require_trial_arrays(d: int, n: int, k: int | None = None) -> int:
+    """Check, before any trial runs, the label grid of a first DP pass to budget
+    k, if any, then Dijkstra's first box, as the solvers do (CapacityError).
+    Returns the grid's cells, or 1 without a pass: only it grows with a block."""
     if k is not None:
-        _require_label_grids(d, n, k, count)
+        require_array(f"the hop-DP label grid for n = {n}, k = {k}", label_grid_cells(d, n, k))
     _require_box(_box(d, n, _first_radius(n))[1])
+    return 1 if k is None else label_grid_cells(d, n, k)
 
 
 def unconstrained_time(lat: LatticeSpec, n: int, limits=None) -> tuple:
@@ -522,6 +513,17 @@ def _path_table(n: int, kmax: int) -> tuple:
     return index, edges
 
 
+def require_oracle_arrays(n: int, kmax: int, count: int = 1) -> int:
+    """Check enumerate_paths_oracle's (count, paths) costs, then its (count,
+    grid edges + 1) edge times, against the array budget; returns a trial's longer row."""
+    paths = len(_path_table(n, kmax)[0])
+    require_array(f"the path-cost table of {paths} paths to n = {n} over {count} trials", count * paths)
+    _, (width, height) = _box(2, n, (kmax - n) // 2)
+    row = (width - 1) * height + width * (height - 1) + 1
+    require_array(f"the edge-time grids of {row - 1} edges to n = {n} over {count} trials", count * row)
+    return max(paths, row)
+
+
 def enumerate_paths_oracle(lat: LatticeSpec, n: int, budgets) -> tuple:
     """Exhaustive minimum over self-avoiding paths of at most k edges on Z^2,
     for each hop budget k: per trial of lat.ctx, one tuple with one value
@@ -532,12 +534,12 @@ def enumerate_paths_oracle(lat: LatticeSpec, n: int, budgets) -> tuple:
     at most K edges to the target t = (n, 0); each of its vertices
     satisfies |v|_1 + |v - t|_1 <= K, so one pair of edge-time grids on the
     box _box(2, n, floor((K - n) / 2)) holds every edge time. The grids are
-    hashed once for the block, and the table's (count, paths) costs are
-    checked against the array budget before they are. Each path's cost is
-    gathered one path position at a time and added left to right, in path
-    order, so values match hop_constrained_time bit for bit; the padding
-    positions add 0.0, which changes no sum. Budget k takes the least cost
-    over the paths of at most k edges.
+    hashed once for the block, after require_oracle_arrays has checked the
+    block's cost table and edge times against the array budget. Each path's
+    cost is gathered one path position at a time and added left to right,
+    in path order, so values match hop_constrained_time bit for bit; the
+    padding positions add 0.0, which changes no sum. Budget k takes the
+    least cost over the paths of at most k edges.
     """
     budgets = tuple(budgets)
     if lat.d != 2:
@@ -553,8 +555,8 @@ def enumerate_paths_oracle(lat: LatticeSpec, n: int, budgets) -> tuple:
     if n == 0 or kmax < n:
         return (((0.0 if n == 0 else None),) * len(budgets),) * count
 
+    require_oracle_arrays(n, kmax, count)
     index, edges = _path_table(n, kmax)
-    require_array(f"the path-cost table of {len(index)} paths to n = {n} over {count} trials", count * len(index))
     box = _box(2, n, (kmax - n) // 2)
     grids = [_axis_times(lat, *box, axis).reshape(count, -1) for axis in (0, 1)]
     times = np.concatenate(grids + [np.zeros((count, 1))], axis=1)

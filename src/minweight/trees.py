@@ -73,7 +73,7 @@ def _prim(W: np.ndarray):
     W holds finite weights off the diagonal and +inf on it. Each step adds,
     per tree, the first vertex of least best-link weight; links move only on
     a strictly smaller weight. Returns the 0-based edge keys (lo, hi), each
-    [s, m-1] and sorted by key along each row.
+    [s, m-1] and sorted by key along each row, and the totals in that order.
     """
     s, m, _ = W.shape
     r = np.arange(s)
@@ -92,7 +92,8 @@ def _prim(W: np.ndarray):
     # a vertex's link is frozen once it joins, so link[v] is its tree parent
     child = np.arange(1, m)
     key = np.sort(np.minimum(link[:, 1:], child) * m + np.maximum(link[:, 1:], child), axis=1)
-    return np.divmod(key, m)
+    lo, hi = np.divmod(key, m)
+    return lo, hi, sum_in_order(W[r[:, None], lo, hi].T)
 
 
 def _tree_result(lo, hi, total, labels) -> TreeResult:
@@ -142,10 +143,7 @@ def kruskal_mst(inst: CompleteInstance) -> tuple:
     The name is kept because the golden report digests and the benchmark
     refer to it; with distinct weights the tree is Kruskal's.
     """
-    W = inst.matrix()
-    lo, hi = _prim(W)
-    totals = sum_in_order(W[np.arange(len(W))[:, None], lo, hi].T)
-    return tuple(_tree_result(*tree, np.arange(1, inst.n + 1)) for tree in zip(lo, hi, totals))
+    return tuple(_tree_result(*tree, np.arange(1, inst.n + 1)) for tree in zip(*_prim(inst.matrix())))
 
 
 def light_edge_count(inst: CompleteInstance, gamma: float) -> tuple:
@@ -197,9 +195,7 @@ def exact_min_tree(inst: CompleteInstance, tau: int) -> tuple:
     require_array(f"the subset stack of {count} trials at n = {n}, tau = {tau}", count * per_trial * size**2)
     # increasing subsets keep local edge keys in the order of the global ones
     subsets = np.array(list(itertools.combinations(range(n), size)), dtype=np.intp)
-    W = inst.matrix()[:, subsets[:, :, None], subsets[:, None, :]].reshape(-1, size, size)
-    lo, hi = _prim(W)
-    totals = sum_in_order(W[np.arange(len(W))[:, None], lo, hi].T)
+    lo, hi, totals = _prim(inst.matrix()[:, subsets[:, :, None], subsets[:, None, :]].reshape(-1, size, size))
     best = totals.reshape(count, per_trial).argmin(axis=1) + np.arange(count) * per_trial
     return tuple(_tree_result(lo[b], hi[b], totals[b], subsets[b % per_trial] + 1) for b in best)
 

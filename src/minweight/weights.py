@@ -41,9 +41,9 @@ import numpy as np
 from . import rng
 from .errors import CapacityError, ConfigurationError
 
-# Byte budget of one float64 array of either family: a tree weight matrix or
-# yj block row, the Dijkstra box's arc times, the hop-DP label grid. Callers
-# check it before they allocate (require_array).
+# Byte budget of one float64 array, checked before allocating (require_array):
+# a tree weight matrix, yj row or subset stack; Dijkstra's arcs or distances,
+# a DP label grid, path-oracle costs or edge times, a straight path's n times.
 ARRAY_BYTES = 2**29
 
 
@@ -64,7 +64,8 @@ def sum_in_order(columns) -> np.ndarray:
     return reduce(np.add, columns)
 
 
-# Most array elements (trials x elements per trial) one trial block holds.
+# Most array elements (trials x elements per trial) one trial block holds;
+# 8 * BLOCK_ELEMENTS <= ARRAY_BYTES, so checking one trial checks a block.
 BLOCK_ELEMENTS = 2**15
 
 

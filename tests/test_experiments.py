@@ -1,9 +1,11 @@
+import ast
 import concurrent.futures
 import dataclasses
 import hashlib
 import json
 import os
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,6 +162,45 @@ def test_sweep_pool_is_bounded_by_cpus_and_blocks(monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert _sweep(cfg, _block_sizes, [(), (), ()], [1, 1, 1]) == [[64] * 64] * 3
     assert _RecordingPool.opened == [4, 4, 2]
+
+
+def test_one_trial_budget_check_covers_every_block():
+    # a block holds at most BLOCK_ELEMENTS elements or one trial, so checking
+    # one trial's arrays against the budget checks every block's
+    assert 8 * weights.BLOCK_ELEMENTS <= weights.ARRAY_BYTES
+
+
+def test_width_helpers_keep_the_benchmark_widths():
+    exponential = PassageTimeSpec("exponential", (1.0,))
+    assert exp_mod._yj_width(512) == 512  # yj-prefix
+    # lattice-decay: the first pass's 97 x 33 label grid at (n, K) = (64, 96)
+    assert exp_mod._lattice_width(exponential, 2, 64, (64, 72, 80, 96, 128)) == 97 * 33
+    # oracle-selftest: the Pruefer point's matrix and the lattice oracle's
+    # longest row, n = 3's 67 grid edges and the 0.0 column
+    assert exp_mod._tree_width(7) == 49
+    assert [lattice.require_oracle_arrays(n, n + 4) for n in (1, 2, 3)] == [50, 59, 68]
+
+
+def test_one_budget_lattice_blocks_count_the_straight_path(monkeypatch):
+    # without a first DP pass a trial's widest block array is its straight
+    # path of n edge times: at n = 64, at most 2**15 // 64 = 512 trials a block
+    sizes = []
+
+    def recording_trial(block, pspec, d, n, budgets):
+        sizes.append(block.count)
+        return [(1.0, 1.0, ((1.0, n),))] * block.count
+
+    monkeypatch.setattr(exp_mod, "_lattice_trial", recording_trial)
+    run_fpp_band(smoke("fpp-band", n_values=[64], trials=1000, workers=1))
+    assert sum(sizes) == 1000 and max(sizes) <= 512
+
+
+def test_no_module_imports_another_modules_private_name():
+    for path in sorted(Path(exp_mod.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                private = [a.name for a in node.names if a.name.startswith("_") and not a.name.endswith("__")]
+                assert not private, (path.name, node.module, private)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -435,10 +476,12 @@ def test_oracle_suite_guards_and_subset():
 
 def test_spanning_part_catches_a_wrong_spanning_tree(monkeypatch):
     # Prim replaced by the star at vertex 0: the spanning part must see it,
-    # which it cannot when its oracle runs the same Prim
+    # which it cannot when its oracle runs the same Prim; like Prim, the
+    # stub returns each tree's total, its weights added in key order
     def star(W):
         s, m, _ = W.shape
-        return np.zeros((s, m - 1), dtype=np.intp), np.broadcast_to(np.arange(1, m), (s, m - 1))
+        lo, hi = np.zeros((s, m - 1), dtype=np.intp), np.broadcast_to(np.arange(1, m), (s, m - 1))
+        return lo, hi, weights.sum_in_order(W[np.arange(s)[:, None], lo, hi].T)
 
     monkeypatch.setattr(trees, "_prim", star)
     report = run_oracle_suite(smoke("oracle-suite", suite=["spanning"], suite_tree_instances=20, workers=1))

@@ -200,6 +200,20 @@ def test_path_cost_table_is_checked_against_the_budget():
     assert peak < 1 << 20
 
 
+def test_path_oracle_grids_are_checked_against_the_budget(monkeypatch):
+    # at (n, kmax) = (1, 5) one trial's grids hold 49 edges against 9 paths:
+    # a 100-trial block's cost table fits the budget, its edge times do not
+    monkeypatch.setattr(weights, "ARRAY_BYTES", 8 * 100 * 9)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="edge-time grids of 49 edges.*over 100 trials.*budget"):
+            enumerate_paths_oracle(lat(1, count=100), 1, range(0, 6))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def _dp_passes(l):
     return [(r.value, r.hop_count, r.path, r.target_labels) for r in hop_constrained_time(l, 3, 8)]
 
@@ -280,6 +294,19 @@ def test_block_label_grids_are_checked_against_the_budget(monkeypatch):
     hop_constrained_time(lat(1), 6, 10)
     with pytest.raises(CapacityError, match="over 2 trials"):
         hop_constrained_time(lat(1, count=2), 6, 10)
+
+
+def test_trial_arrays_return_the_block_width(monkeypatch):
+    # the first pass's label grid, or 1 without a pass: the straight path's
+    # width is the caller's
+    assert lattice.require_trial_arrays(2, 64, 96) == lattice.label_grid_cells(2, 64, 96) == 97 * 33
+    assert lattice.require_trial_arrays(2, 64) == 1
+    # one trial's label grid is checked before Dijkstra's first box
+    monkeypatch.setattr(weights, "ARRAY_BYTES", 8 * 97 * 33 - 8)
+    with pytest.raises(CapacityError, match="label grid for n = 64, k = 96 takes"):
+        lattice.require_trial_arrays(2, 64, 96)
+    with pytest.raises(CapacityError, match="Dijkstra box"):
+        lattice.require_trial_arrays(2, 64)
 
 
 def test_hop_monotonicity():
