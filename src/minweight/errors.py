@@ -6,7 +6,7 @@ class ConfigurationError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """Over a capacity limit: the array budget, int32 CSR indices, Dijkstra's radius cap, n <= 8 tree enumeration."""
+    """Over a capacity limit: the array budget, int32 CSR indices, n <= 8 tree enumeration."""
 
 
 class InfeasibleError(ValueError):

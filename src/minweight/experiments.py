@@ -390,7 +390,7 @@ def _lattice_trial(block, pspec, d, n, budgets):
 def _lattice_width(pspec, d, n, budgets) -> int:
     """Width of a _lattice_trial point, checked: n straight-path edges or the first pass's label grid."""
     head = _first_pass(pspec, n, budgets)
-    return max(n, require_trial_arrays(d, n, head[-1] if head else None))
+    return require_trial_arrays(d, n, head[-1] if head else None)
 
 
 def _tree_oracle_trial(block, spec, n_vertices, parts, gammas):

@@ -17,6 +17,8 @@ box's edges. A boundary certificate proves the box exact: a path leaving
 it pays at least the origin's least boundary distance before its first
 exit and the target's after its last re-entry, and passage times are
 nonnegative, so when those two add up to at least T_n it cannot improve.
+Each box is searched once; when its certificate fails the radius doubles,
+and only the array budget bounds the growth.
 
 Every caller takes its edge times from one grid convention, _axis_times: a
 numpy grid spanning [lows[a], lows[a] + shape[a]) on each axis a,
@@ -24,9 +26,10 @@ row-major. _box(d, n, r) is the box [-r, n + r] x [-r, r]^(d - 1):
 Dijkstra searches it, and at r = floor((k - n) / 2) it bounds every walk of
 at most k edges, so it is the DP's grid and the path oracle's. The straight
 path's grid is the segment from the origin to the target. The DP's label
-grid, Dijkstra's arcs and distances and the path oracle's costs and edge
-times are checked against weights.require_array's budget before they are
-built; require_trial_arrays and require_oracle_arrays check one trial's.
+grid, Dijkstra's arcs and distances, the straight path's edge times and the
+path oracle's costs and edge times are checked against
+weights.require_array's budget before they are built; require_trial_arrays
+and require_oracle_arrays check one trial's.
 
 The path oracle, the hop DP's ground truth on Z^2 for budgets up to 9,
 searches no lattice: _path_table lists every self-avoiding path of at most
@@ -324,29 +327,29 @@ def _box_csr(times: list, shape: tuple):
     return csr_matrix((data[order], indices, indptr), shape=(indptr.size - 1,) * 2)
 
 
-# Dijkstra's box never grows past radius RADIUS_CAP_MULTIPLE * n
-RADIUS_CAP_MULTIPLE = 64
-
-# Each of Dijkstra's two searches first stops at limit * (1/2 + PATH_SUM_SLACK).
+# Each of Dijkstra's two searches stops at limit * (1/2 + PATH_SUM_SLACK).
 # The slack is relative and covers the rounding of every path sum in a box
-# the array budget admits: such a box has fewer than 2**25 cells, so a sum
+# the array budget admits: such a box has at most 2**25 cells, so a sum
 # of its edge times is off by less than 2**25 * 2**-53 of its exact value.
 PATH_SUM_SLACK = 2.0**-26
 
 
 def _first_radius(n: int) -> int:
-    """Radius of Dijkstra's first box for target n: ceil(5n/8) + 8, clamped to the cap."""
-    return min((5 * n + 7) // 8 + 8, RADIUS_CAP_MULTIPLE * n)
+    """Radius of Dijkstra's first box for target n: ceil(5n/8) + 8."""
+    return (5 * n + 7) // 8 + 8
 
 
 def require_trial_arrays(d: int, n: int, k: int | None = None) -> int:
     """Check, before any trial runs, the label grid of a first DP pass to budget
     k, if any, then Dijkstra's first box, as the solvers do (CapacityError).
-    Returns the grid's cells, or 1 without a pass: only it grows with a block."""
+    Returns one trial's widest block array: the grid's cells, which exceed n,
+    or without a pass the n straight-path times, which the box outgrows."""
+    cells = n
     if k is not None:
-        require_array(f"the hop-DP label grid for n = {n}, k = {k}", label_grid_cells(d, n, k))
+        cells = label_grid_cells(d, n, k)
+        require_array(f"the hop-DP label grid for n = {n}, k = {k}", cells)
     _require_box(_box(d, n, _first_radius(n))[1])
-    return 1 if k is None else label_grid_cells(d, n, k)
+    return cells
 
 
 def unconstrained_time(lat: LatticeSpec, n: int, limits=None) -> tuple:
@@ -359,26 +362,24 @@ def unconstrained_time(lat: LatticeSpec, n: int, limits=None) -> tuple:
 
     Dijkstra runs on one trial's lattice at a time, from both ends at once:
     one call searches from the origin and from the target on the box
-    [-r, n + r] x [-r, r]^(d - 1), r = ceil(5n/8) + 8 clamped to the cap
-    RADIUS_CAP_MULTIPLE * n, each search stopping at h = limit * (1/2 +
-    PATH_SUM_SLACK). A path of time at most the limit has an edge u -> w
-    with both ends within h of their search's root, so T_n is the least
-    ds(u) + t(u, w) + dt(w) over the box's arcs. The witness is the origin's
-    search path to u, then the target's search path from w; the value is
-    its edge times summed left to right, as a one-source Dijkstra sums them.
+    [-r, n + r] x [-r, r]^(d - 1), r = ceil(5n/8) + 8 at first, each search
+    stopping at h = limit * (1/2 + PATH_SUM_SLACK). A path of time at most
+    the limit has an edge u -> w with both ends within h of their search's
+    root, so T_n is the least ds(u) + t(u, w) + dt(w) over the box's arcs.
+    The witness is the origin's search path to u, then the target's search
+    path from w; the value is its edge times summed left to right, as a
+    one-source Dijkstra sums them.
 
     The box is certified when e_s + e_t >= T_n, e being each search's least
     boundary distance and an unreached boundary counting at its search's
     stop: a path that leaves the box pays at least e_s up to its first
-    boundary vertex and at least e_t from its last one. When the
-    certificate fails the same box is searched once more to the full limit,
-    and then the radius doubles (again clamped to the cap), each box
-    searched to the full limit, until it holds; the value is then exact for
-    the infinite lattice. A certificate that fails at the cap raises
-    CapacityError rather than returning an unproven value, as does a box
-    too large for int32 CSR indices or for the array budget (see
-    _require_box). When e_s + e_t exceeds the limit and no path in the box
-    takes at most the limit, the limit is below T_n: ValueError.
+    boundary vertex and at least e_t from its last one. Each box is
+    searched once; when its certificate fails the radius doubles until it
+    holds, and the value is then exact for the infinite lattice. Growth
+    ends only at the array budget: a box too large for int32 CSR indices
+    or for the budget raises CapacityError before any array of it is built
+    (see _require_box). When e_s + e_t exceeds the limit and no path in the
+    box takes at most the limit, the limit is below T_n: ValueError.
 
     Distance ties between distinct optimal paths occur with probability zero
     under the continuous passage-time laws; on such ties the reported witness
@@ -396,9 +397,8 @@ def unconstrained_time(lat: LatticeSpec, n: int, limits=None) -> tuple:
 
 def _certified_dijkstra(lat: LatticeSpec, n: int, limit: float) -> ConstrainedResult:
     """unconstrained_time on a context of one, for n >= 1."""
-    cap = RADIUS_CAP_MULTIPLE * n
     radius = _first_radius(n)
-    stops = (limit * (0.5 + PATH_SUM_SLACK), limit)
+    stop = limit * (0.5 + PATH_SUM_SLACK)
     while True:
         lows, shape = _box(lat.d, n, radius)
         _require_box(shape)  # before any array of the box is built
@@ -407,19 +407,14 @@ def _certified_dijkstra(lat: LatticeSpec, n: int, limit: float) -> ConstrainedRe
         boundary = _csr_pattern(shape)[3]
         # flat indices of the origin and of the target, the two searches' roots
         ends = np.ravel_multi_index(((radius, radius + n),) + ((radius, radius),) * (lat.d - 1), shape)
-        for stop in stops:
-            dist, pred = _csgraph_dijkstra(graph, directed=True, indices=ends, return_predecessors=True, limit=stop)
-            value, cells = _meet(dist, pred, times, shape, ends)
-            bound = sum(min(float(side[boundary].min()), stop) for side in dist)
-            if value <= limit and bound >= value:
-                return ConstrainedResult(value, len(cells) - 1, tuple(map(tuple, (cells + lows).tolist())))
-            if bound > limit:
-                raise ValueError(f"Dijkstra limit {limit} is below the passage time to n = {n}")
-        if radius >= cap:
-            msg = f"boundary certificate fails at radius {radius}, the cap {RADIUS_CAP_MULTIPLE}*n"
-            raise CapacityError(msg)
-        radius = min(2 * radius, cap)
-        stops = (limit,)
+        dist, pred = _csgraph_dijkstra(graph, directed=True, indices=ends, return_predecessors=True, limit=stop)
+        value, cells = _meet(dist, pred, times, shape, ends)
+        bound = sum(min(float(side[boundary].min()), stop) for side in dist)
+        if value <= limit and bound >= value:
+            return ConstrainedResult(value, len(cells) - 1, tuple(map(tuple, (cells + lows).tolist())))
+        if bound > limit:
+            raise ValueError(f"Dijkstra limit {limit} is below the passage time to n = {n}")
+        radius *= 2
 
 
 def _meet(dist, pred, times: list, shape: tuple, ends) -> tuple:
@@ -463,8 +458,8 @@ def _meet(dist, pred, times: list, shape: tuple, ends) -> tuple:
     for a, t in enumerate(times):
         on = axes == a
         steps[on] = t[tuple(bases[on].T)]
-    # cumsum adds in order, as Dijkstra's relaxations do
-    return float(np.cumsum(steps)[-1]), cells
+    # added in path order, as Dijkstra's relaxations add them
+    return float(weights.sum_in_order(steps)), cells
 
 
 @functools.lru_cache(maxsize=32)
@@ -567,9 +562,12 @@ def enumerate_paths_oracle(lat: LatticeSpec, n: int, budgets) -> tuple:
 
 def straight_path_time(lat: LatticeSpec, n: int) -> tuple:
     """Passage time of the straight first-axis path through (1,0,..) .. (n,0,..),
-    summed left to right: one time per trial of lat.ctx."""
+    summed left to right: one time per trial of lat.ctx. Its (count, n) edge
+    times are checked against the array budget before they are hashed."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    count = lat.ctx.count
+    require_array(f"the edge times of the straight path to n = {n} over {count} trials", count * n)
     times = _axis_times(lat, (0,) * lat.d, (n + 1,) + (1,) * (lat.d - 1), 0)
     return tuple(weights.sum_in_order(times.reshape(-1, n).T).tolist())
 
@@ -579,7 +577,7 @@ def linear_path_tail_probe(lat: LatticeSpec, m: int, beta: float) -> ProbEstimat
     over the trials of lat.ctx.
 
     Trials run in blocks of at most weights.BLOCK_ELEMENTS // m, one
-    straight_path_time call each.
+    straight_path_time call each, which checks the block's edge times.
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")

@@ -297,10 +297,9 @@ def test_block_label_grids_are_checked_against_the_budget(monkeypatch):
 
 
 def test_trial_arrays_return_the_block_width(monkeypatch):
-    # the first pass's label grid, or 1 without a pass: the straight path's
-    # width is the caller's
+    # the first pass's label grid, or the n straight-path times without a pass
     assert lattice.require_trial_arrays(2, 64, 96) == lattice.label_grid_cells(2, 64, 96) == 97 * 33
-    assert lattice.require_trial_arrays(2, 64) == 1
+    assert lattice.require_trial_arrays(2, 64) == 64
     # one trial's label grid is checked before Dijkstra's first box
     monkeypatch.setattr(weights, "ARRAY_BYTES", 8 * 97 * 33 - 8)
     with pytest.raises(CapacityError, match="label grid for n = 64, k = 96 takes"):
@@ -353,10 +352,19 @@ def test_unconstrained_matches_saturated_dp():
                 assert (dp.value, dp.hop_count) == (free.value, free.hop_count), (spec, seed, n)
 
 
-def test_unconstrained_radius_cap(monkeypatch):
-    monkeypatch.setattr(lattice, "RADIUS_CAP_MULTIPLE", 1)
-    with pytest.raises(CapacityError):
-        unconstrained_time(lat(5), 3)
+def test_unconstrained_growth_ends_at_the_array_budget(monkeypatch):
+    # seed 5's certificate fails on the radius-2 box, (9, 5) with 152 arcs,
+    # which the budget admits; the doubled box, (13, 9), is refused unbuilt
+    monkeypatch.setattr(lattice, "_first_radius", lambda n: 2)
+    monkeypatch.setattr(weights, "ARRAY_BYTES", 8 * 152)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=r"Dijkstra box of shape \(13, 9\)"):
+            unconstrained_time(lat(5), 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_box_beyond_int32_arcs_raises_before_allocating():
@@ -371,12 +379,21 @@ def test_box_beyond_int32_arcs_raises_before_allocating():
     assert peak < 1 << 20
 
 
-def test_unconstrained_cap_clamps_the_first_box(monkeypatch):
-    # the start radius ceil(5n/4) + 8 exceeds 2n here; the cap limits it instead of raising
-    monkeypatch.setattr(lattice, "RADIUS_CAP_MULTIPLE", 2)
+def test_unconstrained_from_radius_1(monkeypatch):
+    # a first box narrower than the reference's 2n grows until certified
+    monkeypatch.setattr(lattice, "_first_radius", lambda n: 1)
     for n in (1, 2, 3):
         (res,) = unconstrained_time(lat(1), n)
         assert (res.value, res.hop_count, res.path) == dijkstra_from_radius_2n(lat(1), n)
+
+
+def test_path_sum_slack_covers_every_box_the_budget_admits():
+    # the budget refuses the distances of a box of more than 2**25 cells, and
+    # a sum of at most 2**25 edge times is off by less than 2**25 * 2**-53
+    lattice._require_box((2**25,))
+    with pytest.raises(CapacityError, match="distance array"):
+        lattice._require_box((2**25 + 1,))
+    assert 2**25 * 2.0**-53 <= lattice.PATH_SUM_SLACK
 
 
 # -- references for the Dijkstra and hop-DP changes -----------------------------
@@ -500,15 +517,13 @@ def test_cached_csr_equals_fresh_coo_build():
 
 
 def _stops_derive_from(stops, limit):
-    # both searches stop at half the caller's limit, widened by the slack,
-    # and at the full limit on a rerun of the first box and on every larger box
-    return stops[0] == limit * (0.5 + lattice.PATH_SUM_SLACK) and set(stops[1:]) <= {limit}
+    # on every box both searches stop at half the caller's limit, widened by the slack
+    return set(stops) == {limit * (0.5 + lattice.PATH_SUM_SLACK)}
 
 
 def test_unconstrained_matches_dijkstra_from_radius_2n(monkeypatch):
     # the first box as unconstrained_time sizes it, then patched down to
-    # radius 2, where certificates fail: the box is searched again to the
-    # full limit, which sometimes certifies it, and otherwise the radius doubles
+    # radius 2, where certificates fail and the radius doubles
     shapes, stops = [], []
     box_csr, dijkstra = lattice._box_csr, lattice._csgraph_dijkstra
 
@@ -524,7 +539,7 @@ def test_unconstrained_matches_dijkstra_from_radius_2n(monkeypatch):
     monkeypatch.setattr(lattice, "_csgraph_dijkstra", recording_dijkstra)
     cases = [(EXP1, seed) for seed in range(40)]
     cases += [(spec, 100 + seed) for spec in (UNIFORM, PARETO3) for seed in range(10)]
-    rescued = grown = 0
+    grown = 0
     for first_radius in (lattice._first_radius, lambda n: 2):
         monkeypatch.setattr(lattice, "_first_radius", first_radius)
         for spec, seed in cases:
@@ -534,19 +549,18 @@ def test_unconstrained_matches_dijkstra_from_radius_2n(monkeypatch):
             (res,) = unconstrained_time(l, 4)
             assert (res.value, res.hop_count, res.path) == dijkstra_from_radius_2n(l, 4), (spec, seed)
             assert _stops_derive_from(stops, *straight_path_time(l, 4))
-            assert len(stops) == len(shapes) + (len(stops) > 1)  # only the first box is searched twice
-            rescued += len(shapes) == 1 < len(stops)
+            assert len(stops) == len(shapes)  # one search per box
             grown += len(shapes) > 1
-    assert rescued >= 1 and grown >= 1  # both retry branches ran
+    assert grown >= 1  # the retry branch ran
 
 
 def test_dijkstra_limit_keeps_value_path_and_certificate(monkeypatch):
     # unconstrained_time takes its limit from the straight-path time, or from
     # its caller, here the last target label of a DP pass to ceil(1.5n), and
-    # stops Dijkstra at half of it, or at all of it on a rerun. Either limit
-    # gives the same value, hop count and witness, and without any limit
-    # Dijkstra must also search the same boxes. Each case runs at the first
-    # radius and at radius 2, where certificates fail.
+    # stops Dijkstra at half of it. Either limit gives the same value, hop
+    # count and witness, and without any limit Dijkstra must also search the
+    # same boxes. Each case runs at the first radius and at radius 2, where
+    # certificates fail.
     dijkstra = lattice._csgraph_dijkstra
     boxes, seen = [], []
 
@@ -709,6 +723,19 @@ def test_straight_path_law_of_large_numbers():
     vals = [t / 10_000 for t in straight_path_time(lat(314, count=100), 10_000)]
     mean = sum(vals) / len(vals)
     assert abs(mean - 1.0) < 0.05
+
+
+def test_straight_path_is_checked_against_the_budget(monkeypatch):
+    # a probe block's (3, 5000) edge times exceed a 1,000-element budget
+    monkeypatch.setattr(weights, "ARRAY_BYTES", 8_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="straight path to n = 5000 over 3 trials"):
+            linear_path_tail_probe(lat(8, count=3), 5000, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_tail_probe_boundaries():
