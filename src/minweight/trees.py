@@ -7,13 +7,14 @@ and an exact subset-enumeration oracle for desk-scale n. Every spanning tree,
 the subset oracle's included, comes from one batched dense Prim kernel on
 the cached weight matrices. The spanning tree has an oracle of its own that
 shares no code with Prim: all n**(n-2) labelled trees, decoded from their
-Prufer sequences at once in numpy and cached as flat edge keys, whose totals
-are gathered from the flattened matrix (n <= 8). The spanning routine keeps
-the name kruskal_mst because the golden report digests and the benchmark
-look it up by that name. A CompleteInstance holds the trials of a
-SeedContext of any count, and every routine returns one entry per trial,
-in trial order; only the Prufer oracle loops over the trials inside, so
-that its gather of every labelled tree does not grow with the block.
+Prufer sequences at once in bytes and cached as an edge-major table of flat
+edge keys, whose totals add one gathered row at a time (n <= 8). The
+spanning routine keeps the name kruskal_mst because the golden report
+digests and the benchmark look it up by that name. A CompleteInstance holds
+the trials of a SeedContext of any count, and every routine returns one
+entry per trial, in trial order; only the Prufer oracle loops over the
+trials inside, so that its gather of every labelled tree does not grow with
+the block.
 The nearest-unvisited-edge minima Y_j come from a block kernel,
 sample_yj, that hashes one row per trial and builds no matrix.
 """
@@ -96,9 +97,10 @@ def _prim(W: np.ndarray):
     return lo, hi, sum_in_order(W[r[:, None], lo, hi].T)
 
 
-def _tree_result(lo, hi, total, labels) -> TreeResult:
-    edges = tuple((int(labels[a]), int(labels[b])) for a, b in zip(lo, hi))
-    return TreeResult(edges=edges, total_weight=float(total), edge_count=len(edges))
+def _tree_results(lo, hi, totals, labels) -> tuple:
+    """TreeResults of 0-based edge ends lo, hi [s, k] read through labels [s or 1, m], as Python values."""
+    edges = np.stack([np.take_along_axis(labels, ends, axis=1) for ends in (lo, hi)], axis=-1).tolist()
+    return tuple(TreeResult(tuple(map(tuple, e)), w, len(e)) for e, w in zip(edges, totals.tolist()))
 
 
 def greedy_spanning_path(inst: CompleteInstance) -> tuple:
@@ -143,7 +145,7 @@ def kruskal_mst(inst: CompleteInstance) -> tuple:
     The name is kept because the golden report digests and the benchmark
     refer to it; with distinct weights the tree is Kruskal's.
     """
-    return tuple(_tree_result(*tree, np.arange(1, inst.n + 1)) for tree in zip(*_prim(inst.matrix())))
+    return _tree_results(*_prim(inst.matrix()), np.arange(1, inst.n + 1)[None])
 
 
 def light_edge_count(inst: CompleteInstance, gamma: float) -> tuple:
@@ -197,7 +199,7 @@ def exact_min_tree(inst: CompleteInstance, tau: int) -> tuple:
     subsets = np.array(list(itertools.combinations(range(n), size)), dtype=np.intp)
     lo, hi, totals = _prim(inst.matrix()[:, subsets[:, :, None], subsets[:, None, :]].reshape(-1, size, size))
     best = totals.reshape(count, per_trial).argmin(axis=1) + np.arange(count) * per_trial
-    return tuple(_tree_result(lo[b], hi[b], totals[b], subsets[b % per_trial] + 1) for b in best)
+    return _tree_results(lo[best], hi[best], totals[best], subsets[best % per_trial] + 1)
 
 
 def _prefix_block(block: SeedContext, n: int, j: int) -> np.ndarray:
@@ -240,38 +242,44 @@ def sample_yj(block: SeedContext, spec: TreeWeightSpec, n: int, j: int) -> list:
 # -- Prufer-sequence enumeration oracle ----------------------------------------
 
 
+# _LOWEST_BIT[b] is the index of the lowest set bit of the byte b (b > 0)
+_LOWEST_BIT = np.array([0] + [(b & -b).bit_length() - 1 for b in range(1, 256)], dtype=np.uint8)
+
+
 @lru_cache(maxsize=4)
 def _labelled_tree_keys(n: int) -> np.ndarray:
-    """0-based flat edge keys lo * n + hi of all n**(n-2) labelled trees.
+    """0-based flat edge keys lo * n + hi of all n**(n-2) labelled trees, (n - 1, n**(n-2)).
 
-    Row r decodes the r-th Prufer sequence in itertools.product order, and
-    each row is sorted by key. All sequences are decoded at once: each of
-    the n - 2 steps joins the smallest leaf of every row to that row's next
-    sequence entry, and the last edge joins the two vertices left with
-    degree 1. Cached and read-only: the enumeration is reused across seeds.
+    Column r is the tree of the r-th Prufer sequence in itertools.product
+    order, its keys sorted down the column. All columns decode at once, in
+    bytes: each of the n - 2 steps joins every column's smallest leaf, the
+    lowest bit of its leaf mask, to its next sequence entry, which becomes a
+    leaf at its last entry; the last edge joins the two vertices left.
+    Widened to intp once, cached and read-only: reused across seeds.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     if n > 8:
         raise CapacityError(f"enumerating {n}**{n - 2} trees is out of budget")
-    rows = n ** (n - 2)
-    seqs = np.indices((n,) * (n - 2)).reshape(n - 2, rows)
-    r = np.arange(rows)
-    degree = np.ones((rows, n), dtype=np.int8)
-    for s in seqs:
-        degree[r, s] += 1
-    lo = np.empty((rows, n - 1), dtype=np.int64)
-    hi = np.empty_like(lo)
+    n_trees = n ** (n - 2)
+    seqs = np.indices((n,) * (n - 2), dtype=np.uint8).reshape(n - 2, n_trees)
+    # last[i] keeps the bit of entry i if no later entry repeats it; later ends
+    # as the mask of every vertex in the sequence, the tree's non-leaves
+    last = np.left_shift(np.uint8(1), seqs)
+    later = np.zeros(n_trees, dtype=np.uint8)
+    for i in range(n - 3, -1, -1):
+        last[i] &= ~later
+        later |= last[i]
+    leaves = ~later & np.uint8((1 << n) - 1)
+    keys = np.empty((n - 1, n_trees), dtype=np.uint8)
     for step, s in enumerate(seqs):
-        leaf = np.argmax(degree == 1, axis=1)
-        lo[:, step] = np.minimum(leaf, s)
-        hi[:, step] = np.maximum(leaf, s)
-        degree[r, leaf] -= 1
-        degree[r, s] -= 1
-    last = degree == 1
-    lo[:, -1] = np.argmax(last, axis=1)
-    hi[:, -1] = n - 1 - np.argmax(last[:, ::-1], axis=1)
-    keys = np.sort(lo * n + hi, axis=1)
+        leaf = _LOWEST_BIT[leaves]
+        keys[step] = np.minimum(leaf, s) * np.uint8(n) + np.maximum(leaf, s)
+        leaves &= leaves - np.uint8(1)
+        leaves |= last[step]
+    keys[-1] = _LOWEST_BIT[leaves] * np.uint8(n) + _LOWEST_BIT[leaves & (leaves - np.uint8(1))]
+    keys.sort(axis=0)
+    keys = keys.astype(np.intp)
     keys.flags.writeable = False
     return keys
 
@@ -279,11 +287,11 @@ def _labelled_tree_keys(n: int) -> np.ndarray:
 def prufer_mst_weight(inst: CompleteInstance) -> tuple:
     """Minimum spanning tree weight of each trial by full labelled-tree enumeration.
 
-    Gathers each tree's edge weights from one trial's flat weight matrix at
-    its cached keys, one trial at a time: n**(n-2) * (n-1) values, 0.8 MB at
-    n = 7, which a whole block would multiply. Each total comes from the same
-    sorted-key sum as kruskal_mst, so the two agree bit for bit on the
-    optimal tree.
+    One trial at a time, gathers one table row of edge weights at a time
+    from the trial's flat weight matrix and adds the rows left to right, so
+    a trial holds one or two n**(n-2) columns (134 KB each at n = 7), not
+    every tree's edges. Each total comes from the same sorted-key sum as
+    kruskal_mst, so the two agree bit for bit on the optimal tree.
     """
     keys = _labelled_tree_keys(inst.n)
-    return tuple(float(sum_in_order(matrix.ravel()[keys].T).min()) for matrix in inst.matrix())
+    return tuple(float(sum_in_order(matrix.ravel()[row] for row in keys).min()) for matrix in inst.matrix())

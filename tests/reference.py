@@ -178,13 +178,13 @@ def prufer_to_edges(seq, n: int) -> tuple:
 
 def all_labelled_trees(n: int) -> np.ndarray:
     """Edge lists of all n**(n-2) labelled trees, edges sorted by key, read
-    from the package's cached Prufer edge keys.
+    from the package's cached edge-major Prufer edge keys.
 
     Shaped (n**(n-2), n-1, 2) with 1-based vertex labels; row r is the tree
     of the r-th Prufer sequence in itertools.product order. Raises
     CapacityError above n = 8.
     """
-    lo, hi = np.divmod(_labelled_tree_keys(n), n)
+    lo, hi = np.divmod(_labelled_tree_keys(n).T, n)
     return np.stack((lo, hi), axis=-1) + 1
 
 

@@ -27,6 +27,7 @@ from minweight.weights import SeedContext, TreeWeightSpec
 from reference import (
     all_labelled_trees,
     bernoulli_upper_bound,
+    edge_weight,
     envelope_d2,
     prufer_to_edges,
     yj_from_matrix,
@@ -358,6 +359,18 @@ def test_tree_routines_on_a_block_equal_them_on_its_sub_blocks(het):
             assert list(whole) == parts, (name, size)
 
 
+@pytest.mark.parametrize("het", [False, True])
+def test_tree_results_hold_python_values(het):
+    # reports print these fields: numpy scalars must not reach them
+    spec = TreeWeightSpec(alpha=0.4, m_min=0.25 if het else 1.0, heterogeneous=het)
+    inst = CompleteInstance(6, spec, SeedContext(11, 3, 4))
+    results = list(kruskal_mst(inst)) + [res for tau in range(1, 6) for res in exact_min_tree(inst, tau)]
+    for res in results:
+        assert type(res.total_weight) is float
+        assert type(res.edges) is tuple and res.edge_count == len(res.edges)
+        assert all(type(edge) is tuple and [type(v) for v in edge] == [int, int] for edge in res.edges)
+
+
 def test_exact_min_tree_runs_prim_once_per_block(monkeypatch):
     # the subset matrices of all trials of a block go to one Prim call
     calls = []
@@ -422,6 +435,40 @@ def test_kruskal_matches_prufer_enumeration():
     for seed in range(5):
         inst = seeded(7, 300 + seed)
         assert kruskal_mst(inst)[0].total_weight == prufer_mst_weight(inst)[0]
+
+
+@pytest.mark.parametrize("het", [False, True])
+@pytest.mark.parametrize("n", [3, 5, 6])
+def test_prufer_totals_equal_a_scalar_loop_over_all_trees(n, het):
+    # bit for bit, without Prim: each tree's weights added left to right in Python
+    spec = TreeWeightSpec(alpha=0.4, m_min=0.25 if het else 1.0, heterogeneous=het)
+    block = SeedContext(2**61 + 3, 17, 4)
+    expected = []
+    for ctx in block.blocks(1):
+        weight = {(a, b): edge_weight(spec, ctx, a, b, n) for a, b in itertools.combinations(range(1, n + 1), 2)}
+        totals = []
+        for tree in all_labelled_trees(n).tolist():
+            total = 0.0
+            for a, b in tree:
+                total += weight[a, b]
+            totals.append(total)
+        expected.append(min(totals))
+    assert prufer_mst_weight(CompleteInstance(n, spec, block)) == tuple(expected)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_labelled_tree_keys_layout_and_build_memory(n):
+    # edge-major, one column per tree; the byte-wide decode peaks below twice the table
+    trees_mod._labelled_tree_keys.cache_clear()
+    tracemalloc.start()
+    try:
+        keys = trees_mod._labelled_tree_keys(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert keys.shape == (n - 1, n ** (n - 2))
+    assert keys.dtype == np.intp and keys.flags.c_contiguous and not keys.flags.writeable
+    assert peak <= 2 * keys.nbytes
 
 
 @pytest.mark.parametrize("n", range(2, 8))
