@@ -333,14 +333,21 @@ def _tree_width(n_vertices: int) -> int:
 
 
 def _yj_block(block, spec, n_vertices, j):
-    """Y_j of every trial of block; looks sample_yj up when called, so a wrapped one still pools."""
+    """Y_j of every trial of block, from one shuffle; looks sample_yj up when called, so a wrapped one still pools."""
     return sample_yj(block, spec, n_vertices, j)
 
 
 def _yj_width(n_vertices: int) -> int:
-    """Width of a _yj_block trial, checked: its row of n vertices."""
+    """Width of a _yj_block trial, after checking its uint64 row of n vertices.
+
+    The array that grows with the block is the prefix shuffle's state: n
+    entries per trial in the smallest unsigned type that holds n, counted
+    in 8-byte elements, rounded up (128 at n = 512). Its (j, count) intp
+    table of swap targets takes under 8 / itemsize times the state's bytes,
+    and sample_yj cuts its uint64 hashing into sub-blocks of its own.
+    """
     require_array(f"a yj block row of {n_vertices} vertices", n_vertices)
-    return n_vertices
+    return -(-n_vertices * np.min_scalar_type(n_vertices).itemsize // 8)
 
 
 def _first_pass(pspec, n, budgets) -> tuple:

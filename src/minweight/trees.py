@@ -16,7 +16,8 @@ entry per trial, in trial order; only the Prufer oracle loops over the
 trials inside, so that its gather of every labelled tree does not grow with
 the block.
 The nearest-unvisited-edge minima Y_j come from a block kernel,
-sample_yj, that hashes one row per trial and builds no matrix.
+sample_yj, that shuffles the whole block's prefixes at once, hashes one
+row per trial and builds no matrix.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import rng
+from . import rng, weights
 from .errors import CapacityError
 from .weights import SeedContext, TreeWeightSpec, require_array, sum_in_order, weight_matrix, weights_from_vertex
 
@@ -205,23 +206,36 @@ def exact_min_tree(inst: CompleteInstance, tau: int) -> tuple:
 def _prefix_block(block: SeedContext, n: int, j: int) -> np.ndarray:
     """Vertices 1..n of each trial of block after j partial Fisher-Yates steps.
 
-    Row t is trial t's permutation, as a uint64 array of shape (count, n):
-    its first j entries are the trial's uniform ordered j-prefix and the rest
-    are the vertices outside it. Swap a of every row takes column a and
-    column a + h % (n - a), where h hashes (STREAM_PREFIX, master seed,
-    trial, a); all count * j words are hashed at once.
+    Row t is trial t's permutation, of shape (count, n): its first j
+    entries are the trial's uniform ordered j-prefix and the rest are the
+    vertices outside it. Swap a of trial t takes positions a and
+    a + h % (n - a), where h hashes (STREAM_PREFIX, master seed, trial, a).
+    The words are hashed in sub-blocks of weights.BLOCK_ELEMENTS // j
+    trials. The shuffle runs once for the whole block, on a position-major
+    (n, count) state in the smallest unsigned type that holds n: each step
+    swaps position row a with one gathered entry per trial. The result is
+    that state's transposed view.
     """
+    count = block.count
     steps = np.arange(j, dtype=np.uint64)
-    h = rng.hash_words_vec(rng.STREAM_PREFIX, block.master_seed, block.trials, steps)
-    # flat index of the entry each row swaps into column a, one row per step
-    other = (steps + h % (np.uint64(n) - steps)).astype(np.intp).T + np.arange(block.count) * n
-    verts = np.tile(np.arange(1, n + 1, dtype=np.uint64), (block.count, 1))
-    flat = verts.reshape(-1)
+    # flat index into the state of the entry each trial swaps into position a,
+    # one row per step; intp, because numpy casts any other index type per call
+    other = np.empty((j, count), dtype=np.intp)
+    for sub in block.blocks(weights.BLOCK_ELEMENTS // j):
+        first = sub.trial_index - block.trial_index
+        h = rng.hash_words_vec(rng.STREAM_PREFIX, block.master_seed, sub.trials, steps)
+        h %= np.uint64(n) - steps
+        h += steps
+        h *= np.uint64(count)
+        h += np.arange(first, first + sub.count, dtype=np.uint64)[:, None]
+        other[:, first : first + sub.count] = h.T
+    state = np.tile(np.arange(1, n + 1, dtype=np.min_scalar_type(n))[:, None], count)
+    flat = state.reshape(-1)
     for a, there in enumerate(other):
         moved = flat[there]
-        flat[there] = verts[:, a]
-        verts[:, a] = moved
-    return verts
+        flat[there] = state[a]
+        state[a] = moved
+    return state.T
 
 
 def sample_yj(block: SeedContext, spec: TreeWeightSpec, n: int, j: int) -> list:
@@ -229,14 +243,21 @@ def sample_yj(block: SeedContext, spec: TreeWeightSpec, n: int, j: int) -> list:
     of the trial's random j-prefix to a vertex outside the prefix.
 
     With j prefix vertices there are n - j candidates, so j must lie in
-    1..n-1. One weights_from_vertex call hashes every row's last prefix
-    vertex against its n - j outside vertices; no weight matrix is built.
-    Returns one float per trial, in trial order.
+    1..n-1. One _prefix_block shuffle serves the whole block; then one
+    weights_from_vertex call per sub-block of weights.BLOCK_ELEMENTS // n
+    trials hashes each row's last prefix vertex against its n - j outside
+    vertices. No weight matrix is built. Returns one float per trial, in
+    trial order.
     """
     if not 1 <= j <= n - 1:
         raise ValueError(f"prefix length must lie in 1..{n - 1}, got {j}")
     verts = _prefix_block(block, n, j)
-    return weights_from_vertex(spec, block, verts[:, j - 1 : j], verts[:, j:]).min(axis=1).tolist()
+    ys = []
+    for sub in block.blocks(weights.BLOCK_ELEMENTS // n):
+        first = sub.trial_index - block.trial_index
+        rows = verts[first : first + sub.count]
+        ys += weights_from_vertex(spec, sub, rows[:, j - 1 : j], rows[:, j:]).min(axis=1).tolist()
+    return ys
 
 
 # -- Prufer-sequence enumeration oracle ----------------------------------------

@@ -42,8 +42,9 @@ from . import rng
 from .errors import CapacityError, ConfigurationError
 
 # Byte budget of one float64 array, checked before allocating (require_array):
-# a tree weight matrix, yj row or subset stack; Dijkstra's arcs or distances,
-# a DP label grid, path-oracle costs or edge times, a straight path's n times.
+# a tree weight matrix, one trial's uint64 yj row or a subset stack;
+# Dijkstra's arcs or distances, a DP label grid, path-oracle costs or edge
+# times, a straight path's n times.
 ARRAY_BYTES = 2**29
 
 
@@ -199,6 +200,8 @@ def weights_from_vertex(
     t = np.asarray(targets, dtype=np.uint64)
     lo = np.minimum(iv, t)
     hi = np.maximum(iv, t)
+    # a widened copy of narrower targets is not held through the hashing
+    del t
     trials = ctx.trials.reshape((-1,) + (1,) * (lo.ndim - 1))
     u = rng.unit_vec(rng.hash_words_vec(rng.STREAM_TREE_WEIGHT, ctx.master_seed, trials, lo, hi))
     if spec.heterogeneous:

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import tracemalloc
 import typing
 from pathlib import Path
 
@@ -172,7 +173,8 @@ def test_one_trial_budget_check_covers_every_block():
 
 def test_width_helpers_keep_the_benchmark_widths():
     exponential = PassageTimeSpec("exponential", (1.0,))
-    assert exp_mod._yj_width(512) == 512  # yj-prefix
+    # yj-prefix: the shuffle state's 512 uint16 entries, 512 * 2 / 8 = 128 uint64 elements
+    assert exp_mod._yj_width(512) == 128
     # lattice-decay: the first pass's 97 x 33 label grid at (n, K) = (64, 96)
     assert exp_mod._lattice_width(exponential, 2, 64, (64, 72, 80, 96, 128)) == 97 * 33
     # oracle-selftest: the Pruefer point's matrix and the lattice oracle's
@@ -193,6 +195,24 @@ def test_one_budget_lattice_blocks_count_the_straight_path(monkeypatch):
     monkeypatch.setattr(exp_mod, "_lattice_trial", recording_trial)
     run_fpp_band(smoke("fpp-band", n_values=[64], trials=1000, workers=1))
     assert sum(sizes) == 1000 and max(sizes) <= 512
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_yj_prefix_config_runs_one_block_per_point(monkeypatch, workers):
+    # the yj-prefix config: 200 trials fit one block of at most 2**15 // 128
+    # = 256; two workers cut 5 * 200 // (2 * 8) = 62-trial blocks
+    sizes = []
+
+    def recording_block(block, spec, n_vertices, j):
+        sizes.append(block.count)
+        return [0.5] * block.count
+
+    monkeypatch.setattr(exp_mod, "_yj_block", recording_block)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cfg = smoke("yj-moments", trials=200, alpha_values=[0.5], n=512, j_values=[1, 128, 256, 384, 448], workers=workers)
+    run_yj_moments(cfg)
+    assert sizes == ([200] if workers == 1 else [62, 62, 62, 14]) * 5
 
 
 def test_no_module_imports_another_modules_private_name():
@@ -389,6 +409,56 @@ def test_random_prefix_matches_scalar_fisher_yates(master):
                 assert tuple(rows[gtrial, :j].tolist()) == expected
             alone = _prefix_block(SeedContext(master, gtrial), n_vertices, j)
             assert tuple(alone[0, :j].tolist()) == expected
+
+
+@pytest.mark.parametrize("n_vertices", [2, 17, 300])
+@pytest.mark.parametrize("het", [False, True])
+def test_prefix_shuffle_matches_the_scalar_reference_across_sub_blocks(monkeypatch, n_vertices, het):
+    # a cap of 3j - 1 hashes the swap targets in sub-blocks of 2 trials, and
+    # one of 2n + 1 hashes the weights in sub-blocks of 2: 7 trials cut raggedly
+    spec = TreeWeightSpec(alpha=0.5, m_min=0.5 if het else 1.0, heterogeneous=het)
+    block = SeedContext(9, 40, 7)
+    for j in sorted({1, n_vertices // 2, n_vertices - 1}):
+        expected = [yj_trial(SeedContext(9, 40 + t), spec, n_vertices, j) for t in range(7)]
+        for cap in (3 * j - 1, 2 * n_vertices + 1):
+            monkeypatch.setattr(weights, "BLOCK_ELEMENTS", cap)
+            rows = _prefix_block(block, n_vertices, j)
+            assert (np.sort(rows, axis=1) == np.arange(1, n_vertices + 1)).all()
+            assert [tuple(row[:j].tolist()) for row in rows] == [
+                random_prefix(9, 40 + t, n_vertices, j) for t in range(7)
+            ]
+            assert sample_yj(block, spec, n_vertices, j) == expected
+
+
+def test_prefix_shuffle_past_the_two_byte_state():
+    # n = 70000 keeps the state in uint32; Y_j is the row minimum over the
+    # outside vertices of the scalar prefix
+    n_vertices, j, block = 70_000, 3, SeedContext(4, 11, 2)
+    spec = TreeWeightSpec(alpha=0.5)
+    rows = _prefix_block(block, n_vertices, j)
+    assert rows.dtype == np.uint32 and rows.shape == (2, n_vertices)
+    expected = []
+    for t, row in enumerate(rows):
+        prefix = random_prefix(4, 11 + t, n_vertices, j)
+        assert tuple(row[:j].tolist()) == prefix
+        outside = np.setdiff1d(np.arange(1, n_vertices + 1), prefix)
+        assert np.array_equal(np.sort(row[j:]), outside)
+        expected.append(float(weights.weights_from_vertex(spec, SeedContext(4, 11 + t), prefix[-1], outside).min()))
+    assert sample_yj(block, spec, n_vertices, j) == expected
+
+
+@pytest.mark.parametrize("j", [1, 128, 256, 384, 448])
+def test_yj_block_memory_stays_bounded(j):
+    # the widest yj-prefix block, 2**15 // 128 = 256 trials at n = 512
+    block, spec = SeedContext(2, 0, 256), TreeWeightSpec(alpha=0.5)
+    sample_yj(SeedContext(2, 0, 1), spec, 512, j)
+    tracemalloc.start()
+    try:
+        sample_yj(block, spec, 512, j)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 << 20
 
 
 def test_fpp_band_single_n_flags_insufficient_sweep():
