@@ -1,9 +1,10 @@
 """Command-line surface: parse a JSON config, dispatch a driver, emit reports.
 
 Exit codes: 0 when every verdict passes, 2 when any verdict fails, 1 on
-usage, configuration and I/O errors and on exceeded enumeration budgets. Reports
-are emitted as CSV (one file per table, 17-significant-digit floats) and/or
-a single JSON document; emitted bytes depend only on the effective
+usage, configuration and I/O errors, on exceeded enumeration budgets, and
+when a run runs out of memory or loses a pool worker. Reports are emitted
+as CSV (one file per table, 17-significant-digit floats) and/or a single
+JSON document; emitted bytes depend only on the effective
 configuration, never on wall-clock time or worker scheduling, so identical
 runs produce identical files.
 """
@@ -216,12 +217,23 @@ def parse_and_dispatch(argv) -> int:
     if args.subcommand is None:
         parser.print_usage(sys.stderr)
         return 1
+    driver = SUBCOMMANDS[args.subcommand]
     try:
         cfg = _load_config(args)
         report = run_experiment(cfg)
         paths = emit_report(report, args.format, _output_dir(args))
     except (ConfigurationError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: the {driver} driver ran out of memory: {str(exc) or 'MemoryError'}", file=sys.stderr)
+        return 1
+    except RuntimeError as exc:
+        from concurrent.futures import BrokenExecutor  # already loaded if a pool broke
+
+        if not isinstance(exc, BrokenExecutor):
+            raise
+        print(f"error: the {driver} driver lost a worker process: {exc}", file=sys.stderr)
         return 1
     for v in report.verdicts:
         status = "PASS" if v.passed else "FAIL"

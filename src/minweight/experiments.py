@@ -877,4 +877,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     for f in fields(cfg):
         if f.name not in reads and getattr(cfg, f.name) != getattr(default, f.name):
             raise ConfigurationError(f"the {cfg.experiment} experiment does not read config key {f.name!r}")
+    if driver in (run_fpp_band, run_constraint_decay, run_fpp_variance):
+        # Dijkstra's scipy.sparse, loaded before a sweep can fork pool
+        # workers, which inherit it. Where it loads matters: the import's
+        # page faults grow with some Python stack depths (CPython 3.11 maps
+        # frame-stack chunks as its recursion crosses them), and loaded
+        # inside _sweep it made a constraint-decay run 30-50 ms slower.
+        import scipy.sparse.csgraph  # noqa: F401
     return driver(cfg)

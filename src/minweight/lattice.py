@@ -52,8 +52,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from . import weights
 from .errors import CapacityError, InfeasibleError
@@ -315,6 +313,21 @@ def _csr_pattern(shape: tuple) -> tuple:
     for a in pattern:
         a.flags.writeable = False  # every graph built from the cache shares these
     return pattern
+
+
+def csr_matrix(*args, **kwargs):
+    """scipy.sparse.csr_matrix. scipy.sparse is imported on the first call,
+    because only Dijkstra needs it and it costs most of the start-up time."""
+    from scipy.sparse import csr_matrix as build
+
+    return build(*args, **kwargs)
+
+
+def _csgraph_dijkstra(*args, **kwargs):
+    """scipy.sparse.csgraph.dijkstra, imported on the first call as csr_matrix is."""
+    from scipy.sparse.csgraph import dijkstra
+
+    return dijkstra(*args, **kwargs)
 
 
 def _box_csr(times: list, shape: tuple):

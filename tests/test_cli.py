@@ -272,6 +272,49 @@ def test_capacity_error_exits_one(tmp_path, capsys, monkeypatch):
     assert "budget" in _single_error_line(capsys)
 
 
+def test_lost_worker_exits_one_naming_the_driver(tmp_path, capsys, monkeypatch):
+    # a worker that dies, as an out-of-memory kill ends one, breaks the pool;
+    # _yj_block looks sample_yj up in the worker, so the patch reaches it
+    parent = os.getpid()
+
+    def killed(*args):
+        if os.getpid() == parent:
+            pytest.fail("the block ran in the parent")
+        os._exit(3)
+
+    monkeypatch.setattr(exp_mod, "sample_yj", killed)
+    monkeypatch.setattr(exp_mod.os, "cpu_count", lambda: 2)
+    code = parse_and_dispatch(["yj-moments", "--trials", "50", "--workers", "2", "--output-dir", str(tmp_path)])
+    assert code == 1
+    line = _single_error_line(capsys)
+    assert "yj-moments" in line and "worker" in line
+    assert not (tmp_path / "yj-moments.json").exists()
+
+
+@pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 8.00 GiB for an array")])
+def test_memory_error_exits_one_naming_the_driver(tmp_path, capsys, monkeypatch, exc):
+    import minweight.cli as cli_mod
+
+    def out_of_memory(cfg):
+        raise exc
+
+    monkeypatch.setattr(cli_mod, "run_experiment", out_of_memory)
+    assert parse_and_dispatch(["selftest", "--output-dir", str(tmp_path)]) == 1
+    line = _single_error_line(capsys)
+    assert "oracle-suite" in line and "memory" in line and str(exc) in line
+
+
+def test_other_runtime_errors_still_raise(tmp_path, monkeypatch):
+    import minweight.cli as cli_mod
+
+    def bug(cfg):
+        raise RuntimeError("a bug, not a resource failure")
+
+    monkeypatch.setattr(cli_mod, "run_experiment", bug)
+    with pytest.raises(RuntimeError, match="a bug"):
+        parse_and_dispatch(["fpp-band", "--output-dir", str(tmp_path)])
+
+
 @pytest.mark.parametrize(
     "key,value,needle",
     [
@@ -433,21 +476,67 @@ def test_io_failure_exits_one_with_one_error_line(tmp_path, capsys, case):
     assert str(cfg if case != "output_below_file" else out) in line
 
 
+def _python(code, *args):
+    """stdout lines of code run in a fresh interpreter that imports minweight from this tree."""
+    src = os.path.dirname(os.path.dirname(minweight.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True)
+    return out.stdout.strip().splitlines()
+
+
 def test_cli_import_leaves_scipy_stats_out():
     # scipy.stats costs most of the start-up time; the chi-square quantile
     # comes from scipy.special instead
-    src = os.path.dirname(os.path.dirname(minweight.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, minweight.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert _python("import sys, minweight.cli; print('scipy.stats' in sys.modules)") == ["False"]
 
 
 def test_cli_import_defers_scipy_special_and_the_process_pool():
-    # only tree-variance reads a chi-square quantile, and only a pooled sweep
-    # starts processes, so neither module is loaded at import
-    src = os.path.dirname(os.path.dirname(minweight.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, minweight.cli; print(sorted({'scipy.special', 'concurrent.futures.process'} & set(sys.modules)))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    # only tree-variance reads a chi-square quantile, only a pooled sweep
+    # starts processes and only Dijkstra builds a sparse graph, so none of
+    # these modules is loaded at import
+    modules = "{'scipy.special', 'concurrent.futures.process', 'scipy.sparse'}"
+    assert _python(f"import sys, minweight.cli; print(sorted({modules} & set(sys.modules)))") == ["[]"]
+
+
+# Runs smoke configs in one interpreter and prints, after each, whether
+# scipy.sparse is loaded. Its pool runs serially and prints whether
+# scipy.sparse.csgraph was loaded when it opened, that is before a real
+# pool would fork; cpu_count is raised so that workers = 2 opens one.
+_SPARSE_PROBE = """
+import concurrent.futures, os, sys
+from minweight.cli import SMOKE_CONFIGS
+from minweight.experiments import ExperimentConfig, run_experiment
+
+class Pool:
+    def __init__(self, max_workers):
+        print("pool", "scipy.sparse.csgraph" in sys.modules)
+    def __enter__(self):
+        return self
+    def __exit__(self, *exc):
+        return False
+    def map(self, fn, *args):
+        return map(fn, *args)
+
+concurrent.futures.ProcessPoolExecutor = Pool
+os.cpu_count = lambda: 2
+for run in sys.argv[1:]:
+    name, workers, trials = run.split(":")
+    raw = {**SMOKE_CONFIGS[name], "workers": int(workers)}
+    if trials:
+        raw["trials"] = int(trials)
+    run_experiment(ExperimentConfig.from_dict(raw))
+    print(name, workers, "scipy.sparse" in sys.modules)
+"""
+
+
+def test_only_lattice_runs_load_scipy_sparse():
+    # the tree drivers, yj-moments and the oracle suite never reach Dijkstra,
+    # serial or pooled; the first lattice run loads scipy.sparse
+    runs = ["tree-scaling:1:", "tree-variance:1:", "yj-moments:1:", "oracle-suite:1:"]
+    runs += ["tree-scaling:2:", "yj-moments:2:50", "oracle-suite:2:", "constraint-decay:1:"]
+    lines = _python(_SPARSE_PROBE, *runs)
+    assert set(lines[:-1]) == {"pool False"} | {" ".join(run.split(":")[:2]) + " False" for run in runs[:-1]}
+    assert lines[-1] == "constraint-decay 1 True"
+    # a pooled lattice run loads it before the pool opens, so that forked
+    # workers inherit it instead of each importing it
+    assert _python(_SPARSE_PROBE, "constraint-decay:2:20") == ["pool True", "constraint-decay 2 True"]

@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 import typing
 from pathlib import Path
@@ -69,6 +71,31 @@ def test_smoke_goldens(name):
     report = run_experiment(smoke(name))
     assert report.passed
     assert digest(report) == GOLDEN_DIGESTS[name]
+
+
+def test_goldens_do_not_depend_on_numpy_cpu_dispatch():
+    # numpy picks its power, log1p and other kernels per CPU when it loads;
+    # with the AVX-512 (X86_V4) ones switched off, a tree and a lattice smoke
+    # report keep their digests
+    src = Path(exp_mod.__file__).parents[1]
+    env = dict(
+        os.environ,
+        NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR",
+        PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])),
+    )
+    code = """
+import hashlib, json, sys
+from numpy._core._multiarray_umath import __cpu_features__
+from minweight.cli import SMOKE_CONFIGS, report_document
+from minweight.experiments import ExperimentConfig, run_experiment
+print(__cpu_features__.get("X86_V4", False))
+for name in sys.argv[1:]:
+    doc = json.dumps(report_document(run_experiment(ExperimentConfig.from_dict(SMOKE_CONFIGS[name]))), indent=2, sort_keys=True)
+    print(hashlib.sha256(doc.encode()).hexdigest())
+"""
+    names = ["tree-scaling", "fpp-band"]
+    out = subprocess.run([sys.executable, "-c", code, *names], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False"] + [GOLDEN_DIGESTS[name] for name in names]
 
 
 # Small runs of all seven drivers; the multi-point ones share one pool
