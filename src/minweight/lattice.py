@@ -1,9 +1,10 @@
 """Hop-constrained and unconstrained minimum passage times on Z^d.
 
 Every value is exact for the infinite lattice. The hop-constrained solver is
-a dynamic program over walks indexed by (vertex, hop); it relaxes only the
-cells a walk of at most k edges to the target can visit, a finite set, so it
-needs no box. With nonnegative times the walk relaxation is exact for
+a dynamic program over walks indexed by (vertex, hop) on the bounding box
+of the walks of at most k edges to the target, a finite set, so it is exact
+with no certificate; at each hop it relaxes only the rows of that box such
+a walk can reach. With nonnegative times the walk relaxation is exact for
 self-avoiding paths.
 
 Only Dijkstra runs on a box, [-r, n + r] x [-r, r]^(d - 1) around the
@@ -38,11 +39,12 @@ edge-time grids of the box at r = floor((K - n) / 2), and the oracle sums
 each path's gathered times in path order for every trial of a block.
 
 LatticeSpec.ctx is a SeedContext of count trials, one lattice per trial.
-_axis_times grids have a leading trial axis, and every routine returns a
-tuple with one entry per trial, in trial order, a context of one included.
-The hop DP, the straight path and the path oracle answer every trial at
-once, each trial bit for bit as on its own; Dijkstra runs on one lattice at
-a time.
+_axis_times grids have a leading trial axis; the hop DP transposes its
+grids once so that the trial axis runs last, and relaxes each hop's rows as
+contiguous flat ranges. Every routine returns a tuple with one entry per
+trial, in trial order, a context of one included. The hop DP, the straight
+path and the path oracle answer every trial at once, each trial bit for bit
+as on its own; Dijkstra runs on one lattice at a time.
 """
 
 from __future__ import annotations
@@ -108,46 +110,27 @@ def _box(d: int, n: int, radius: int) -> tuple:
     return (-radius,) * d, (n + 2 * radius + 1,) + (2 * radius + 1,) * (d - 1)
 
 
-@functools.lru_cache(maxsize=256)
 def _walk_windows(d: int, n: int, k: int) -> tuple:
-    """Cells the hop DP relaxes at each hop: those a walk of at most k edges
-    from the origin to t = (n, 0, ..., 0) can visit.
+    """Rows the hop DP relaxes at each hop: those holding a cell that a walk
+    of at most k edges from the origin to t = (n, 0, ..., 0) can visit.
 
     After h hops such a walk is at some v with |v|_1 <= h and
     |v - t|_1 <= k - h, and every vertex of it satisfies
-    |v|_1 + |v - t|_1 <= k. Per axis a, the window of hop h therefore
-    intersects the origin cube [-h, h], the target cube
-    [t_a - (k - h + 1), t_a + (k - h + 1)] (the base of a hop-h move is one
-    hop farther from t than its head) and the bounding box of that ellipse,
-    [-m, t_a + m] with m = floor((k - n) / 2).
+    |v|_1 + |v - t|_1 <= k. So v_0, the row of v, lies in the origin's
+    range [-h, h], in the target's range [n - (k - h + 1), n + (k - h + 1)]
+    (the base of a hop-h move is one hop farther from t than its head) and
+    in the bounding box of that ellipse, [-m, n + m] with m = floor((k - n) / 2).
 
-    Returns (lows, shape, hops). Labels live on the grid _box(d, n, m), the
-    bounding box of the windows. hops[h - 1] holds the
-    window of hop h in grid slices and, per axis a, the slices (lo, hi) of
-    the base and head vertices of its +a edges; lo also indexes that axis's
-    edge-time array, keyed by base vertex on the same grid. Every index
-    starts with Ellipsis, which spans the grids' leading trial axis.
+    Returns (lows, shape, rows). Labels live on the grid _box(d, n, m), the
+    bounding box of the walks, and rows[h - 1] = (lo, hi) is the range of
+    axis-0 grid indices [lo, hi) of hop h. Each row enters the ranges once
+    and leaves them once, the lower end falling and then rising, the upper
+    end rising and then falling.
     """
     m = (k - n) // 2
-    target = (n,) + (0,) * (d - 1)
-    spans = [
-        [(max(-h, t - k + h - 1, -m), min(h, t + k - h + 1, t + m)) for t in target]
-        for h in range(1, k + 1)
-    ]
     lows, shape = _box(d, n, m)
-
-    hops = []
-    for hop in spans:
-        window = tuple(slice(lo - g, hi - g + 1) for (lo, hi), g in zip(hop, lows))
-        ends = tuple(
-            (
-                (...,) + window[:a] + (slice(lo - lows[a], hi - lows[a]),) + window[a + 1 :],
-                (...,) + window[:a] + (slice(lo - lows[a] + 1, hi - lows[a] + 1),) + window[a + 1 :],
-            )
-            for a, (lo, hi) in enumerate(hop)
-        )
-        hops.append(((...,) + window, ends))
-    return lows, shape, tuple(hops)
+    rows = tuple((max(-h, n - k + h - 1, -m) + m, min(h, n + k - h + 1, n + m) + m + 1) for h in range(1, k + 1))
+    return lows, shape, rows
 
 
 def _trivial_result(lat: LatticeSpec) -> ConstrainedResult:
@@ -179,20 +162,28 @@ def hop_constrained_time(lat: LatticeSpec, n: int, k: int) -> tuple:
 
     Labels satisfy d_0(origin) = 0 and
     d_h(v) = min(d_{h-1}(v), min_u adjacent d_{h-1}(u) + t(u, v)).
-    Hop h relaxes only its window of _walk_windows. Every prefix of every
-    walk of at most k edges to the target lies in the windows of its hops,
-    and rounded addition is monotone, so the target label after each hop is
-    the infinite lattice's, bit for bit. The hop count is that of
-    _read_budget.
+    Hop h relaxes only its rows of _walk_windows, each over the box's full
+    extent on the other axes. Every prefix of every walk of at most k edges
+    to the target lies in the rows of its hops, each label is the time of a
+    walk on the lattice, and rounded addition is monotone, so the target
+    label after each hop is the infinite lattice's, bit for bit. The hop
+    count is that of _read_budget.
 
     Each result also carries the target label after every hop, so one pass
     answers every smaller budget as well (see hop_constrained_certified).
 
-    The label and edge-time grids have a leading trial axis, and one
-    relaxation loop serves every trial of lat.ctx: the result holds one
-    ConstrainedResult per trial, each equal, bit for bit, to that trial's
-    own pass. The label grids of all trials are checked against the array
-    budget before they are built.
+    The label grids and the edge-time grids have the box's shape with a
+    trailing trial axis, so one relaxation loop serves every trial of
+    lat.ctx: the result holds one ConstrainedResult per trial, each equal,
+    bit for bit, to that trial's own pass. Each _axis_times grid is
+    transposed once into a box-shaped grid whose last cell on its axis,
+    which has no edge, holds +inf. Flattened, a hop's rows are one
+    contiguous range and a move along an axis is a fixed flat step; a step
+    from the last cell of the axis would wrap to the next line, but it
+    crosses the +inf time and changes no label. Each relaxation is one add
+    into one preallocated buffer and one in-place minimum. The label grids
+    of all trials are checked against the array budget before they are
+    built; the buffer and each time grid are the same size.
 
     Raises InfeasibleError when k < n (the L1 distance).
     """
@@ -206,28 +197,38 @@ def hop_constrained_time(lat: LatticeSpec, n: int, k: int) -> tuple:
     what = f"the hop-DP label grid for n = {n}, k = {k}" + (f" over {count} trials" if count > 1 else "")
     require_array(what, count * label_grid_cells(lat.d, n, k))
 
-    lows, shape, hops = _walk_windows(lat.d, n, k)
-    times = [_axis_times(lat, lows, shape, a) for a in range(lat.d)]
-    origin = tuple(-g for g in lows)
-    target = (slice(None), n - lows[0]) + origin[1:]
+    lows, shape, rows = _walk_windows(lat.d, n, k)
+    # flat step of a move along each axis, trials innermost
+    steps = [count * math.prod(shape[a + 1 :]) for a in range(lat.d)]
+    times = []
+    for a in range(lat.d):
+        t = np.full(shape + (count,), np.inf)
+        t[_arc_ends(lat.d, a)[0]] = np.moveaxis(_axis_times(lat, lows, shape, a), 0, -1)
+        times.append(t.ravel())
+    origin = count * int(np.ravel_multi_index(tuple(-g for g in lows), shape))
+    target = origin + n * steps[0]
 
-    cur = np.full((count,) + shape, np.inf)
-    cur[(...,) + origin] = 0.0
+    cur = np.full(count * math.prod(shape), np.inf)
+    cur[origin : origin + count] = 0.0
     new = cur.copy()
+    buf = np.empty_like(cur)
     labels = np.empty((k, count))
 
-    for h, (window, ends) in enumerate(hops):
-        # cells enter the windows only before any label reaches them and never
-        # re-enter, so what the buffers hold outside the window is never read
-        new[window] = cur[window]
-        for a, (lo, hi) in enumerate(ends):
-            t = times[a][lo]
-            # +axis moves leave the base vertex, -axis moves arrive at it
-            for src, dst in ((lo, hi), (hi, lo)):
-                head = new[dst]
-                np.minimum(head, cur[src] + t, out=head)
+    for h, (first, last) in enumerate(rows):
+        lo, hi = first * steps[0], last * steps[0]
+        # cells enter the rows only before any label reaches them and never
+        # re-enter, so what the grids hold outside the rows is never read
+        new[lo:hi] = cur[lo:hi]
+        for step, t in zip(steps, times):
+            base, head = slice(lo, hi - step), slice(lo + step, hi)
+            sums, t = buf[: hi - lo - step], t[base]
+            # +axis moves leave the base cell, -axis moves arrive at it
+            for src, dst in ((base, head), (head, base)):
+                out = new[dst]
+                np.add(cur[src], t, out=sums)
+                np.minimum(out, sums, out=out)
         cur, new = new, cur
-        labels[h] = cur[target]
+        labels[h] = cur[target : target + count]
 
     rows = labels.T.tolist()
     return tuple(ConstrainedResult(*_read_budget(row, k), target_labels=tuple(row)) for row in rows)
@@ -430,28 +431,46 @@ def _certified_dijkstra(lat: LatticeSpec, n: int, limit: float) -> ConstrainedRe
         radius *= 2
 
 
-def _meet(dist, pred, times: list, shape: tuple, ends) -> tuple:
-    """(value, cells) of the best origin-to-target path through an arc
-    u -> w of the box whose ends both searches reached: the least
-    ds(u) + t(u, w) + dt(w). cells holds the path's grid indices, one row
-    per vertex, and the value sums its edge times left to right; it is
-    +inf, with no cells, when no arc joins the searches.
+def _best_arc(dist, times: list, shape: tuple):
+    """The arc u -> w of the box with the least ds(u) + t(u, w) + dt(w), as
+    (axis, backward, flat index of its base in times[axis]), or None when no
+    arc joins the two searches' (2, cells) distances dist.
 
-    dist and pred are the two searches' (2, cells) distances and
-    predecessors, from the origin ends[0] and from the target ends[1].
+    Sums are formed only at arcs whose tail the origin's search and whose
+    head the target's search reached, in (axis, direction, flat index)
+    order, so the first least sum in that order wins, as it would over
+    every arc of the box.
     """
     d = len(shape)
     ds, dt = dist.reshape((2,) + shape)
+    reached_s, reached_t = ds < math.inf, dt < math.inf
     best, arc = math.inf, None
     for a, t in enumerate(times):
         lo, hi = _arc_ends(d, a)
         for backward, (u, w) in enumerate(((lo, hi), (hi, lo))):
-            sums = ds[u] + t + dt[w]
+            both = reached_s[u] & reached_t[w]
+            sums = ds[u][both] + t[both] + dt[w][both]
+            if not sums.size:
+                continue
             i = int(np.argmin(sums))
-            if sums.flat[i] < best:
-                best, arc = sums.flat[i], (a, backward, i)
+            if sums[i] < best:
+                best, arc = sums[i], (a, backward, int(np.flatnonzero(both)[i]))
+    return arc
+
+
+def _meet(dist, pred, times: list, shape: tuple, ends) -> tuple:
+    """(value, cells) of the best origin-to-target path through an arc
+    u -> w of the box whose ends both searches reached, the one _best_arc
+    picks. cells holds the path's grid indices, one row per vertex, and
+    the value sums its edge times left to right; it is +inf, with no cells,
+    when no arc joins the searches.
+
+    dist and pred are the two searches' (2, cells) distances and
+    predecessors, from the origin ends[0] and from the target ends[1].
+    """
+    arc = _best_arc(dist, times, shape)
     if arc is None:
-        return math.inf, np.empty((0, d), dtype=np.intp)
+        return math.inf, np.empty((0, len(shape)), dtype=np.intp)
     a, backward, i = arc
     base = np.unravel_index(i, times[a].shape)
     head = tuple(c + (j == a) for j, c in enumerate(base))

@@ -11,7 +11,9 @@ passage-time moments, the Bernoulli tail bound) are plain functions of the
 spec. The oracles (Prufer decoding one sequence at a time, and the path
 search run once per hop budget) are the references of the package's batched
 ones: the cached Prufer edge keys of ``trees`` (read as edge lists through
-all_labelled_trees) and ``lattice.enumerate_paths_oracle``.
+all_labelled_trees) and ``lattice.enumerate_paths_oracle``. The sum over
+every arc of a Dijkstra box is the reference of ``lattice._meet``, which
+forms it only where both searches reached.
 The per-trial Y_j path (one scalar Fisher-Yates prefix, then the row rule on
 the full weight matrix) is the reference of the block kernel
 ``trees.sample_yj``.
@@ -295,6 +297,49 @@ def enumerate_paths(lat: LatticeSpec, n: int, k: int):
 
     rec((0, 0), 0.0, k, {(0, 0)})
     return None if math.isinf(best) else best
+
+
+def meet_over_every_arc(dist, pred, times, shape, ends) -> tuple:
+    """(value, cells, arc) of lattice._meet, with the least
+    ds(u) + t(u, w) + dt(w) formed over every arc of the box, reached or not.
+
+    arc is (axis, backward, flat index of its base in times[axis]), the
+    first least sum in (axis, direction, flat index) order, or None when
+    every sum is +inf, and then value is +inf and cells empty. The witness
+    is the origin's search path to u, then the target's search path from
+    w; its edge times are added one numpy add per edge, in path order.
+    """
+    d = len(shape)
+    ds, dt = dist.reshape((2,) + shape)
+    best, arc = math.inf, None
+    for a, t in enumerate(times):
+        lo = tuple(slice(None, -1) if i == a else slice(None) for i in range(d))
+        hi = tuple(slice(1, None) if i == a else slice(None) for i in range(d))
+        for backward, (u, w) in enumerate(((lo, hi), (hi, lo))):
+            sums = ds[u] + t + dt[w]
+            i = int(np.argmin(sums))
+            if sums.flat[i] < best:
+                best, arc = sums.flat[i], (a, backward, i)
+    if arc is None:
+        return math.inf, np.empty((0, d), dtype=np.intp), None
+    a, backward, i = arc
+    base = np.unravel_index(i, times[a].shape)
+    head = tuple(c + (j == a) for j, c in enumerate(base))
+    u, w = (int(np.ravel_multi_index(x, shape)) for x in ((head, base) if backward else (base, head)))
+
+    path = [u]
+    while path[-1] != ends[0]:
+        path.append(int(pred[0, path[-1]]))
+    path = path[::-1] + [w]
+    while path[-1] != ends[1]:
+        path.append(int(pred[1, path[-1]]))
+
+    cells = np.stack(np.unravel_index(path, shape), axis=1)
+    value = np.float64(0.0)
+    for x, y in zip(cells[:-1], cells[1:]):
+        axis = int(np.argmax(x != y))
+        value = value + times[axis][tuple(np.minimum(x, y))]
+    return float(value), cells, arc
 
 
 # -- tail bounds ----------------------------------------------------------------

@@ -1,11 +1,16 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import minweight
 import minweight.experiments as exp_mod
@@ -414,6 +419,118 @@ def test_malformed_config_exits_one_with_one_error_line(tmp_path, capsys, name, 
     assert code == 1
     assert needle in _single_error_line(capsys)  # one line, so no traceback
     assert not (tmp_path / f"{name}.json").exists()
+
+
+_TRIALS = st.integers(1, 4)
+_ALPHAS = st.lists(st.sampled_from([0.3, 0.5, 0.7]), min_size=1, max_size=2, unique=True)
+_LATTICE = {
+    "trials": _TRIALS,
+    "d": st.sampled_from([2, 3]),
+    "distribution": st.sampled_from(
+        [
+            {"kind": "exponential", "rate": 1.0},
+            {"kind": "uniform", "a": 0.5, "b": 1.5, "param_range": [0.5, 2.0]},
+            {"kind": "pareto", "x_m": 1.0, "shape": 3.0},
+        ]
+    ),
+}
+_LATTICE_SWEEP = {**_LATTICE, "n_values": st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True)}
+
+# Tiny valid configs per driver, small enough to run in milliseconds.
+_TINY_CONFIGS = {
+    "tree-scaling": {
+        "trials": _TRIALS,
+        "n_values": st.lists(st.integers(2, 24), min_size=2, max_size=3, unique=True),
+        "alpha_values": _ALPHAS,
+        "m_min": st.sampled_from([0.5, 1.0]),
+        "heterogeneous": st.booleans(),
+        "gamma": st.sampled_from([0.5, 1.0]),
+    },
+    "tree-variance": {
+        "trials": st.integers(100, 120),
+        "n_values": st.lists(st.integers(2, 12), min_size=1, max_size=2, unique=True),
+        "alpha_values": st.sampled_from([[0.3], [0.5], [0.7]]),
+        "heterogeneous": st.booleans(),
+    },
+    "yj-moments": {
+        "trials": _TRIALS,
+        "n": st.integers(8, 24),
+        "j_values": st.lists(st.integers(1, 7), min_size=1, max_size=3, unique=True),
+        "alpha_values": st.sampled_from([[0.3], [0.5], [0.7]]),
+    },
+    "fpp-band": {**_LATTICE_SWEEP, "k_multiple": st.integers(1, 3)},
+    "constraint-decay": {
+        **_LATTICE,
+        "n": st.integers(1, 6),
+        "k_values": st.lists(st.integers(6, 12), min_size=1, max_size=3, unique=True).map(sorted),
+    },
+    "fpp-variance": {
+        **_LATTICE_SWEEP,
+        "trials": st.integers(2, 4),
+        "n_values": st.lists(st.integers(1, 6), min_size=2, max_size=3, unique=True),
+        "k_multiple": st.integers(1, 3),
+    },
+    "oracle-suite": {
+        "suite_tree_instances": st.integers(1, 3),
+        "suite_prufer_instances": st.integers(1, 2),
+        "suite_lattice_instances": st.integers(1, 3),
+        "suite_gammas": st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=1, max_size=2, unique=True),
+    },
+}
+
+# Edge values a tiny config may take for one key: zero, negative, empty,
+# repeated or out of range.
+_EDGES = {
+    "trials": [0, -1],
+    "n_values": [[], [0, 4], [4, 4], [-1]],
+    "n": [0, -1, 1],
+    "j_values": [[], [0], [5, 5], [100]],
+    "k_values": [[], [0], [12, 12]],
+    "alpha_values": [[], [0.0], [1.0], [1.5]],
+    "m_min": [0.0, 1.5],
+    "heterogeneous": [0, "yes"],
+    "gamma": [0.0, -1.0],
+    "d": [0, 1],
+    "k_multiple": [0, -1],
+    "distribution": [
+        {"kind": "exponential", "rate": 0.0},
+        {"kind": "uniform", "a": 1.5, "b": 0.5},
+        {"kind": "pareto", "x_m": 1.0, "shape": 2.0},
+        {"kind": "cauchy"},
+    ],
+    "suite_tree_instances": [0, -1],
+    "suite_prufer_instances": [0],
+    "suite_lattice_instances": [-1],
+    "suite_gammas": [[], [-1.0], [0.5, 0.5]],
+}
+
+
+@st.composite
+def _tiny_config(draw):
+    name = draw(st.sampled_from(sorted(_TINY_CONFIGS)))
+    raw = draw(st.fixed_dictionaries(_TINY_CONFIGS[name]))
+    # about half the configs take one key to an edge value
+    edge = draw(st.sampled_from([None] * len(raw) + sorted(raw)))
+    if edge is not None:
+        raw[edge] = draw(st.sampled_from(_EDGES[edge]))
+    return name, {"experiment": name, "master_seed": draw(st.integers(0, 2**64 - 1)), **raw}
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_tiny_config())
+def test_tiny_configs_exit_cleanly(case):
+    # every driver, on any tiny config, passes (0), fails a verdict (2) or
+    # refuses it with one error line (1), never a traceback
+    name, raw = case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        cfg = os.path.join(tmp, "cfg.json")
+        with open(cfg, "w") as f:
+            json.dump(raw, f)
+        code = parse_and_dispatch([name, "--config", cfg, "--output-dir", tmp])
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+    assert code in (0, 1, 2)
+    assert len(errors) == (code == 1), err.getvalue()
 
 
 @pytest.mark.parametrize(

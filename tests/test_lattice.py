@@ -22,7 +22,7 @@ from minweight.lattice import (
     unconstrained_time,
 )
 from minweight.weights import PassageTimeSpec, SeedContext, passage_time_grid
-from reference import enumerate_paths, passage_time
+from reference import enumerate_paths, meet_over_every_arc, passage_time
 
 EXP1 = PassageTimeSpec("exponential", (1.0,))
 UNIFORM = PassageTimeSpec("uniform", (0.5, 1.5), param_range=(0.5, 2.0))
@@ -294,6 +294,23 @@ def test_block_label_grids_are_checked_against_the_budget(monkeypatch):
     hop_constrained_time(lat(1), 6, 10)
     with pytest.raises(CapacityError, match="over 2 trials"):
         hop_constrained_time(lat(1, count=2), 6, 10)
+
+
+def test_dp_block_holds_two_label_grids_its_time_grids_and_one_relax_buffer():
+    # lattice-decay's first pass, one block of 10 trials at n = 64, k = 96: two
+    # label grids, the d edge-time grids transposed to a trailing trial axis,
+    # each padded to the box's shape, and one relax buffer, all the size of a
+    # label grid, plus 64 KiB
+    l, n, k = lat(8, count=10), 64, 96
+    _, shape, _ = lattice._walk_windows(2, n, k)
+    label = 8 * 10 * math.prod(shape)
+    tracemalloc.start()
+    try:
+        hop_constrained_time(l, n, k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (2 + 2 + 1) * label + 2**16
 
 
 def test_trial_arrays_return_the_block_width(monkeypatch):
@@ -612,6 +629,72 @@ def test_limit_below_the_passage_time_raises():
             unconstrained_time(l, 6, (limit,))
 
 
+def _two_searches(times, shape, n, radius, stop):
+    """(dist, pred, ends) of Dijkstra's two searches on the box _box(d, n, radius)
+    with +a edge times times[a], each stopping at stop, as _certified_dijkstra runs them."""
+    d = len(shape)
+    ends = np.ravel_multi_index(((radius, radius + n),) + ((radius, radius),) * (d - 1), shape)
+    graph = lattice._box_csr(times, shape)
+    dist, pred = dijkstra(graph, directed=True, indices=ends, return_predecessors=True, limit=stop)
+    return dist, pred, ends
+
+
+def _assert_meet_matches_every_arc(times, shape, dist, pred, ends):
+    value, cells, arc = meet_over_every_arc(dist, pred, times, shape, ends)
+    assert lattice._best_arc(dist, times, shape) == arc
+    got, got_cells = lattice._meet(dist, pred, times, shape, ends)
+    assert np.float64(got).tobytes() == np.float64(value).tobytes()
+    assert got_cells.shape == cells.shape and np.array_equal(got_cells, cells)
+    return arc
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_meet_matches_the_sum_over_every_arc(d):
+    # the searches meet when each stops at half the straight-path time, as
+    # unconstrained_time stops them, or never; stopped at a sixteenth of it
+    # they mostly miss each other (+inf, no cells)
+    met = missed = 0
+    n, radius = 5, 3
+    lows, shape = lattice._box(d, n, radius)
+    for spec in (EXP1, UNIFORM, PARETO3):
+        for seed in range(6):
+            l = lat(600 + seed, spec=spec, d=d)
+            times = [lattice._axis_times(l, lows, shape, a)[0] for a in range(d)]
+            (straight,) = straight_path_time(l, n)
+            for stop in (straight * (0.5 + lattice.PATH_SUM_SLACK), straight / 16, np.inf):
+                arc = _assert_meet_matches_every_arc(times, shape, *_two_searches(times, shape, n, radius, stop))
+                met += arc is not None
+                missed += arc is None
+    assert met >= 36 and missed >= 1
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_meet_takes_the_first_of_tied_arcs(d):
+    # edge times of 1 and 2 make sums exact and many arcs tie, on axes and
+    # directions both; the first in (axis, direction, flat index) order wins
+    gen = np.random.default_rng(d)
+    n, radius = 4, 2
+    _, shape = lattice._box(d, n, radius)
+    across = 0
+    for _ in range(10):
+        times = [
+            gen.integers(1, 3, size=tuple(side - (i == a) for i, side in enumerate(shape))).astype(float)
+            for a in range(d)
+        ]
+        dist, pred, ends = _two_searches(times, shape, n, radius, np.inf)
+        arc = _assert_meet_matches_every_arc(times, shape, dist, pred, ends)
+        ds, dt = dist.reshape((2,) + shape)
+        best = ds.flat[ends[1]]
+        tied = set()
+        for a, t in enumerate(times):
+            lo, hi = lattice._arc_ends(d, a)
+            for backward, (u, w) in enumerate(((lo, hi), (hi, lo))):
+                tied |= {(a, backward, int(i)) for i in np.flatnonzero(ds[u] + t + dt[w] == best)}
+        assert len(tied) >= 2 and arc == min(tied)
+        across += len({x[:2] for x in tied}) > 1
+    assert across  # some ties join arcs of different axes or directions
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     seed=st.integers(0, 2**64 - 1),
@@ -673,6 +756,15 @@ def test_walk_windows_keep_every_target_label(seed, d, spec, n, extra):
     l = lat(seed, spec=spec, d=d)
     (res,) = hop_constrained_time(l, n, k)
     assert list(res.target_labels) == full_box_labels(l, n, k, k)
+    # each row of the grid enters the hops' row ranges once and leaves them
+    # once, so the DP never reads a label a row kept from before it left
+    _, shape, rows = lattice._walk_windows(d, n, k)
+    inside = np.zeros((k + 2, shape[0]), dtype=np.int8)
+    for h, (lo, hi) in enumerate(rows, start=1):
+        assert 0 <= lo < hi <= shape[0]
+        inside[h, lo:hi] = 1
+    for row in np.diff(inside, axis=0).T:
+        assert row[row != 0].tolist() in ([1, -1], [])
 
 
 @settings(max_examples=100, deadline=None)

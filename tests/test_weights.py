@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from minweight.weights import (
     TreeWeightSpec,
     inverse_transform_times,
     passage_time_grid,
+    sum_in_order,
     weight_matrix,
     weights_from_vertex,
 )
@@ -265,6 +267,20 @@ def test_seed_context_counts_and_blocks():
     for count in (0, -1):
         with pytest.raises(ValueError, match="count"):
             SeedContext(9, 4, count)
+
+
+def test_sum_in_order_adds_a_vector_left_to_right():
+    # a 1-D array's entries are added in order, bit for bit as one numpy add
+    # each; spread magnitudes make pairwise summation (np.sum) differ
+    gen = np.random.default_rng(12)
+    pairwise_differs = 0
+    for size in (1, 2, 3, 92, 1000):
+        for _ in range(40):
+            a = gen.exponential(size=size) * 10.0 ** gen.integers(-6, 7, size=size)
+            expected = functools.reduce(np.add, a)
+            assert np.float64(sum_in_order(a)).tobytes() == expected.tobytes()
+            pairwise_differs += np.sum(a) != expected
+    assert pairwise_differs
 
 
 def _sample_times(spec, n_samples=200_000, seed=31):
