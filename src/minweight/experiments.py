@@ -62,6 +62,7 @@ from .trees import (
     min_tree_upper_bound,
     prufer_mst_weight,
     sample_yj,
+    subset_stack_cells,
     threshold_lower_bound,
 )
 from .weights import PassageTimeSpec, SeedContext, TreeWeightSpec, require_array
@@ -373,11 +374,14 @@ def _lattice_trial(block, pspec, d, n, budgets):
     label is the time of a real walk, so it bounds T_n, and Dijkstra's two
     searches, from the origin and from the target, each stop near half of
     it. Without that pass the straight-path time is the limit, which under
-    the other laws already keeps the searches to under half the box. Every
-    remaining budget at or above a trial's Dijkstra hop count reuses its
-    value, and at most one more DP pass, per trial on a context of one and
-    only for a trial that still needs it, answers the rest: a pass over the
-    whole block to the larger budget could exceed the array budget.
+    the other laws already keeps the searches to under half the box.
+
+    A budget k past the first pass's at or above the hop count of a trial's
+    Dijkstra witness admits the witness, so T_n(k) = T_n: it takes T_n and
+    that hop count with no DP. At most one more DP pass, per trial on a
+    context of one, answers a trial's remaining budgets below that hop
+    count: a pass over the whole block to the larger budget could exceed
+    the array budget.
     """
     lattices = LatticeSpec(d, pspec, block)
     head = _first_pass(pspec, n, budgets)
@@ -386,10 +390,11 @@ def _lattice_trial(block, pspec, d, n, budgets):
     frees = unconstrained_time(lattices, n, [r[-1].value if r else s for r, s in zip(firsts, straights)])
     out = []
     for ctx, straight, free, results in zip(block.blocks(1), straights, frees, firsts):
-        if len(results) < len(budgets):
-            lat = LatticeSpec(d, pspec, ctx)
-            (rest,) = hop_constrained_certified(lat, n, budgets[len(results) :], free=(free,))
+        below = [k for k in budgets[len(results) :] if k < free.hop_count]
+        if below:
+            (rest,) = hop_constrained_certified(LatticeSpec(d, pspec, ctx), n, below)
             results += rest
+        results += (free,) * (len(budgets) - len(results))
         out.append((free.value, straight, tuple((r.value, r.hop_count) for r in results)))
     return out
 
@@ -814,7 +819,7 @@ def run_oracle_suite(cfg: ExperimentConfig) -> ExperimentReport:
     if "spanning" in cfg.suite or "sandwich" in cfg.suite:
         points = [(spec, n, cfg.suite, cfg.suite_gammas) for n in tree_ns]
         # a trial's largest array is exact_min_tree's subset stack at its widest tau
-        widths = [max(math.comb(n, k) * k * k for k in range(2, n + 1)) for n in tree_ns]
+        widths = [max(subset_stack_cells(n, tau) for tau in range(1, n)) for n in tree_ns]
         out = _sweep(cfg, _tree_oracle_trial, points, widths, trials=cfg.suite_tree_instances)
         spanning_bad, sandwich_bad = map(sum, zip(*itertools.chain.from_iterable(out)))
         if "spanning" in cfg.suite:

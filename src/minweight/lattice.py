@@ -234,36 +234,20 @@ def hop_constrained_time(lat: LatticeSpec, n: int, k: int) -> tuple:
     return tuple(ConstrainedResult(*_read_budget(row, k), target_labels=tuple(row)) for row in rows)
 
 
-def hop_constrained_certified(lat: LatticeSpec, n: int, budgets, free: tuple | None = None) -> tuple:
+def hop_constrained_certified(lat: LatticeSpec, n: int, budgets) -> tuple:
     """T_n(k) for each hop budget k of a schedule, per trial of lat.ctx: one
     tuple of path-less ConstrainedResult per trial.
 
-    One hop_constrained_time pass to the largest budget that needs it serves
-    every budget of every trial. The name is kept because
-    perfbench/tracer.py and perfbench/selfcheck.py look it up, as they do
-    kruskal_mst.
-
-    free, one unconstrained result per trial, as unconstrained_time returns
-    them, answers each trial's budgets k >= its hop_count without a DP: the
-    witness fits the budget, so T_n(k) = T_n.
+    One hop_constrained_time pass to the largest budget serves every budget
+    of every trial. The name is kept because perfbench/tracer.py and
+    perfbench/selfcheck.py look it up, as they do kruskal_mst.
     """
     if min(budgets) < n:
         raise InfeasibleError(f"hop budget {min(budgets)} below L1 distance {n}: no path exists")
-    count = lat.ctx.count
     if n == 0:
-        free = (_trivial_result(lat),) * count
-    free = (None,) * count if free is None else free
-    solve = [b for b in budgets if any(f is None or b < f.hop_count for f in free)]
-    labels = [r.target_labels for r in hop_constrained_time(lat, n, max(solve))] if solve else [()] * count
-    return tuple(
-        tuple(
-            ConstrainedResult(f.value, f.hop_count)
-            if f is not None and b >= f.hop_count
-            else ConstrainedResult(*_read_budget(row, b))
-            for b in budgets
-        )
-        for row, f in zip(labels, free, strict=True)
-    )
+        return ((ConstrainedResult(0.0, 0),) * len(budgets),) * lat.ctx.count
+    passes = hop_constrained_time(lat, n, max(budgets))
+    return tuple(tuple(ConstrainedResult(*_read_budget(r.target_labels, b)) for b in budgets) for r in passes)
 
 
 def _require_box(shape: tuple) -> None:

@@ -177,6 +177,11 @@ def threshold_lower_bound(inst: CompleteInstance, tau: int, gamma: float, counts
     return tuple(max(0, tau - r_tot) * threshold for r_tot in counts)
 
 
+def subset_stack_cells(n: int, tau: int) -> int:
+    """Cells of one trial's subset stack in exact_min_tree: C(n, tau + 1) matrices of (tau + 1)^2."""
+    return math.comb(n, tau + 1) * (tau + 1) ** 2
+
+
 def exact_min_tree(inst: CompleteInstance, tau: int) -> tuple:
     """Exact minimum over trees with at least tau edges, by subset enumeration, per trial.
 
@@ -195,7 +200,7 @@ def exact_min_tree(inst: CompleteInstance, tau: int) -> tuple:
         raise ValueError(f"exact_min_tree is limited to n <= 12, got {n}")
     size, count = tau + 1, inst.ctx.count
     per_trial = math.comb(n, size)
-    require_array(f"the subset stack of {count} trials at n = {n}, tau = {tau}", count * per_trial * size**2)
+    require_array(f"the subset stack of {count} trials at n = {n}, tau = {tau}", count * subset_stack_cells(n, tau))
     # increasing subsets keep local edge keys in the order of the global ones
     subsets = np.array(list(itertools.combinations(range(n), size)), dtype=np.intp)
     lo, hi, totals = _prim(inst.matrix()[:, subsets[:, :, None], subsets[:, None, :]].reshape(-1, size, size))
@@ -214,9 +219,14 @@ def _prefix_block(block: SeedContext, n: int, j: int) -> np.ndarray:
     trials. The shuffle runs once for the whole block, on a position-major
     (n, count) state in the smallest unsigned type that holds n: each step
     swaps position row a with one gathered entry per trial. The result is
-    that state's transposed view.
+    that state's transposed view. The swap-target table and the state, in
+    8-byte elements, are checked against the array budget before any word
+    is hashed.
     """
     count = block.count
+    require_array(f"the swap-target table of {j} steps over {count} trials", j * count)
+    dtype = np.min_scalar_type(n)
+    require_array(f"the shuffle state of {n} vertices over {count} trials", -(-n * count * dtype.itemsize // 8))
     steps = np.arange(j, dtype=np.uint64)
     # flat index into the state of the entry each trial swaps into position a,
     # one row per step; intp, because numpy casts any other index type per call
@@ -229,7 +239,7 @@ def _prefix_block(block: SeedContext, n: int, j: int) -> np.ndarray:
         h *= np.uint64(count)
         h += np.arange(first, first + sub.count, dtype=np.uint64)[:, None]
         other[:, first : first + sub.count] = h.T
-    state = np.tile(np.arange(1, n + 1, dtype=np.min_scalar_type(n))[:, None], count)
+    state = np.tile(np.arange(1, n + 1, dtype=dtype)[:, None], count)
     flat = state.reshape(-1)
     for a, there in enumerate(other):
         moved = flat[there]

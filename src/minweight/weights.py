@@ -183,8 +183,10 @@ def weight_matrix(spec: TreeWeightSpec, ctx: SeedContext, n: int) -> np.ndarray:
     Entry [t, v, w] is trial t's weight of the edge between vertices v+1
     and w+1; each matrix is symmetric with +inf on its diagonal.
     Bit-identical to looping the scalar reference edge_weight of
-    ``tests/reference.py`` over all pairs.
+    ``tests/reference.py`` over all pairs. The matrices are checked against
+    the array budget before any weight is hashed.
     """
+    require_array(f"the {n} x {n} weight matrices over {ctx.count} trials", ctx.count * n * n)
     idx = np.arange(1, n + 1, dtype=np.uint64)
     w = weights_from_vertex(spec, ctx, idx[None, :, None], idx[None, None, :])
     w[:, idx - 1, idx - 1] = np.inf

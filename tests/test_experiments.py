@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import minweight.experiments as exp_mod
 from minweight import lattice, trees, weights
 from minweight.cli import SMOKE_CONFIGS, report_document
-from minweight.errors import ConfigurationError
+from minweight.errors import CapacityError, ConfigurationError
 from minweight.experiments import (
     DRIVER_FIELDS,
     ExperimentConfig,
@@ -426,6 +426,28 @@ def test_random_prefix_distinct_and_deterministic():
     assert np.array_equal(rows[1:], _prefix_block(SeedContext(3, 18), 100, 12))
 
 
+@pytest.mark.parametrize(
+    "n_vertices,j,cells,array",
+    [(512, 1, 128, "shuffle state of 512 vertices"), (64, 64, 64, "swap-target table of 64 steps")],
+)
+def test_prefix_shuffle_is_checked_against_the_budget(monkeypatch, n_vertices, j, cells, array):
+    # the budget holds one trial's larger array, in 8-byte elements: 512
+    # uint16 state entries or 64 intp swap targets. A block of two raises
+    # naming it, and one of 4,096, megabytes of either, builds nothing
+    monkeypatch.setattr(weights, "ARRAY_BYTES", 8 * cells)
+    assert _prefix_block(SeedContext(1), n_vertices, j).shape == (1, n_vertices)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=f"{array} over 2 trials"):
+            _prefix_block(SeedContext(1, 0, 2), n_vertices, j)
+        with pytest.raises(CapacityError):
+            _prefix_block(SeedContext(1, 0, 4096), n_vertices, j)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 @pytest.mark.parametrize("master", [0, 2, 2**63 + 5])
 def test_random_prefix_matches_scalar_fisher_yates(master):
     for n_vertices, j in ((512, 1), (512, 448), (7, 6), (2, 1), (100, 99)):
@@ -642,14 +664,27 @@ LAWS = (
 )
 
 
+def _recorded_dp_passes(monkeypatch):
+    """A list that fills with (first trial, trial count, budget) of every hop-DP pass."""
+    passes, dp = [], lattice.hop_constrained_time
+
+    def recording_dp(lat, n, k):
+        passes.append((lat.ctx.trial_index, lat.ctx.count, k))
+        return dp(lat, n, k)
+
+    monkeypatch.setattr(lattice, "hop_constrained_time", recording_dp)
+    return passes
+
+
 @pytest.mark.parametrize("d,n,budgets", [(2, 4, (4, 5, 7, 10, 16)), (3, 3, (3, 4, 6, 9))])
 @pytest.mark.parametrize("law", LAWS, ids=[law.kind for law in LAWS])
-def test_lattice_trial_equals_the_solvers(law, d, n, budgets):
+def test_lattice_trial_equals_the_solvers(law, d, n, budgets, monkeypatch):
     # an exponential block first runs the DP to the largest budget in (n, ceil(1.5n)]
     bound = max(k for k in budgets if n < k <= (3 * n + 1) // 2)
-    shortcut = dp = second_pass = 0
+    head = budgets[: budgets.index(bound) + 1] if law.kind == "exponential" else ()
+    shortcut = dp = 0
     block = SeedContext(41, 0, 6)
-    expected = []
+    expected, below = [], []
     for ctx in block.blocks(1):
         lat = LatticeSpec(d=d, spec=law, ctx=ctx)
         (free,) = unconstrained_time(lat, n)
@@ -657,13 +692,33 @@ def test_lattice_trial_equals_the_solvers(law, d, n, budgets):
         expected.append((free.value, *straight_path_time(lat, n), per_k))
         shortcut += sum(k >= free.hop_count for k in budgets)
         dp += sum(k < free.hop_count for k in budgets)
-        second_pass += any(bound < k < free.hop_count for k in budgets)
-    # one block of 6, then blocks of 4 and 2: the same outcomes in trial order
-    assert _lattice_trial(block, law, d, n, budgets) == expected
-    assert [out for part in block.blocks(4) for out in _lattice_trial(part, law, d, n, budgets)] == expected
+        below.append([k for k in budgets[len(head) :] if k < free.hop_count])
     assert shortcut and dp  # budgets on both sides of the witness's hop count
-    if law.kind == "exponential":
-        assert second_pass  # a budget beyond the bound pass still needs the DP
+    assert any(below) and not all(below)  # trials with a second pass and trials without one
+    # one block of 6, then blocks of 4 and 2: the same outcomes in trial order,
+    # from one pass per block with a first pass, one pass on a context of one
+    # per trial with a budget past it below its witness's hop count, and no other
+    passes = _recorded_dp_passes(monkeypatch)
+    for size in (6, 4):
+        passes.clear()
+        parts = block.blocks(size)
+        assert [out for part in parts for out in _lattice_trial(part, law, d, n, budgets)] == expected
+        runs = []
+        for part in parts:
+            runs += [(part.trial_index, part.count, bound)] if head else []
+            runs += [(t, 1, below[t][-1]) for t in range(part.trial_index, part.trial_index + part.count) if below[t]]
+        assert passes == runs, size
+
+
+def test_constraint_decay_smoke_runs_three_block_passes_and_six_single_trial_passes(monkeypatch):
+    # the first pass runs to k = 24 on blocks that together hold all 400
+    # trials; the other 394 trials' budgets past it take T_n with no DP
+    passes = _recorded_dp_passes(monkeypatch)
+    run_constraint_decay(smoke("constraint-decay", workers=1))
+    blocks = [count for _, count, k in passes if k == 24]
+    singles = [(count, k) for _, count, k in passes if k != 24]
+    assert len(blocks) == 3 and sum(blocks) == 400
+    assert len(singles) == 6 and all(count == 1 and k in (32, 48) for count, k in singles)
 
 
 def _dijkstra_limits(monkeypatch, cfg):

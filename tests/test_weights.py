@@ -1,11 +1,12 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from minweight import rng
-from minweight.errors import ConfigurationError
+from minweight import rng, weights
+from minweight.errors import CapacityError, ConfigurationError
 from minweight.weights import (
     PassageTimeSpec,
     SeedContext,
@@ -107,6 +108,24 @@ def test_matrix_matches_scalar_oracle():
     for j in range(1, n + 1):
         if j != 4:
             assert row[j - 1] == W[3, j - 1]
+
+
+def test_weight_matrix_is_checked_against_the_budget(monkeypatch):
+    # one 20 x 20 matrix fits a 400-element budget; a block of two raises
+    # naming the matrices, and one of 4,096 (13 MB) hashes no weight
+    monkeypatch.setattr(weights, "ARRAY_BYTES", 8 * 400)
+    spec = TreeWeightSpec(alpha=0.5)
+    assert weight_matrix(spec, SeedContext(1), 20).shape == (1, 20, 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="20 x 20 weight matrices over 2 trials"):
+            weight_matrix(spec, SeedContext(1, 0, 2), 20)
+        with pytest.raises(CapacityError):
+            weight_matrix(spec, SeedContext(1, 0, 4096), 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_cdf_endpoints_and_value():
