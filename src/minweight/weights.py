@@ -200,37 +200,47 @@ def weights_from_vertex(
 
     i may be an array that broadcasts against targets. The first axis of
     their broadcast is the trial axis: row t holds weights of trial t of
-    ctx, and under a context of one every row is its one trial.
+    ctx, and under a context of one every row is its one trial. Besides
+    the keys, kept in the vertices' integer type, a call holds two arrays of
+    the result's shape: the hash state and the uniforms, which the power
+    and the scale overwrite in place; three with heterogeneous scales.
     """
-    iv = np.asarray(i, dtype=np.uint64)
-    t = np.asarray(targets, dtype=np.uint64)
-    lo = np.minimum(iv, t)
-    hi = np.maximum(iv, t)
-    # a widened copy of narrower targets is not held through the hashing
-    del t
+    lo = np.minimum(i, targets)
+    hi = np.maximum(i, targets)
     trials = ctx.trials.reshape((-1,) + (1,) * (lo.ndim - 1))
-    u = rng.unit_vec(rng.hash_words_vec(rng.STREAM_TREE_WEIGHT, ctx.master_seed, trials, lo, hi))
+    w = rng.uniform_vec(rng.STREAM_TREE_WEIGHT, ctx.master_seed, trials, lo, hi)
+    # **= takes the shortcuts of ** (sqrt at alpha 0.5); np.power(out=) does not
+    w **= spec.alpha
     if spec.heterogeneous:
-        v = rng.unit_vec(rng.hash_words_vec(rng.STREAM_TREE_SCALE, lo, hi))
-        scale = spec.m_min + (1.0 - spec.m_min) * v
-    else:
-        scale = 1.0
-    return scale * u**spec.alpha
+        scale = rng.uniform_vec(rng.STREAM_TREE_SCALE, lo, hi)
+        scale *= 1.0 - spec.m_min
+        scale += spec.m_min
+        w *= scale
+    return w
 
 
 # -- lattice passage times ------------------------------------------------------
 
 
-def inverse_transform_times(spec: PassageTimeSpec, theta, u):
-    """Vectorized inverse transform: uniforms u (and parameters theta) to times."""
+def inverse_transform_times(spec: PassageTimeSpec, theta, u, out=None):
+    """Vectorized inverse transform: uniforms u (and parameters theta) to times,
+    written to out (u itself, say) or to a new array, by the same operations."""
     if spec.kind == "exponential":
         (rate,) = spec.params
-        return -np.log1p(-u) / (rate * theta)
-    if spec.kind == "uniform":
+        out = np.log1p(np.negative(u, out=out), out=out)
+        np.negative(out, out=out)
+        out /= rate * theta
+    elif spec.kind == "uniform":
         a, b = spec.params
-        return theta * (a + (b - a) * u)
-    x_m, shape = spec.params
-    return theta * x_m * (1.0 - u) ** (-1.0 / shape)
+        out = np.multiply(u, b - a, out=out)
+        out += a
+        out *= theta
+    else:
+        x_m, shape = spec.params
+        out = np.subtract(1.0, u, out=out)
+        out **= -1.0 / shape
+        out *= theta * x_m
+    return out
 
 
 def passage_time_grid(spec: PassageTimeSpec, ctx: SeedContext, axis: int, base_coords: tuple) -> np.ndarray:
@@ -241,17 +251,21 @@ def passage_time_grid(spec: PassageTimeSpec, ctx: SeedContext, axis: int, base_c
     The trial column of ctx goes ahead of the coordinates' broadcast shape,
     as shape (count,) + (1,) * ndim, so the result has a leading trial axis
     and entry [t, ...] holds trial t's time. Only the hash state grows to
-    the full shape; no coordinate is broadcast on its own. Bit-identical to
-    looping the scalar reference passage_time of ``tests/reference.py``.
+    the full shape; no coordinate is broadcast on its own, and the times
+    overwrite the uniforms: two arrays of the result's shape, and per-edge
+    parameters if any. Bit-identical to looping the scalar reference
+    passage_time of ``tests/reference.py``.
     """
-    coords = [rng.encode_signed(c) for c in base_coords]
+    coords = [np.asarray(c, dtype=np.int64) for c in base_coords]
     trials = ctx.trials.reshape((-1,) + (1,) * max(c.ndim for c in coords))
-    u = rng.unit_vec(rng.hash_words_vec(rng.STREAM_LATTICE_TIME, ctx.master_seed, trials, axis, *coords))
+    u = rng.uniform_vec(rng.STREAM_LATTICE_TIME, ctx.master_seed, trials, axis, *coords)
 
     lo, hi = spec.param_range
     if lo == hi:
         theta = lo
     else:
-        theta = lo + (hi - lo) * rng.unit_vec(rng.hash_words_vec(rng.STREAM_LATTICE_PARAM, axis, *coords))
+        theta = rng.uniform_vec(rng.STREAM_LATTICE_PARAM, axis, *coords)
+        theta *= hi - lo
+        theta += lo
 
-    return inverse_transform_times(spec, theta, u)
+    return inverse_transform_times(spec, theta, u, out=u)

@@ -2,7 +2,7 @@
 exact oracles, and the analytic laws the tests check samples against.
 
 The package draws all randomness through array kernels
-(``rng.hash_words_vec``, ``weights.weights_from_vertex`` /
+(``rng.hash_words_vec`` and ``rng.uniform_vec``, ``weights.weights_from_vertex`` /
 ``weights.weight_matrix`` and ``weights.passage_time_grid``). The loop
 versions below compute the same quantities one word tuple at a time, in
 plain Python integers; the tests require the kernels to agree with them bit
@@ -72,6 +72,12 @@ def unit(h: int) -> float:
 def uniform(*words: int) -> float:
     """Uniform [0, 1) variate attached to a word tuple."""
     return unit(hash_words(*words))
+
+
+def unit_vec(h: np.ndarray) -> np.ndarray:
+    """unit over an array of digests, in new arrays: the un-fused reference
+    of the cast that rng.uniform_vec makes in its scratch array."""
+    return (h >> np.uint64(11)).astype(np.float64) * _U53
 
 
 # -- tree weights ---------------------------------------------------------------

@@ -28,6 +28,7 @@ from reference import (
     passage_time_from_uniform,
     tree_weight_from_uniform,
     uniform,
+    unit_vec,
 )
 
 # Frozen from the reference mixer (splitmix64-absorb/v1); any change to the
@@ -52,6 +53,56 @@ def test_scalar_vector_mixer_agree():
         s = hash_words(*ws)
         v = int(rng.hash_words_vec(*[np.uint64(w & (2**64 - 1)) for w in ws]))
         assert s == v
+
+
+def _loop_digests(words):
+    # the reference hash at every index of the words' broadcast
+    shape = np.broadcast_shapes(*(np.shape(w) for w in words))
+    spread = [np.broadcast_to(w, shape) for w in words]
+    out = np.empty(shape, dtype=np.uint64)
+    for idx in np.ndindex(shape):
+        out[idx] = hash_words(*(int(w[idx]) for w in spread))
+    return out
+
+
+_COL = np.array([[3], [2**63 + 7], [0], [2**64 - 1]], dtype=np.uint64)
+_ROW = np.array([[5, 9, 2**40]], dtype=np.uint64)
+_ONE = np.array([[[11]]], dtype=np.uint64)
+
+
+@pytest.mark.parametrize(
+    "words",
+    [
+        (_COL ^ _ROW, 7, _COL, -5, _ONE),
+        (9, _COL, np.array([[5, 9, 40]], dtype=np.uint16), 2**63 + 1, _ONE, np.array([[-4, 0, 4]], dtype=np.int16)),
+        (3, _ONE, np.array([-8]), _COL, 2**64 - 2, np.array([[-2, 0, 6]])),
+        (1, np.uint64(2**64 - 1), -3, np.array([[5]], dtype=np.uint64), np.array([-1]), 0),
+        (1, 42, 0, 1, 2),
+    ],
+    ids=["full-at-first", "full-at-middle", "full-at-last", "one-element", "ints"],
+)
+def test_hash_words_vec_matches_the_scalar_loop_and_writes_no_word(words):
+    # the state reaches the words' broadcast shape at the first, a middle or
+    # the last word, or never; read-only words would raise on any write
+    kept = []
+    for w in words:
+        if isinstance(w, np.ndarray):
+            w.flags.writeable = False
+            kept.append(w.copy())
+    try:
+        expected = _loop_digests(words)
+        h = rng.hash_words_vec(*words)
+        assert np.shape(h) == expected.shape and h.dtype == np.uint64
+        assert np.array_equal(h, expected)
+        # the fused step equals the un-fused cast of the same digests
+        u = rng.uniform_vec(*words)
+        assert u.shape == expected.shape and u.tobytes() == unit_vec(expected).tobytes()
+        arrays = [w for w in words if isinstance(w, np.ndarray)]
+        assert all(w.dtype == k.dtype and np.array_equal(w, k) for w, k in zip(arrays, kept))
+    finally:
+        for w in words:
+            if isinstance(w, np.ndarray):
+                w.flags.writeable = True
 
 
 def test_edge_weight_symmetric():
@@ -148,11 +199,9 @@ def _all_edge_weights(spec, ctx, n):
     lo0, hi0 = np.triu_indices(n, 1)
     lo = (lo0 + 1).astype(np.uint64)
     hi = (hi0 + 1).astype(np.uint64)
-    u = rng.unit_vec(
-        rng.hash_words_vec(rng.STREAM_TREE_WEIGHT, ctx.master_seed, ctx.trial_index, lo, hi)
-    )
+    u = unit_vec(rng.hash_words_vec(rng.STREAM_TREE_WEIGHT, ctx.master_seed, ctx.trial_index, lo, hi))
     if spec.heterogeneous:
-        v = rng.unit_vec(rng.hash_words_vec(rng.STREAM_TREE_SCALE, lo, hi))
+        v = unit_vec(rng.hash_words_vec(rng.STREAM_TREE_SCALE, lo, hi))
         scale = spec.m_min + (1.0 - spec.m_min) * v
     else:
         scale = 1.0
@@ -207,6 +256,23 @@ def test_randomness_smoke():
     assert abs(corr) < 0.01
 
 
+@pytest.mark.parametrize("heterogeneous", [False, True], ids=["homogeneous", "heterogeneous"])
+@pytest.mark.parametrize("alpha", [0.3, 0.5])
+def test_weights_from_vertex_matches_the_unfused_weights(alpha, heterogeneous):
+    # alpha = 0.5 takes numpy's sqrt shortcut for ** on both sides; the keys
+    # come in the integer types the callers pass, in either order
+    spec = TreeWeightSpec(alpha=alpha, m_min=0.5, heterogeneous=heterogeneous)
+    block = SeedContext(31, 2, 3)
+    rows = [_all_edge_weights(spec, ctx, 40) for ctx in block.blocks(1)]
+    lo, hi, _ = rows[0]
+    expected = np.stack([w for _, _, w in rows])
+    for dtype in (np.uint16, np.uint64, np.int64):
+        a, b = lo.astype(dtype), hi.astype(dtype)
+        assert weights_from_vertex(spec, block.blocks(1)[0], b, a).tobytes() == expected[0].tobytes()
+        assert weights_from_vertex(spec, block, a[None, :], b[None, :]).tobytes() == expected.tobytes()
+        assert np.array_equal(a, lo) and np.array_equal(b, hi)
+
+
 # -- passage times ---------------------------------------------------------
 
 
@@ -243,6 +309,21 @@ def test_grid_matches_scalar():
     for a, x in enumerate(xs):
         for b, y in enumerate(ys):
             assert grid[a, b] == passage_time(spec, ctx, 0, (int(x), int(y)))
+
+
+@pytest.mark.parametrize("param_range", [(1.0, 1.0), (0.5, 2.0)], ids=["iid", "per-edge"])
+@pytest.mark.parametrize("kind,params", [("exponential", (2.0,)), ("uniform", (0.5, 1.5)), ("pareto", (1.0, 3.0))])
+def test_grid_matches_scalar_for_every_law(kind, params, param_range):
+    spec = PassageTimeSpec(kind, params, param_range)
+    block = SeedContext(2**63 + 5, 6, 3)
+    xs, ys = np.arange(-2, 3), np.arange(-1, 2)
+    for axis in (0, 1):
+        grid = passage_time_grid(spec, block, axis, (xs[:, None], ys[None, :]))
+        assert grid.shape == (3, 5, 3)
+        for t, ctx in enumerate(block.blocks(1)):
+            for a, x in enumerate(xs):
+                for b, y in enumerate(ys):
+                    assert grid[t, a, b] == passage_time(spec, ctx, axis, (int(x), int(y)))
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -360,3 +441,55 @@ def test_inverse_transform_vector_kinds():
     assert expo[0] == 0.0 and np.all(np.diff(expo) > 0)
     uni = inverse_transform_times(PassageTimeSpec("uniform", (1.0, 3.0)), 1.0, u)
     assert uni[0] == 1.0 and uni[2] == pytest.approx(2.8)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        PassageTimeSpec("exponential", (2.0,)),
+        PassageTimeSpec("uniform", (1.0, 3.0)),
+        PassageTimeSpec("pareto", (1.0, 3.0)),
+    ],
+)
+def test_inverse_transform_writes_only_to_out(spec):
+    u = np.array([0.0, 0.25, 0.5, 0.9])
+    theta = np.array([0.5, 1.0, 1.5, 2.0])
+    kept = u.copy()
+    times = inverse_transform_times(spec, theta, u)
+    assert times is not u and u.tobytes() == kept.tobytes()
+    assert inverse_transform_times(spec, theta, u, out=u) is u
+    assert u.tobytes() == times.tobytes()
+
+
+def _warm_peak(call):
+    # tracemalloc peak of a warm call, and the bytes of what it returns
+    call()
+    tracemalloc.start()
+    try:
+        out = call()
+        return tracemalloc.get_traced_memory()[1], out.nbytes
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind,params", [("exponential", (1.0,)), ("uniform", (0.5, 1.5)), ("pareto", (1.0, 3.0))])
+def test_passage_time_grid_holds_two_grids(kind, params):
+    # a lattice-decay Dijkstra grid: the hash state and the uniforms, which
+    # become the times, plus numpy's broadcast buffer
+    spec = PassageTimeSpec(kind, params)
+    coords = (np.arange(160)[:, None], np.arange(97)[None, :])
+    peak, size = _warm_peak(lambda: passage_time_grid(spec, SeedContext(8, 3), 0, coords))
+    assert size == 160 * 97 * 8
+    assert peak <= 2.7 * size
+
+
+@pytest.mark.parametrize("dtype", [np.uint16, np.uint64])
+def test_weights_from_vertex_holds_two_blocks_besides_the_keys(dtype):
+    # a yj-prefix sub-block, 64 trials at n = 512: the two edge keys, the
+    # hash state and the uniforms, which become the weights
+    gen = np.random.default_rng(3)
+    rows = np.stack([gen.permutation(512) + 1 for _ in range(64)]).astype(dtype)
+    spec = TreeWeightSpec(alpha=0.5)
+    peak, size = _warm_peak(lambda: weights_from_vertex(spec, SeedContext(2, 5, 64), rows[:, :1], rows[:, 1:]))
+    assert size == 64 * 511 * 8
+    assert peak <= 4.5 * size
