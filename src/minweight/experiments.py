@@ -370,11 +370,10 @@ def _lattice_trial(block, pspec, d, n, budgets):
 
     budgets is an increasing schedule. The straight paths, the first hop-DP
     pass of _first_pass and Dijkstra each run once for the whole block. Each
-    trial's last target label of that pass becomes its Dijkstra limit: the
-    label is the time of a real walk, so it bounds T_n, and Dijkstra's two
-    searches, from the origin and from the target, each stop near half of
-    it. Without that pass the straight-path time is the limit, which under
-    the other laws already keeps the searches to under half the box.
+    trial's last target label of that pass, the time of a real walk, bounds
+    T_n and becomes its Dijkstra limit: the one search from both ends stops
+    near half of it. Without that pass the straight-path time is the limit,
+    which under the other laws already keeps the search to under half the box.
 
     A budget k past the first pass's at or above the hop count of a trial's
     Dijkstra witness admits the witness, so T_n(k) = T_n: it takes T_n and

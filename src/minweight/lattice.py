@@ -8,18 +8,17 @@ a walk can reach. With nonnegative times the walk relaxation is exact for
 self-avoiding paths.
 
 Only Dijkstra runs on a box, [-r, n + r] x [-r, r]^(d - 1) around the
-segment from the origin to the target, and it searches from both ends: one
-call runs a search from the origin and one from the target, each stopping
-at about half of an inclusive limit, an upper bound on T_n that the caller
-may pass (the straight-path time by default, or a hop-DP label). Any path
-of time at most the limit has an edge whose two ends both searches reached,
-so T_n is the least sum of the two distances and the edge time over the
-box's edges. A boundary certificate proves the box exact: a path leaving
-it pays at least the origin's least boundary distance before its first
-exit and the target's after its last re-entry, and passage times are
-nonnegative, so when those two add up to at least T_n it cannot improve.
-Each box is searched once; when its certificate fails the radius doubles,
-and only the array budget bounds the growth.
+segment from the origin to the target. One search runs from both ends at
+once, giving each cell its distance from the nearer end and that end, its
+root, and stops at about half of an inclusive limit, an upper bound on T_n
+that the caller may pass (the straight-path time by default, or a hop-DP
+label). A path of time at most the limit has an arc from a cell rooted at
+the origin to one rooted at the target, so T_n is the least sum of the two
+distances and the edge time over such arcs. A boundary certificate proves
+the box exact: a path leaving it pays at least the least boundary distance
+before its first exit and again after its last re-entry. Each box is
+searched once; when its certificate fails the radius doubles, and only the
+array budget bounds the growth.
 
 Every caller takes its edge times from one grid convention, _axis_times: a
 numpy grid spanning [lows[a], lows[a] + shape[a]) on each axis a,
@@ -253,14 +252,15 @@ def hop_constrained_certified(lat: LatticeSpec, n: int, budgets) -> tuple:
 def _require_box(shape: tuple) -> None:
     """Raise CapacityError when the Dijkstra box of grid shape shape has
     2**31 arcs or more (the int32 CSR indptr and indices would wrap), or
-    when its float64 arc times or the (2, cells) distances of its two
-    searches exceed the array budget."""
+    when its float64 arc times or its search's arrays exceed the array
+    budget: float64 distances, int32 predecessors and int32 roots, one of
+    each per cell, 2 * cells 8-byte elements."""
     cells = math.prod(shape)
     arcs = 2 * sum(cells // side * (side - 1) for side in shape)
     if arcs >= 2**31:
         raise CapacityError(f"Dijkstra box of shape {shape} has {arcs} arcs, beyond int32 CSR indices")
     require_array(f"the arc-time array of the Dijkstra box of shape {shape}", arcs)
-    require_array(f"the distance array of Dijkstra's two searches on the box of shape {shape}", 2 * cells)
+    require_array(f"the distance array of Dijkstra's search on the box of shape {shape}", 2 * cells)
 
 
 def _arc_ends(d: int, axis: int) -> tuple:
@@ -325,10 +325,11 @@ def _box_csr(times: list, shape: tuple):
     return csr_matrix((data[order], indices, indptr), shape=(indptr.size - 1,) * 2)
 
 
-# Each of Dijkstra's two searches stops at limit * (1/2 + PATH_SUM_SLACK).
-# The slack is relative and covers the rounding of every path sum in a box
-# the array budget admits: such a box has at most 2**25 cells, so a sum
-# of its edge times is off by less than 2**25 * 2**-53 of its exact value.
+# Dijkstra's search stops at limit * (1/2 + PATH_SUM_SLACK). The slack is
+# relative and covers the rounding of every path sum in a box the array
+# budget admits: its search's 2 * cells elements keep it at 2**25 cells or
+# fewer, so a sum of its edge times is off by less than 2**25 * 2**-53 of
+# its exact value.
 PATH_SUM_SLACK = 2.0**-26
 
 
@@ -358,26 +359,27 @@ def unconstrained_time(lat: LatticeSpec, n: int, limits=None) -> tuple:
     that defaults to its straight-path time. Any hop-DP target label is the
     time of a real walk, so it is a valid limit too.
 
-    Dijkstra runs on one trial's lattice at a time, from both ends at once:
-    one call searches from the origin and from the target on the box
-    [-r, n + r] x [-r, r]^(d - 1), r = ceil(5n/8) + 8 at first, each search
-    stopping at h = limit * (1/2 + PATH_SUM_SLACK). A path of time at most
-    the limit has an edge u -> w with both ends within h of their search's
-    root, so T_n is the least ds(u) + t(u, w) + dt(w) over the box's arcs.
-    The witness is the origin's search path to u, then the target's search
-    path from w; the value is its edge times summed left to right, as a
-    one-source Dijkstra sums them.
+    Dijkstra runs on one trial's lattice at a time, in one search from the
+    origin and the target at once on the box [-r, n + r] x [-r, r]^(d - 1),
+    r = ceil(5n/8) + 8 at first, stopping at h = limit * (1/2 + PATH_SUM_SLACK).
+    Each reached cell gets its distance d from the nearer end and that end,
+    its root. Every cell of a best path of time T <= limit lies within
+    T/2 <= h of one end, and the path's roots run from the origin to the
+    target, so T_n is the least d(u) + t(u, w) + d(w) over arcs u -> w from
+    a cell rooted at the origin to one rooted at the target. The witness is
+    the search path from the origin to u, then from w to the target; its
+    edge times are summed left to right, as a one-source Dijkstra sums them.
 
-    The box is certified when e_s + e_t >= T_n, e being each search's least
-    boundary distance and an unreached boundary counting at its search's
-    stop: a path that leaves the box pays at least e_s up to its first
-    boundary vertex and at least e_t from its last one. Each box is
-    searched once; when its certificate fails the radius doubles until it
-    holds, and the value is then exact for the infinite lattice. Growth
-    ends only at the array budget: a box too large for int32 CSR indices
-    or for the budget raises CapacityError before any array of it is built
-    (see _require_box). When e_s + e_t exceeds the limit and no path in the
-    box takes at most the limit, the limit is below T_n: ValueError.
+    The box is certified when 2 * e >= T_n, e being the least boundary
+    distance, or the stop when it is smaller: a path that leaves the box
+    pays at least e up to its first boundary vertex and at least e from its
+    last one. Each box is searched once; when its certificate fails the
+    radius doubles until it holds, and the value is then exact for the
+    infinite lattice. Growth ends only at the array budget: a box too large
+    for int32 CSR indices or for the budget raises CapacityError before any
+    array of it is built (see _require_box). When 2 * e exceeds the limit
+    and no path in the box takes at most the limit, the limit is below T_n:
+    ValueError.
 
     Distance ties between distinct optimal paths occur with probability zero
     under the continuous passage-time laws; on such ties the reported witness
@@ -402,12 +404,11 @@ def _certified_dijkstra(lat: LatticeSpec, n: int, limit: float) -> ConstrainedRe
         _require_box(shape)  # before any array of the box is built
         times = [_axis_times(lat, lows, shape, a)[0] for a in range(lat.d)]
         graph = _box_csr(times, shape)
-        boundary = _csr_pattern(shape)[3]
-        # flat indices of the origin and of the target, the two searches' roots
+        # flat indices of the origin and of the target, the search's two roots
         ends = np.ravel_multi_index(((radius, radius + n),) + ((radius, radius),) * (lat.d - 1), shape)
-        dist, pred = _csgraph_dijkstra(graph, directed=True, indices=ends, return_predecessors=True, limit=stop)
-        value, cells = _meet(dist, pred, times, shape, ends)
-        bound = sum(min(float(side[boundary].min()), stop) for side in dist)
+        dist, pred, roots = _csgraph_dijkstra(graph, indices=ends, return_predecessors=True, limit=stop, min_only=True)
+        value, cells = _meet(dist, pred, roots, times, shape, ends)
+        bound = 2 * min(float(dist[_csr_pattern(shape)[3]].min()), stop)
         if value <= limit and bound >= value:
             return ConstrainedResult(value, len(cells) - 1, tuple(map(tuple, (cells + lows).tolist())))
         if bound > limit:
@@ -415,25 +416,23 @@ def _certified_dijkstra(lat: LatticeSpec, n: int, limit: float) -> ConstrainedRe
         radius *= 2
 
 
-def _best_arc(dist, times: list, shape: tuple):
-    """The arc u -> w of the box with the least ds(u) + t(u, w) + dt(w), as
-    (axis, backward, flat index of its base in times[axis]), or None when no
-    arc joins the two searches' (2, cells) distances dist.
-
-    Sums are formed only at arcs whose tail the origin's search and whose
-    head the target's search reached, in (axis, direction, flat index)
-    order, so the first least sum in that order wins, as it would over
-    every arc of the box.
+def _best_arc(dist, roots, times: list, shape: tuple, ends):
+    """The arc u -> w of the box with the least d(u) + t(u, w) + d(w) whose
+    tail is rooted at the origin ends[0] and whose head at the target
+    ends[1], as (axis, backward, flat index of its base in times[axis]), or
+    None when there is none; dist and roots are the search's (cells,)
+    distances and roots. Sums are formed only at those arcs, in (axis,
+    direction, flat index) order, so the first least sum in that order wins.
     """
     d = len(shape)
-    ds, dt = dist.reshape((2,) + shape)
-    reached_s, reached_t = ds < math.inf, dt < math.inf
+    dist, roots = dist.reshape(shape), roots.reshape(shape)
+    from_s, from_t = roots == ends[0], roots == ends[1]
     best, arc = math.inf, None
     for a, t in enumerate(times):
         lo, hi = _arc_ends(d, a)
         for backward, (u, w) in enumerate(((lo, hi), (hi, lo))):
-            both = reached_s[u] & reached_t[w]
-            sums = ds[u][both] + t[both] + dt[w][both]
+            both = from_s[u] & from_t[w]
+            sums = dist[u][both] + t[both] + dist[w][both]
             if not sums.size:
                 continue
             i = int(np.argmin(sums))
@@ -442,17 +441,17 @@ def _best_arc(dist, times: list, shape: tuple):
     return arc
 
 
-def _meet(dist, pred, times: list, shape: tuple, ends) -> tuple:
+def _meet(dist, pred, roots, times: list, shape: tuple, ends) -> tuple:
     """(value, cells) of the best origin-to-target path through an arc
-    u -> w of the box whose ends both searches reached, the one _best_arc
-    picks. cells holds the path's grid indices, one row per vertex, and
-    the value sums its edge times left to right; it is +inf, with no cells,
-    when no arc joins the searches.
+    u -> w of the box from a cell rooted at the origin to one rooted at the
+    target, the one _best_arc picks. cells holds the path's grid indices,
+    one row per vertex, and the value sums its edge times left to right; it
+    is +inf, with no cells, when no arc joins the two roots' cells.
 
-    dist and pred are the two searches' (2, cells) distances and
-    predecessors, from the origin ends[0] and from the target ends[1].
+    dist, pred and roots are the one search's (cells,) distances,
+    predecessors and roots, from the origin ends[0] and the target ends[1].
     """
-    arc = _best_arc(dist, times, shape)
+    arc = _best_arc(dist, roots, times, shape, ends)
     if arc is None:
         return math.inf, np.empty((0, len(shape)), dtype=np.intp)
     a, backward, i = arc
@@ -460,13 +459,12 @@ def _meet(dist, pred, times: list, shape: tuple, ends) -> tuple:
     head = tuple(c + (j == a) for j, c in enumerate(base))
     u, w = (int(np.ravel_multi_index(x, shape)) for x in ((head, base) if backward else (base, head)))
 
-    path = [u]
-    while path[-1] != ends[0]:
-        path.append(int(pred[0, path[-1]]))
-    path = path[::-1] + [w]
-    while path[-1] != ends[1]:
-        path.append(int(pred[1, path[-1]]))
+    def to_root(cell):  # a root's predecessor is -9999
+        while cell >= 0:
+            yield cell
+            cell = int(pred[cell])
 
+    path = [*to_root(u)][::-1] + [*to_root(w)]
     cells = np.stack(np.unravel_index(path, shape), axis=1)
     axes = np.argmax(cells[1:] != cells[:-1], axis=1)
     bases = np.minimum(cells[1:], cells[:-1])

@@ -253,14 +253,16 @@ def sample_yj(block: SeedContext, spec: TreeWeightSpec, n: int, j: int) -> list:
     of the trial's random j-prefix to a vertex outside the prefix.
 
     With j prefix vertices there are n - j candidates, so j must lie in
-    1..n-1. One _prefix_block shuffle serves the whole block; then one
-    weights_from_vertex call per sub-block of weights.BLOCK_ELEMENTS // n
-    trials hashes each row's last prefix vertex against its n - j outside
-    vertices. No weight matrix is built. Returns one float per trial, in
-    trial order.
+    1..n-1. One trial's row of n - j weights is checked against the array
+    budget before anything is hashed, which covers every sub-block of at
+    most max(1, weights.BLOCK_ELEMENTS // n) trials. One _prefix_block
+    shuffle serves the whole block; then one weights_from_vertex call per
+    sub-block hashes each row's last prefix vertex against its outside
+    vertices. No weight matrix is built. Returns one float per trial.
     """
     if not 1 <= j <= n - 1:
         raise ValueError(f"prefix length must lie in 1..{n - 1}, got {j}")
+    require_array(f"the weight row of Y_{j} over {n - j} vertices", n - j)
     verts = _prefix_block(block, n, j)
     ys = []
     for sub in block.blocks(weights.BLOCK_ELEMENTS // n):

@@ -11,9 +11,12 @@ passage-time moments, the Bernoulli tail bound) are plain functions of the
 spec. The oracles (Prufer decoding one sequence at a time, and the path
 search run once per hop budget) are the references of the package's batched
 ones: the cached Prufer edge keys of ``trees`` (read as edge lists through
-all_labelled_trees) and ``lattice.enumerate_paths_oracle``. The sum over
-every arc of a Dijkstra box is the reference of ``lattice._meet``, which
-forms it only where both searches reached.
+all_labelled_trees) and ``lattice.enumerate_paths_oracle``. The least sum
+over the arcs of a Dijkstra box from a cell rooted at the origin to one
+rooted at the target, formed at every arc, is the reference of
+``lattice._meet``, which forms it only at such arcs; the least sum of two
+searches, one from each end, over every arc is the reference of its value
+and witness.
 The per-trial Y_j path (one scalar Fisher-Yates prefix, then the row rule on
 the full weight matrix) is the reference of the block kernel
 ``trees.sample_yj``.
@@ -306,8 +309,10 @@ def enumerate_paths(lat: LatticeSpec, n: int, k: int):
 
 
 def meet_over_every_arc(dist, pred, times, shape, ends) -> tuple:
-    """(value, cells, arc) of lattice._meet, with the least
-    ds(u) + t(u, w) + dt(w) formed over every arc of the box, reached or not.
+    """(value, cells, arc) of the two searches from the origin ends[0] and
+    from the target ends[1], with their (2, cells) distances dist and
+    predecessors pred: the least ds(u) + t(u, w) + dt(w) formed over every
+    arc of the box, reached or not.
 
     arc is (axis, backward, flat index of its base in times[axis]), the
     first least sum in (axis, direction, flat index) order, or None when
@@ -315,8 +320,24 @@ def meet_over_every_arc(dist, pred, times, shape, ends) -> tuple:
     is the origin's search path to u, then the target's search path from
     w; its edge times are added one numpy add per edge, in path order.
     """
-    d = len(shape)
     ds, dt = dist.reshape((2,) + shape)
+    return _least_arc_path(ds, dt, pred[0], pred[1], times, shape, ends)
+
+
+def meet_over_rooted_arcs(dist, pred, roots, times, shape, ends) -> tuple:
+    """(value, cells, arc) of lattice._meet on the one search from both ends,
+    with its (cells,) distances, predecessors and roots: as
+    meet_over_every_arc, with every arc's sum +inf unless its tail is
+    rooted at the origin ends[0] and its head at the target ends[1]."""
+    ds = np.where(roots == ends[0], dist, np.inf).reshape(shape)
+    dt = np.where(roots == ends[1], dist, np.inf).reshape(shape)
+    return _least_arc_path(ds, dt, pred, pred, times, shape, ends)
+
+
+def _least_arc_path(ds, dt, pred_s, pred_t, times, shape, ends) -> tuple:
+    """The body of both meet references: box-shaped distances ds from the
+    origin and dt to the target, and the predecessors that walk back to each."""
+    d = len(shape)
     best, arc = math.inf, None
     for a, t in enumerate(times):
         lo = tuple(slice(None, -1) if i == a else slice(None) for i in range(d))
@@ -335,10 +356,10 @@ def meet_over_every_arc(dist, pred, times, shape, ends) -> tuple:
 
     path = [u]
     while path[-1] != ends[0]:
-        path.append(int(pred[0, path[-1]]))
+        path.append(int(pred_s[path[-1]]))
     path = path[::-1] + [w]
     while path[-1] != ends[1]:
-        path.append(int(pred[1, path[-1]]))
+        path.append(int(pred_t[path[-1]]))
 
     cells = np.stack(np.unravel_index(path, shape), axis=1)
     value = np.float64(0.0)

@@ -22,7 +22,7 @@ from minweight.lattice import (
     unconstrained_time,
 )
 from minweight.weights import PassageTimeSpec, SeedContext, passage_time_grid
-from reference import enumerate_paths, meet_over_every_arc, passage_time
+from reference import enumerate_paths, meet_over_every_arc, meet_over_rooted_arcs, passage_time
 
 EXP1 = PassageTimeSpec("exponential", (1.0,))
 UNIFORM = PassageTimeSpec("uniform", (0.5, 1.5), param_range=(0.5, 2.0))
@@ -628,30 +628,34 @@ def test_limit_below_the_passage_time_raises():
             unconstrained_time(l, 6, (limit,))
 
 
-def _two_searches(times, shape, n, radius, stop):
-    """(dist, pred, ends) of Dijkstra's two searches on the box _box(d, n, radius)
-    with +a edge times times[a], each stopping at stop, as _certified_dijkstra runs them."""
+def _search(times, shape, n, radius, stop, min_only):
+    """(ends, Dijkstra's output) on the box _box(d, n, radius) with +a edge
+    times times[a], from the origin ends[0] and the target ends[1], stopping
+    at stop: with min_only the one search _certified_dijkstra runs, (dist,
+    pred, roots), else two searches, one from each end, (dist, pred)."""
     d = len(shape)
     ends = np.ravel_multi_index(((radius, radius + n),) + ((radius, radius),) * (d - 1), shape)
     graph = lattice._box_csr(times, shape)
-    dist, pred = dijkstra(graph, directed=True, indices=ends, return_predecessors=True, limit=stop)
-    return dist, pred, ends
+    return ends, dijkstra(graph, indices=ends, return_predecessors=True, limit=stop, min_only=min_only)
 
 
-def _assert_meet_matches_every_arc(times, shape, dist, pred, ends):
-    value, cells, arc = meet_over_every_arc(dist, pred, times, shape, ends)
-    assert lattice._best_arc(dist, times, shape) == arc
-    got, got_cells = lattice._meet(dist, pred, times, shape, ends)
+def _check_meet(times, shape, ends, dist, pred, roots):
+    """(value, cells, arc) of _meet on the one search, checked against the rooted-arc reference."""
+    value, cells, arc = meet_over_rooted_arcs(dist, pred, roots, times, shape, ends)
+    assert lattice._best_arc(dist, roots, times, shape, ends) == arc
+    got, got_cells = lattice._meet(dist, pred, roots, times, shape, ends)
     assert np.float64(got).tobytes() == np.float64(value).tobytes()
     assert got_cells.shape == cells.shape and np.array_equal(got_cells, cells)
-    return arc
+    return value, cells, arc
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_meet_matches_the_sum_over_every_arc(d):
-    # the searches meet when each stops at half the straight-path time, as
-    # unconstrained_time stops them, or never; stopped at a sixteenth of it
-    # they mostly miss each other (+inf, no cells)
+    # _meet on the one search gives the value bits and cells of the least sum
+    # over every arc of two searches, one from each end. The searches meet
+    # when they stop at half the straight-path time, as unconstrained_time
+    # stops them, or never; stopped at a sixteenth of it they mostly miss
+    # each other (+inf, no cells)
     met = missed = 0
     n, radius = 5, 3
     lows, shape = lattice._box(d, n, radius)
@@ -661,7 +665,12 @@ def test_meet_matches_the_sum_over_every_arc(d):
             times = [lattice._axis_times(l, lows, shape, a)[0] for a in range(d)]
             (straight,) = straight_path_time(l, n)
             for stop in (straight * (0.5 + lattice.PATH_SUM_SLACK), straight / 16, np.inf):
-                arc = _assert_meet_matches_every_arc(times, shape, *_two_searches(times, shape, n, radius, stop))
+                ends, one = _search(times, shape, n, radius, stop, min_only=True)
+                value, cells, arc = _check_meet(times, shape, ends, *one)
+                _, (dist, pred) = _search(times, shape, n, radius, stop, min_only=False)
+                two_value, two_cells, _ = meet_over_every_arc(dist, pred, times, shape, ends)
+                assert np.float64(value).tobytes() == np.float64(two_value).tobytes()
+                assert cells.shape == two_cells.shape and np.array_equal(cells, two_cells)
                 met += arc is not None
                 missed += arc is None
     assert met >= 36 and missed >= 1
@@ -669,29 +678,72 @@ def test_meet_matches_the_sum_over_every_arc(d):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_meet_takes_the_first_of_tied_arcs(d):
-    # edge times of 1 and 2 make sums exact and many arcs tie, on axes and
-    # directions both; the first in (axis, direction, flat index) order wins
+    # edge times of 1 and 2 make sums exact and many arcs from the origin's
+    # cells to the target's tie, on axes and directions both; the first in
+    # (axis, direction, flat index) order wins, and its value is the two
+    # searches' least sum over every arc
     gen = np.random.default_rng(d)
     n, radius = 4, 2
     _, shape = lattice._box(d, n, radius)
-    across = 0
-    for _ in range(10):
+    ties = across = 0
+    for _ in range(40):
         times = [
             gen.integers(1, 3, size=tuple(side - (i == a) for i, side in enumerate(shape))).astype(float)
             for a in range(d)
         ]
-        dist, pred, ends = _two_searches(times, shape, n, radius, np.inf)
-        arc = _assert_meet_matches_every_arc(times, shape, dist, pred, ends)
-        ds, dt = dist.reshape((2,) + shape)
-        best = ds.flat[ends[1]]
+        ends, (dist, pred, roots) = _search(times, shape, n, radius, np.inf, min_only=True)
+        value, _, arc = _check_meet(times, shape, ends, dist, pred, roots)
+        _, two = _search(times, shape, n, radius, np.inf, min_only=False)
+        assert value == meet_over_every_arc(*two, times, shape, ends)[0]
+        dist, roots = dist.reshape(shape), roots.reshape(shape)
         tied = set()
         for a, t in enumerate(times):
             lo, hi = lattice._arc_ends(d, a)
             for backward, (u, w) in enumerate(((lo, hi), (hi, lo))):
-                tied |= {(a, backward, int(i)) for i in np.flatnonzero(ds[u] + t + dt[w] == best)}
-        assert len(tied) >= 2 and arc == min(tied)
+                rooted = (roots[u] == ends[0]) & (roots[w] == ends[1])
+                tied |= {(a, backward, int(i)) for i in np.flatnonzero(rooted & (dist[u] + t + dist[w] == value))}
+        assert arc == min(tied)
+        ties += len(tied) >= 2
         across += len({x[:2] for x in tied}) > 1
-    assert across  # some ties join arcs of different axes or directions
+    assert ties >= 5 and across  # some ties join arcs of different axes or directions
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_certificate_doubles_a_box_only_the_origin_side_leaves(monkeypatch, d):
+    # edge times are uniform on [1, 2], a tenth of that where both ends have
+    # x <= 0: from radius 5 the search reaches the box's boundary from the
+    # origin within 1, below its stop near half a straight path of at least
+    # 4, while the boundary lies at least 5 from the target, above that stop
+    # for a straight path of at most 8. Twice the least boundary distance
+    # then falls short of T_n >= 4 and the box doubles.
+    n = 4
+    uniform = PassageTimeSpec("uniform", (1.0, 2.0))
+
+    def planted(spec, ctx, axis, coords):
+        u = passage_time_grid(uniform, ctx, axis, coords)
+        cheap = np.broadcast_to(coords[0] + (axis == 0) <= 0, u.shape)
+        return np.where(cheap, 0.1 * u, u)
+
+    found, dijkstra_fn = [], lattice._csgraph_dijkstra
+
+    def recording(graph, **kwargs):
+        found.append(dijkstra_fn(graph, **kwargs))
+        return found[-1]
+
+    monkeypatch.setattr(lattice, "passage_time_grid", planted)
+    monkeypatch.setattr(lattice, "_csgraph_dijkstra", recording)
+    monkeypatch.setattr(lattice, "_first_radius", lambda n: 5)
+    for seed in range(3):
+        l = lat(700 + seed, d=d)
+        found.clear()
+        (res,) = unconstrained_time(l, n)
+        assert (res.value, res.hop_count, res.path) == dijkstra_from_radius_2n(l, n)
+        assert len(found) >= 2  # the box doubled
+        _, shape = lattice._box(d, n, 5)
+        _, _, roots = found[0]
+        ends = np.ravel_multi_index(((5, 5 + n),) + ((5, 5),) * (d - 1), shape)
+        on_boundary = roots[lattice._csr_pattern(shape)[3]]
+        assert (on_boundary == ends[0]).any() and not (on_boundary == ends[1]).any()
 
 
 @settings(max_examples=100, deadline=None)
@@ -702,7 +754,7 @@ def test_meet_takes_the_first_of_tied_arcs(d):
     heterogeneous=st.booleans(),
     n=st.integers(1, 10),
 )
-def test_two_searches_match_one_search_from_radius_2n(seed, d, law, heterogeneous, n):
+def test_search_from_both_ends_matches_one_source_search_from_radius_2n(seed, d, law, heterogeneous, n):
     # the same value, hop count and witness under the straight-path limit,
     # the DP-label limit and no limit; a limit one ulp below T_n is refused
     spec = PassageTimeSpec(law.kind, law.params, (0.5, 2.0) if heterogeneous else (1.0, 1.0))

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import minweight.trees as trees_mod
-from minweight import weights
+from minweight import rng, weights
 from minweight.errors import CapacityError
 from minweight.experiments import SANDWICH_SLACK
 from minweight.trees import (
@@ -319,6 +319,27 @@ def test_sample_yj():
     for j in (0, 4):
         with pytest.raises(ValueError, match="prefix length"):
             sample_yj(SeedContext(1, 0, 2), spec, 4, j)
+
+
+def test_sample_yj_checks_its_weight_row_before_hashing(monkeypatch):
+    # at a 512-byte budget a trial's row of 99 weights (792 bytes) is refused
+    # before any word is hashed, though the shuffle's table and state fit;
+    # a row of 64 weights fits, in blocks of one trial
+    monkeypatch.setattr(weights, "ARRAY_BYTES", 512)
+    monkeypatch.setattr(weights, "BLOCK_ELEMENTS", 64)
+    hashed = []
+    hash_words_vec = rng.hash_words_vec
+
+    def recording(*words, **kwargs):
+        hashed.append(len(words))
+        return hash_words_vec(*words, **kwargs)
+
+    monkeypatch.setattr(rng, "hash_words_vec", recording)
+    spec = TreeWeightSpec(0.5)
+    with pytest.raises(CapacityError, match="weight row of Y_1 over 99 vertices"):
+        sample_yj(SeedContext(1), spec, 100, 1)
+    assert hashed == []
+    assert len(sample_yj(SeedContext(1, 0, 3), spec, 65, 1)) == 3 and hashed
 
 
 @pytest.mark.parametrize("het", [False, True])
